@@ -10,8 +10,10 @@ from rtlab.triangles import TrianglePattern, find_rainbow
 # The branch-and-bound search ranges over every c-colored digraph on n
 # vertices with no rainbow pattern and reports the exact optimum --
 # either the most edges in total, or the best possible minimum over the
-# color classes.  Symmetry reduction and an edge-budget bound keep the
-# tree small enough to exhaust.
+# color classes; one search maximizes either objective directly.  Color
+# symmetry on the first vertex pair and an optimistic-completion bound
+# (every unassigned pair filled to capacity) keep the tree small enough
+# to exhaust.
 
 for oriented in (False, True):
     for pattern in TrianglePattern:
@@ -20,8 +22,10 @@ for oriented in (False, True):
         print(f"n=3 c=3 {pattern.value:10s} oriented={oriented!s:5s} "
               f"max total = {result.value:2d}  (nodes {result.nodes})")
 
-# With doubles allowed the optimum 12 means EVERY pair carries two of
-# the three colors both ways; the witness realizes it.
+# With doubles allowed the optimum is 12 edges.  The witness puts all
+# three colors both ways on two pairs and leaves the third pair empty, so
+# it has no triangle at all; two colors both ways on every pair reach 12
+# as well.
 problem = SearchProblem(n=3, c=3, pattern=TrianglePattern.DIRECTED)
 result = solve(problem)
 print()

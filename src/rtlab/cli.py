@@ -18,7 +18,10 @@ subcommands it hashes the parameter record.
 
 Exit status: 0 when the verdict is pass, 1 when a check fails (for the
 detector: a witness was found), 2 on input errors -- malformed files,
-out-of-range parameters, unknown names, missing catalogue data.
+out-of-range parameters, unknown names, missing catalogue data -- and 3
+on an internal error: any other exception, reported as ``internal error:``
+plus its traceback on stderr, so that a crash is never read as a failed
+check.
 
 Worker counts for the scenario evaluators come from --jobs, falling back
 to the RTLAB_JOBS environment variable.
@@ -33,6 +36,7 @@ import os
 import random
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .constructions import ConstructionId, build_construction, expected_count
@@ -138,6 +142,23 @@ def _entry_summary(entries) -> dict:
     }
 
 
+def _check_catalogue(which: str, directory: str | None, jobs: int | None):
+    """Evaluate one catalogue and print each violated or infeasible entry to
+    stderr.  Returns (digest of the scenarios, entries, summary, passed)."""
+    scenarios = _catalogue_scenarios(which, directory)
+    entries = evaluate_scenarios(scenarios, jobs=jobs)
+    summary = _entry_summary(entries)
+    for e in entries:
+        if e.status in ("violated", "infeasible"):
+            print(
+                f"{which}: {e.status} at {e.scenario_id} "
+                f"(computed {e.computed_max}, bound {e.bound})",
+                file=sys.stderr,
+            )
+    passed = not (summary["violated"] or summary["infeasible"])
+    return _sha256(dumps_scenarios(scenarios)), entries, summary, passed
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -241,24 +262,15 @@ def cmd_scenario_run(args, echo, started) -> int:
 
 
 def cmd_verify_table(args, echo, started) -> int:
-    scenarios = _catalogue_scenarios("table10x10", args.catalogue_dir)
-    entries = evaluate_scenarios(scenarios, jobs=_resolve_jobs(args.jobs))
-    summary = _entry_summary(entries)
-    bad = summary["violated"] + summary["infeasible"]
-    by_id = {e.scenario_id: e for e in entries}
-    for sid in bad:
-        e = by_id[sid]
-        print(
-            f"{e.status}: {sid} (computed {e.computed_max}, bound {e.bound})",
-            file=sys.stderr,
-        )
+    digest, entries, summary, passed = _check_catalogue(
+        "table10x10", args.catalogue_dir, _resolve_jobs(args.jobs)
+    )
     results = {
         "catalogue": "table10x10",
         **summary,
         "entries": [e.to_dict() for e in entries],
     }
-    digest = _sha256(dumps_scenarios(scenarios))
-    return _emit(echo, digest, results, not bad, started)
+    return _emit(echo, digest, results, passed, started)
 
 
 def cmd_lemma21(args, echo, started) -> int:
@@ -363,20 +375,10 @@ def cmd_verify_all(args, echo, started) -> int:
 
     # 1. every shipped bound catalogue
     for which in CATALOGUE_IDS:
-        scenarios = _catalogue_scenarios(which, args.catalogue_dir)
-        digest_parts[which] = _sha256(dumps_scenarios(scenarios))
-        entries = evaluate_scenarios(scenarios, jobs=jobs)
-        summary = _entry_summary(entries)
-        bad = summary["violated"] + summary["infeasible"]
-        by_id = {e.scenario_id: e for e in entries}
-        for sid in bad:
-            e = by_id[sid]
-            print(
-                f"{which}: {e.status} at {sid} "
-                f"(computed {e.computed_max}, bound {e.bound})",
-                file=sys.stderr,
-            )
-        segments.append({"name": f"catalogue:{which}", "pass": not bad, **summary})
+        digest_parts[which], _, summary, passed = _check_catalogue(
+            which, args.catalogue_dir, jobs
+        )
+        segments.append({"name": f"catalogue:{which}", "pass": passed, **summary})
 
     # 2. two-set edge bound on the full grid a + b <= 7
     lemma_failures = []
@@ -592,6 +594,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

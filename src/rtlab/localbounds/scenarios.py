@@ -63,7 +63,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ..graphs import GraphInputError
-from ..triangles import sdr_exists
+from ..triangles import TrianglePattern, rainbow_free_check
 
 __all__ = [
     "MAX_FREE_SLOTS",
@@ -663,25 +663,12 @@ class _Engine:
             else:
                 checkers.append((scope, fn))
 
-        cc = self.c
         for con in self.all_constraints:
             kind = con.kind
             if kind == "no_rainbow":
-                directed = con.pattern == "directed"
+                pattern = TrianglePattern(con.pattern)
                 for a, b, c in itertools.combinations(range(self.n), 3):
-                    if directed:
-                        def fn(a=a, b=b, c=c):
-                            return not (
-                                sdr_exists(m[a][b], m[b][c], m[c][a])
-                                or sdr_exists(m[b][a], m[c][b], m[a][c])
-                            )
-                    else:
-                        def fn(a=a, b=b, c=c):
-                            for p, q, r in itertools.permutations((a, b, c)):
-                                if sdr_exists(m[p][q], m[q][r], m[p][r]):
-                                    return False
-                            return True
-                    add([(a, b), (b, c), (a, c)], fn)
+                    add([(a, b), (b, c), (a, c)], rainbow_free_check(m, pattern, a, b, c))
             elif kind == "no_thick_path":
                 for a, b, c in itertools.permutations(range(self.n), 3):
                     def fn(a=a, b=b, c=c):

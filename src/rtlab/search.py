@@ -5,23 +5,27 @@ For small n and c this module answers two questions exactly:
 * ``total``: the maximum of the total edge count over all c-colored directed
   graphs on n vertices with no rainbow triangle of the chosen kind;
 * ``min-color``: the maximum over such graphs of the smallest per-color edge
-  count (found by binary search on the answer over feasibility runs).
+  count.
 
-The search assigns whole vertex pairs at a time.  A pair's state is one
-direction choice per color (present forward / backward / absent, plus "both"
-when two-way pairs are allowed), so a pair has 4**c states, or 3**c in
-oriented mode.  Pairs are ordered by their larger endpoint, which means every
-vertex triple is completed exactly once -- when its last pair is assigned --
-and rainbow-freeness is maintained incrementally: a triple contains a rainbow
-triangle exactly when one of its triangle orientations admits a system of
-distinct representatives among the three slot color sets, a three-set Hall
-condition on bitmasks.
+One branch-and-bound maximizes either objective directly.  It assigns whole
+vertex pairs at a time.  A pair's state is one direction choice per color
+(present forward / backward / absent, plus "both" when two-way pairs are
+allowed), so a pair has 4**c states, or 3**c in oriented mode.  Pairs are
+ordered by their larger endpoint, which means every vertex triple is
+completed exactly once -- when its last pair is assigned -- and
+rainbow-freeness is maintained incrementally by the triple checks of
+``triangles.rainbow_free_check``, a three-set Hall condition on the color
+bitmasks of each triangle's slots.
 
-Pruning is by optimistic completion (every unassigned pair filled to
-capacity).  Colors are interchangeable for both objectives, so the first
-pair's states are restricted to one representative per color-permutation
-orbit; an optional flag also quotients by simultaneous reversal of all
-edges, which maps both triangle kinds onto themselves.
+Pruning is by optimistic completion: the objective of the per-color counts
+so far, each raised by the most its color can still gain on the unassigned
+pairs, must beat the best value found.  States are tried densest first, and
+the loop over a pair's states stops at the first state whose edge count
+cannot lift the optimistic total above the best value; for min-color the
+optimistic total is divided by c first, since the smallest color count is at
+most the average.  Colors are interchangeable for both objectives, so the
+first pair's states are restricted to one representative per
+color-permutation orbit.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Sequence
 
 from .graphs import ColoredDigraph, GraphBuilder, count_color, is_oriented
-from .triangles import TrianglePattern, find_rainbow, sdr_exists as _sdr3
+from .triangles import TrianglePattern, find_rainbow, rainbow_free_check
 
 __all__ = [
     "SearchObjective",
@@ -88,14 +93,19 @@ def _pairs_by_max_endpoint(n: int) -> list[tuple[int, int]]:
     return [(a, m) for m in range(1, n) for a in range(m)]
 
 
-def _profiles(c: int, oriented: bool) -> list[tuple[int, int, int]]:
-    """All (count, fwd_mask, bwd_mask) pair states, densest first."""
+_PairState = tuple[int, int, int, tuple[int, ...]]
+
+
+def _profiles(c: int, oriented: bool) -> list[_PairState]:
+    """All (count, fwd_mask, bwd_mask, per-color counts) pair states,
+    densest first."""
     out = []
     for f in range(1 << c):
         for b in range(1 << c):
             if oriented and f & b:
                 continue
-            out.append((f.bit_count() + b.bit_count(), f, b))
+            gain = tuple((f >> i & 1) + (b >> i & 1) for i in range(c))
+            out.append((sum(gain), f, b, gain))
     out.sort(key=lambda p: (-p[0], p[1], p[2]))
     return out
 
@@ -108,26 +118,15 @@ def _permute_mask(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
-def _first_pair_profiles(
-    profiles: Sequence[tuple[int, int, int]],
-    c: int,
-    color_symmetry: bool,
-    vertex_symmetry: bool,
-) -> list[tuple[int, int, int]]:
-    """One representative per symmetry orbit for the first pair's state."""
-    if not color_symmetry and not vertex_symmetry:
-        return list(profiles)
-    perms = list(itertools.permutations(range(c))) if color_symmetry else [tuple(range(c))]
+def _first_pair_profiles(profiles: Sequence[_PairState], c: int) -> list[_PairState]:
+    """One representative per color-permutation orbit for the first pair's
+    state: the one whose (fwd_mask, bwd_mask) is least."""
+    perms = list(itertools.permutations(range(c)))
     keep = []
-    for count, f, b in profiles:
-        orbit = []
-        for perm in perms:
-            pf, pb = _permute_mask(f, perm), _permute_mask(b, perm)
-            orbit.append((pf, pb))
-            if vertex_symmetry:
-                orbit.append((pb, pf))
-        if (f, b) == min(orbit):
-            keep.append((count, f, b))
+    for state in profiles:
+        _, f, b, _ = state
+        if (f, b) == min((_permute_mask(f, p), _permute_mask(b, p)) for p in perms):
+            keep.append(state)
     return keep
 
 
@@ -148,182 +147,80 @@ class _Budget:
         return self.hit
 
 
-class _State:
-    """Pair assignment record plus the incremental rainbow machinery."""
-
-    def __init__(self, problem: SearchProblem):
-        self.problem = problem
-        n = problem.n
-        self.pairs = _pairs_by_max_endpoint(n)
-        self.fwd = [[0] * n for _ in range(n)]  # fwd[a][m], a < m: colors of a->m
-        self.bwd = [[0] * n for _ in range(n)]  # colors of m->a
-        self.assigned: list[tuple[int, int, int]] = []
-
-    def mask(self, u: int, v: int) -> int:
-        """Colors carrying the edge u -> v."""
-        return self.fwd[u][v] if u < v else self.bwd[v][u]
-
-    def triple_safe(self, a: int, m: int) -> bool:
-        """No rainbow triangle in any triple completed by the pair (a, m)."""
-        directed = self.problem.pattern is TrianglePattern.DIRECTED
-        for b in range(a):
-            x, y, z = b, a, m
-            if directed:
-                if _sdr3(self.mask(x, y), self.mask(y, z), self.mask(z, x)):
-                    return False
-                if _sdr3(self.mask(x, z), self.mask(z, y), self.mask(y, x)):
-                    return False
-            else:
-                # all six role assignments use pairwise different slot sets
-                for u, v, w in itertools.permutations((x, y, z)):
-                    if _sdr3(self.mask(u, v), self.mask(v, w), self.mask(u, w)):
-                        return False
-        return True
-
-    def to_graph(self) -> ColoredDigraph:
-        builder = GraphBuilder(self.problem.n, self.problem.c)
-        for (a, m), (_, f, b) in zip(self.pairs, self.assigned):
-            for color in range(1, self.problem.c + 1):
-                if f >> (color - 1) & 1:
-                    builder.add(color, a, m)
-                if b >> (color - 1) & 1:
-                    builder.add(color, m, a)
-        return builder.build()
-
-
-def _search_total(
-    problem: SearchProblem,
-    budget: _Budget,
-    color_symmetry: bool,
-    vertex_symmetry: bool,
-) -> tuple[int, ColoredDigraph | None]:
-    state = _State(problem)
-    profiles = _profiles(problem.c, problem.oriented)
-    first = _first_pair_profiles(profiles, problem.c, color_symmetry, vertex_symmetry)
-    num_pairs = len(state.pairs)
-    cap = problem.pair_capacity
-    best = -1
-    best_graph: ColoredDigraph | None = None
-
-    def rec(idx: int, current: int) -> None:
-        nonlocal best, best_graph
-        if budget.hit:
-            return
-        if idx == num_pairs:
-            if current > best:
-                best = current
-                best_graph = state.to_graph()
-            return
-        if current + (num_pairs - idx) * cap <= best:
-            return
-        a, m = state.pairs[idx]
-        options = first if idx == 0 else profiles
-        for count, f, b in options:
-            if budget.tick():
-                return
-            if current + count + (num_pairs - idx - 1) * cap <= best:
-                break  # options are sorted densest first
-            state.fwd[a][m], state.bwd[a][m] = f, b
-            if state.triple_safe(a, m):
-                state.assigned.append((count, f, b))
-                rec(idx + 1, current + count)
-                state.assigned.pop()
-        state.fwd[a][m], state.bwd[a][m] = 0, 0
-
-    rec(0, 0)
-    return best, best_graph
-
-
-def _search_feasible_min(
-    problem: SearchProblem,
-    target: int,
-    budget: _Budget,
-    color_symmetry: bool,
-    vertex_symmetry: bool,
-) -> ColoredDigraph | None:
-    """A rainbow-free graph with every color count >= target, if one exists."""
-    state = _State(problem)
-    profiles = _profiles(problem.c, problem.oriented)
-    first = _first_pair_profiles(profiles, problem.c, color_symmetry, vertex_symmetry)
-    num_pairs = len(state.pairs)
-    c = problem.c
-    per_pair = problem.color_pair_capacity
-    counts = [0] * c
-
-    def rec(idx: int) -> ColoredDigraph | None:
-        if budget.hit:
-            return None
-        remaining = (num_pairs - idx) * per_pair
-        if any(counts[i] + remaining < target for i in range(c)):
-            return None
-        if idx == num_pairs:
-            return state.to_graph()
-        a, m = state.pairs[idx]
-        options = first if idx == 0 else profiles
-        for count, f, b in options:
-            if budget.tick():
-                return None
-            state.fwd[a][m], state.bwd[a][m] = f, b
-            if state.triple_safe(a, m):
-                for i in range(c):
-                    counts[i] += (f >> i & 1) + (b >> i & 1)
-                state.assigned.append((count, f, b))
-                found = rec(idx + 1)
-                state.assigned.pop()
-                for i in range(c):
-                    counts[i] -= (f >> i & 1) + (b >> i & 1)
-                if found is not None:
-                    state.fwd[a][m], state.bwd[a][m] = 0, 0
-                    return found
-            state.fwd[a][m], state.bwd[a][m] = 0, 0
-        return None
-
-    return rec(0)
-
-
-def solve(
-    problem: SearchProblem,
-    budget: int | None = None,
-    color_symmetry: bool = True,
-    vertex_symmetry: bool = False,
-) -> SearchResult:
+def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     """Solve the extremal question exactly (or report a budget-limited try).
 
     ``budget`` caps the number of pair-state assignments explored; when the
     cap is hit the result carries ``exhaustive=False`` and the best value
-    found so far.  ``color_symmetry`` (sound for both objectives, on by
-    default) and ``vertex_symmetry`` (global edge reversal) only prune the
-    first pair's states.
+    found so far, with its witness (none if no complete graph was reached).
     """
+    n, c = problem.n, problem.c
+    pairs = _pairs_by_max_endpoint(n)
+    num_pairs = len(pairs)
+    masks = [[0] * n for _ in range(n)]  # masks[u][v]: colors carrying u -> v
+    # checks[idx]: the triples completed by pairs[idx], built on first visit
+    checks: list[list] = []
+    profiles = _profiles(c, problem.oriented)
+    first = _first_pair_profiles(profiles, c)
+    score, divisor = (sum, 1) if problem.objective is SearchObjective.TOTAL else (min, c)
+    # reach[idx]: what the pairs from idx on can add to the objective at most
+    reach = [
+        score([(num_pairs - idx) * problem.color_pair_capacity] * c)
+        for idx in range(num_pairs + 1)
+    ]
     tracker = _Budget(budget)
-    if problem.objective is SearchObjective.TOTAL:
-        value, witness = _search_total(problem, tracker, color_symmetry, vertex_symmetry)
-        return SearchResult(
-            value=max(value, 0),
-            witness=witness,
-            nodes=tracker.nodes,
-            exhaustive=not tracker.hit,
-            objective=problem.objective,
-        )
+    best = -1
+    best_graph: ColoredDigraph | None = None
 
-    # min-color: binary search on the answer over feasibility runs
-    per_color_max = len(_pairs_by_max_endpoint(problem.n)) * problem.color_pair_capacity
-    lo, hi = 0, per_color_max + 1
-    witness = _search_feasible_min(problem, 0, tracker, color_symmetry, vertex_symmetry)
-    while lo < hi - 1 and not tracker.hit:
-        mid = (lo + hi) // 2
-        found = _search_feasible_min(problem, mid, tracker, color_symmetry, vertex_symmetry)
-        if found is not None:
-            lo, witness = mid, found
-        else:
-            hi = mid
+    def rec(idx: int, counts: tuple[int, ...]) -> None:
+        nonlocal best, best_graph
+        if tracker.hit:
+            return
+        value = score(counts)
+        if idx == num_pairs:
+            if value > best:
+                best, best_graph = value, _to_graph(problem, masks)
+            return
+        if value + reach[idx] <= best:
+            return
+        a, m = pairs[idx]
+        if idx == len(checks):
+            checks.append(
+                [rainbow_free_check(masks, problem.pattern, x, a, m) for x in range(a)]
+            )
+        triple_checks = checks[idx]
+        optimistic = sum(counts) + (num_pairs - idx - 1) * problem.pair_capacity
+        for count, f, b, gain in first if idx == 0 else profiles:
+            if tracker.tick():
+                break
+            if (optimistic + count) // divisor <= best:
+                break  # states are sorted densest first
+            masks[a][m], masks[m][a] = f, b
+            for check in triple_checks:
+                if not check():
+                    break
+            else:
+                rec(idx + 1, tuple(map(add, counts, gain)))
+        masks[a][m] = masks[m][a] = 0
+
+    rec(0, (0,) * c)
     return SearchResult(
-        value=lo,
-        witness=witness,
+        value=max(best, 0),
+        witness=best_graph,
         nodes=tracker.nodes,
         exhaustive=not tracker.hit,
         objective=problem.objective,
     )
+
+
+def _to_graph(problem: SearchProblem, masks: list[list[int]]) -> ColoredDigraph:
+    builder = GraphBuilder(problem.n, problem.c)
+    for u in range(problem.n):
+        for v in range(problem.n):
+            for color in range(1, problem.c + 1):
+                if masks[u][v] >> (color - 1) & 1:
+                    builder.add(color, u, v)
+    return builder.build()
 
 
 def verify_witness(problem: SearchProblem, g: ColoredDigraph, value: int) -> bool:

@@ -38,6 +38,7 @@ __all__ = [
     "find_rainbow",
     "count_rainbow",
     "sdr_exists",
+    "rainbow_free_check",
     "witness_is_valid",
     "heavy_pair_digraph",
 ]
@@ -90,12 +91,37 @@ def sdr_exists(m1: int, m2: int, m3: int) -> bool:
     if not (m1 and m2 and m3):
         return False
     if (
-        bin(m1 | m2).count("1") < 2
-        or bin(m1 | m3).count("1") < 2
-        or bin(m2 | m3).count("1") < 2
+        (m1 | m2).bit_count() < 2
+        or (m1 | m3).bit_count() < 2
+        or (m2 | m3).bit_count() < 2
     ):
         return False
-    return bin(m1 | m2 | m3).count("1") >= 3
+    return (m1 | m2 | m3).bit_count() >= 3
+
+
+def rainbow_free_check(m, pattern: TrianglePattern, a: int, b: int, c: int):
+    """A closure answering "does the triple {a, b, c} hold no rainbow copy
+    of the pattern?" against the live mask matrix ``m``.
+
+    ``m[u][v]`` is the bitmask of colors carrying the edge u -> v (bit i-1
+    for color i).  The closure reads ``m`` on every call, so callers mutate
+    it in place between calls.  It tests every copy of the pattern on the
+    triple: both orientations of a directed cycle, or all six role
+    assignments of a transitive triangle.
+    """
+    if pattern is TrianglePattern.DIRECTED:
+        orders = ((a, b, c), (a, c, b))
+    else:
+        orders = tuple(permutations((a, b, c)))
+    copies = tuple(pattern_edges(pattern, *order) for order in orders)
+
+    def check() -> bool:
+        for (p, q), (r, s), (t, u) in copies:
+            if sdr_exists(m[p][q], m[r][s], m[t][u]):
+                return False
+        return True
+
+    return check
 
 
 def _lex_least_assignment(m1: int, m2: int, m3: int, c: int):

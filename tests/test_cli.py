@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import rtlab
+from rtlab import cli
 from rtlab.cli import main
 from rtlab.graphs import graph_digest, load_graph
 from rtlab.localbounds import Constraint, Objective, Scenario, save_scenarios
@@ -294,6 +295,17 @@ def test_jobs_environment_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("RTLAB_JOBS")
     code, _, err = run_cli(capsys, "scenario", "run", "--file", str(path), "--jobs", "0")
     assert code == 2 and "worker count" in err
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def crash(args, echo, started):
+        raise RuntimeError("handler crashed")
+
+    monkeypatch.setattr(cli, "cmd_lemma21", crash)
+    code, report, err = run_cli(capsys, "lemma21", "--a", "2", "--b", "2")
+    assert code == 3 and report is None
+    assert "internal error: RuntimeError('handler crashed')" in err
+    assert "Traceback" in err
 
 
 def _check_lemma21_run(command, env=None):

@@ -3,7 +3,14 @@ import itertools
 import pytest
 
 from rtlab.graphs import GraphBuilder
-from rtlab.search import SearchObjective, SearchProblem, solve, verify_witness
+from rtlab.search import (
+    SearchObjective,
+    SearchProblem,
+    _first_pair_profiles,
+    _profiles,
+    solve,
+    verify_witness,
+)
 from rtlab.triangles import TrianglePattern, find_rainbow
 
 D, T = TrianglePattern.DIRECTED, TrianglePattern.TRANSITIVE
@@ -18,6 +25,7 @@ GOLDEN_N3 = {
 }
 # frozen solver outputs at n=4, c=3, spot-checked against hand witnesses
 GOLDEN_N4_TOTAL = {(False, D): 24, (False, T): 24, (True, D): 18, (True, T): 15}
+GOLDEN_N4_MIN = {(False, D): 8, (False, T): 8, (True, D): 6, (True, T): 5}
 
 
 def _oracle_sdr(m1, m2, m3):
@@ -109,10 +117,12 @@ def test_n4_totals_frozen():
 
 
 def test_n4_min_color_directed():
-    problem = SearchProblem(4, 3, D, objective=MINC)
-    result = solve(problem)
-    assert result.value == 8
-    assert verify_witness(problem, result.witness, result.value)
+    for (oriented, pattern), want in GOLDEN_N4_MIN.items():
+        problem = SearchProblem(4, 3, pattern, oriented=oriented, objective=MINC)
+        result = solve(problem)
+        assert result.value == want, (oriented, pattern)
+        assert result.exhaustive
+        assert verify_witness(problem, result.witness, result.value)
 
 
 def test_min_color_never_beats_average():
@@ -128,33 +138,32 @@ def test_oriented_never_beats_unrestricted():
 
 
 def test_budget_reports_non_exhaustive():
-    problem = SearchProblem(4, 3, D)
-    capped = solve(problem, budget=2000)
-    assert not capped.exhaustive
-    assert capped.nodes <= 2001
-    assert capped.value <= 24
-    if capped.witness is not None:
-        assert verify_witness(problem, capped.witness, capped.value)
+    for objective, golden in ((TOTAL, 24), (MINC, 8)):
+        problem = SearchProblem(4, 3, D, objective=objective)
+        capped = solve(problem, budget=2000)
+        assert not capped.exhaustive, objective
+        assert capped.nodes <= 2001
+        assert capped.value <= golden
+        if capped.witness is not None:
+            assert verify_witness(problem, capped.witness, capped.value)
 
 
-def test_symmetry_flags_do_not_change_values():
-    for flags in ((False, False), (True, False), (True, True), (False, True)):
-        color_sym, vertex_sym = flags
-        r = solve(SearchProblem(3, 3, D), color_symmetry=color_sym, vertex_symmetry=vertex_sym)
-        assert r.value == 12, flags
-        r = solve(
-            SearchProblem(3, 3, T, objective=MINC),
-            color_symmetry=color_sym,
-            vertex_symmetry=vertex_sym,
-        )
-        assert r.value == 4, flags
+def _permuted(mask, perm):
+    return sum(1 << perm[i] for i in range(3) if mask >> i & 1)
 
 
 def test_symmetry_pruning_reduces_nodes():
-    plain = solve(SearchProblem(3, 3, D), color_symmetry=False)
-    pruned = solve(SearchProblem(3, 3, D), color_symmetry=True)
-    assert pruned.nodes < plain.nodes
-    assert pruned.value == plain.value
+    """The first pair keeps exactly one state per color-permutation orbit."""
+    perms = list(itertools.permutations(range(3)))
+    for oriented in (False, True):
+        states = {(f, b) for f in range(8) for b in range(8) if not (oriented and f & b)}
+        orbits = {
+            frozenset((_permuted(f, p), _permuted(b, p)) for p in perms) for f, b in states
+        }
+        first = [(f, b) for _, f, b, _ in _first_pair_profiles(_profiles(3, oriented), 3)]
+        assert len(first) == len(set(first)) == len(orbits) < len(states)
+        for orbit in orbits:
+            assert len(orbit.intersection(first)) == 1, sorted(orbit)
 
 
 def test_verify_witness_rejects_bad_certificates():

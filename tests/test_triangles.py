@@ -8,6 +8,7 @@ from rtlab.triangles import (
     find_rainbow,
     heavy_pair_digraph,
     pattern_edges,
+    rainbow_free_check,
     witness_is_valid,
 )
 
@@ -209,3 +210,20 @@ def test_heavy_pair_both_directions_requires_c5():
 def test_pattern_edges_shapes():
     assert pattern_edges(D, 0, 1, 2) == ((0, 1), (1, 2), (2, 0))
     assert pattern_edges(T, 0, 1, 2) == ((0, 1), (1, 2), (0, 2))
+
+
+def test_rainbow_free_check_matches_oracle_on_live_masks():
+    rng = random.Random(31)
+    for _ in range(300):
+        c = rng.choice((3, 4))
+        g = random_graph(rng, 3, c, p=rng.choice((0.3, 0.5)))
+        masks = [[0] * 3 for _ in range(3)]
+        for pattern in (D, T):
+            checks = [rainbow_free_check(masks, pattern, *order) for order in permutations(range(3))]
+            assert all(check() for check in checks)  # reads the matrix as it is now
+            for u, v in permutations(range(3), 2):
+                masks[u][v] = sum(1 << (i - 1) for i in range(1, c + 1) if g.has_edge(i, u, v))
+            want = naive_find_rainbow(g, pattern) is None
+            assert [check() for check in checks] == [want] * 6, (g.edges(), pattern)
+            for row in masks:
+                row[:] = [0, 0, 0]
