@@ -11,9 +11,9 @@ from rtlab.localbounds import (
     Group,
     Objective,
     Scenario,
-    build_catalogue,
     enumerate_max,
     evaluate_scenario,
+    load_catalogue,
     pair_sum,
     run_catalogue,
 )
@@ -97,8 +97,8 @@ print()
 for e in entries:
     print(f"{e.scenario_id:18s} computed {e.computed_max:2d}  bound {e.bound}  {e.status}")
 
-# And the whole catalogue list is built in code, so the shipped JSON is
-# reproducible byte for byte.
+# The catalogues exist only as code; write_data_files(DIR) writes their
+# JSON form for --catalogue-dir runs.
 print()
-print("catalogue sizes:", {w: len(build_catalogue(w)) for w in
+print("catalogue sizes:", {w: len(load_catalogue(w)) for w in
                            ("table10x10", "eq1_bullets", "eq3_bullets", "claims_local")})

@@ -37,7 +37,6 @@ from .localbounds import (
     Group,
     Objective,
     Scenario,
-    build_catalogue,
     enumerate_max,
     evaluate_scenarios,
     load_catalogue,

@@ -121,7 +121,7 @@ def _resolve_jobs(jobs: int | None) -> int | None:
 
 
 def _catalogue_scenarios(which: str, directory: str | None):
-    """Load a shipped catalogue, or the same file from an override directory."""
+    """Build a catalogue, or load the same file from an override directory."""
     if directory is None:
         return load_catalogue(which)
     path = Path(directory) / f"{which}.json"
@@ -142,16 +142,16 @@ def _entry_summary(entries) -> dict:
     }
 
 
-def _check_catalogue(which: str, directory: str | None, jobs: int | None):
-    """Evaluate one catalogue and print each violated or infeasible entry to
-    stderr.  Returns (digest of the scenarios, entries, summary, passed)."""
-    scenarios = _catalogue_scenarios(which, directory)
+def _check_catalogue(label: str, scenarios, jobs: int | None):
+    """Evaluate a scenario list and print each violated or infeasible entry,
+    prefixed by ``label``, to stderr; the list passes when there are none.
+    Returns (digest of the scenarios, entries, summary, passed)."""
     entries = evaluate_scenarios(scenarios, jobs=jobs)
     summary = _entry_summary(entries)
     for e in entries:
         if e.status in ("violated", "infeasible"):
             print(
-                f"{which}: {e.status} at {e.scenario_id} "
+                f"{label}: {e.status} at {e.scenario_id} "
                 f"(computed {e.computed_max}, bound {e.bound})",
                 file=sys.stderr,
             )
@@ -247,23 +247,22 @@ def cmd_search(args, echo, started) -> int:
 
 
 def cmd_scenario_run(args, echo, started) -> int:
-    scenarios = load_scenarios(args.file)
-    entries = evaluate_scenarios(scenarios, jobs=_resolve_jobs(args.jobs))
-    summary = _entry_summary(entries)
-    for sid in summary["violated"]:
-        print(f"bound violated: {sid}", file=sys.stderr)
+    digest, entries, summary, passed = _check_catalogue(
+        str(args.file), load_scenarios(args.file), _resolve_jobs(args.jobs)
+    )
     results = {
         "file": str(args.file),
         **summary,
         "entries": [e.to_dict() for e in entries],
     }
-    digest = _sha256(dumps_scenarios(scenarios))
-    return _emit(echo, digest, results, not summary["violated"], started)
+    return _emit(echo, digest, results, passed, started)
 
 
 def cmd_verify_table(args, echo, started) -> int:
     digest, entries, summary, passed = _check_catalogue(
-        "table10x10", args.catalogue_dir, _resolve_jobs(args.jobs)
+        "table10x10",
+        _catalogue_scenarios("table10x10", args.catalogue_dir),
+        _resolve_jobs(args.jobs),
     )
     results = {
         "catalogue": "table10x10",
@@ -373,10 +372,10 @@ def cmd_verify_all(args, echo, started) -> int:
     segments = []
     digest_parts: dict = {"seed": args.seed}
 
-    # 1. every shipped bound catalogue
+    # 1. every bound catalogue
     for which in CATALOGUE_IDS:
         digest_parts[which], _, summary, passed = _check_catalogue(
-            which, args.catalogue_dir, jobs
+            which, _catalogue_scenarios(which, args.catalogue_dir), jobs
         )
         segments.append({"name": f"catalogue:{which}", "pass": passed, **summary})
 
@@ -538,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--catalogue-dir",
         default=None,
-        help="read catalogue JSON from this directory instead of the packaged data",
+        help="read catalogue JSON from this directory instead of the built-in catalogues",
     )
     q.set_defaults(handler=cmd_verify_table)
 
@@ -569,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--catalogue-dir",
         default=None,
-        help="read catalogue JSON from this directory instead of the packaged data",
+        help="read catalogue JSON from this directory instead of the built-in catalogues",
     )
     p.add_argument(
         "--seed",

@@ -1,6 +1,6 @@
 """Bound catalogues verified by exhaustive enumeration.
 
-Four catalogues ship with the package as JSON data files:
+Four catalogues are built by the code in this module:
 
     table10x10     all 100 all-colors cells between the ten vertex classes
                    X12, X13, X23, Y1, Y2, Y3, Z1, Z2, Z3, R
@@ -16,11 +16,13 @@ recomputes the exact maximum with ``enumerate_max`` and reports one of:
     violated     computed maximum  > bound
     infeasible   the premises admit no configuration at all
 
-The JSON data files are the runtime source of truth (``load_catalogue``);
-the builders regenerate them and the test suite asserts the two stay in
-sync.  Where a catalogue line covers a whole family of class pairs, the
-shipped entry is the family member with the largest computed maximum, so
-the check is the strongest single-scenario instance of that line.
+``load_catalogue`` returns a catalogue's scenarios straight from its
+builder; the test suite pins the SHA-256 of each catalogue's JSON form, and
+``write_data_files`` writes those JSON files for tools that edit them (the
+CLI's ``--catalogue-dir``).  Where a catalogue line covers a whole family of
+class pairs, the shipped entry is the family member with the largest
+computed maximum, so the check is the strongest single-scenario instance of
+that line.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from ..graphs import GraphInputError
@@ -39,14 +40,12 @@ from .scenarios import (
     Scenario,
     dumps_scenarios,
     enumerate_max,
-    loads_scenarios,
     slots_between,
 )
 
 __all__ = [
     "CATALOGUE_IDS",
     "BoundEntry",
-    "build_catalogue",
     "evaluate_scenario",
     "evaluate_scenarios",
     "load_catalogue",
@@ -202,6 +201,22 @@ def _build_table10x10() -> list[Scenario]:
     return out
 
 
+def _bullet_scenarios(which, obj_colors, colors_note, entries) -> list[Scenario]:
+    """One class-pair scenario per (id, row, col, extras, bound) bullet."""
+    return [
+        _pair_scenario(
+            sid,
+            f"{which} item {k} ({row} vs {col}, {colors_note})",
+            row,
+            col,
+            obj_colors,
+            bound,
+            extras,
+        )
+        for k, (sid, row, col, extras, bound) in enumerate(entries, start=1)
+    ]
+
+
 def _build_eq1_bullets() -> list[Scenario]:
     entries = [
         ("eq1:01-xx", "X12", "X12", None, Fraction(16)),
@@ -223,20 +238,7 @@ def _build_eq1_bullets() -> list[Scenario]:
         ("eq1:11-other-r", "X13", "R", None, Fraction(4)),
         ("eq1:12-rr", "R", "R", ("z_maximality",), Fraction(2)),
     ]
-    out = []
-    for k, (sid, row, col, extras, bound) in enumerate(entries, start=1):
-        out.append(
-            _pair_scenario(
-                sid,
-                f"eq1_bullets item {k} ({row} vs {col}, colors 1,2)",
-                row,
-                col,
-                (1, 2),
-                bound,
-                extras,
-            )
-        )
-    return out
+    return _bullet_scenarios("eq1_bullets", (1, 2), "colors 1,2", entries)
 
 
 def _build_eq3_bullets() -> list[Scenario]:
@@ -252,20 +254,7 @@ def _build_eq3_bullets() -> list[Scenario]:
         ("eq3:09-zr", "Z1", "R", None, Fraction(6)),
         ("eq3:10-rr", "R", "R", None, Fraction(3)),
     ]
-    out = []
-    for k, (sid, row, col, extras, bound) in enumerate(entries, start=1):
-        out.append(
-            _pair_scenario(
-                sid,
-                f"eq3_bullets item {k} ({row} vs {col}, all colors)",
-                row,
-                col,
-                (1, 2, 3),
-                bound,
-                extras,
-            )
-        )
-    return out
+    return _bullet_scenarios("eq3_bullets", (1, 2, 3), "all colors", entries)
 
 
 def _claim_scenario(
@@ -530,8 +519,8 @@ _BUILDERS = {
 }
 
 
-def build_catalogue(which: str) -> list[Scenario]:
-    """Regenerate the named catalogue from its builder."""
+def load_catalogue(which: str) -> list[Scenario]:
+    """Build the named catalogue's scenarios."""
     try:
         builder = _BUILDERS[which]
     except KeyError:
@@ -541,32 +530,19 @@ def build_catalogue(which: str) -> list[Scenario]:
     return builder()
 
 
-def load_catalogue(which: str) -> list[Scenario]:
-    """Load the named catalogue from the shipped JSON data file."""
-    if which not in _BUILDERS:
-        raise GraphInputError(
-            f"unknown catalogue {which!r}; expected one of {CATALOGUE_IDS}"
-        )
-    text = resources.files("rtlab").joinpath("data", f"{which}.json").read_text(
-        encoding="utf-8"
-    )
-    return loads_scenarios(text)
-
-
 def run_catalogue(which: str, jobs: int | None = None) -> list[BoundEntry]:
-    """Load and evaluate the named catalogue."""
+    """Build and evaluate the named catalogue."""
     return evaluate_scenarios(load_catalogue(which), jobs=jobs)
 
 
-def write_data_files(directory=None) -> list[Path]:
-    """Write every catalogue's JSON data file; returns the paths written."""
-    if directory is None:
-        directory = Path(__file__).resolve().parent.parent / "data"
+def write_data_files(directory) -> list[Path]:
+    """Write every catalogue as ``<id>.json`` into ``directory``, the layout
+    ``--catalogue-dir`` reads; returns the paths written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for which in CATALOGUE_IDS:
         path = directory / f"{which}.json"
-        path.write_text(dumps_scenarios(build_catalogue(which)), encoding="utf-8")
+        path.write_text(dumps_scenarios(load_catalogue(which)), encoding="utf-8")
         paths.append(path)
     return paths

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -204,14 +205,16 @@ def pair_sum(colors, a: str, b: str, op: str, value: int) -> Constraint:
     )
 
 
-def _group_vertex_sets(scenario: Scenario):
-    """Vertex label sets (in X, in X or Y, in X, Y or Z)."""
-    in_x, in_y, in_z = set(), set(), set()
-    for g in scenario.groups:
-        target = {"X": in_x, "Y": in_y, "Z": in_z}.get(g.kind)
-        if target is not None:
-            target.update(g.members)
-    return in_x, in_x | in_y, in_x | in_y | in_z
+def _group_vertex_sets(scenario: Scenario) -> dict[str, set[str]]:
+    """For each group kind X, Y, Z: the vertex labels in a group of that kind
+    or of an earlier one (so "Y" maps to the vertices in X or Y groups)."""
+    out, seen = {}, set()
+    for kind in ("X", "Y", "Z"):
+        for g in scenario.groups:
+            if g.kind == kind:
+                seen.update(g.members)
+        out[kind] = set(seen)
+    return out
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -302,7 +305,7 @@ def _validate_constraint(s: Scenario, con: Constraint, labels: set[str]) -> None
         if con.value < 0:
             raise GraphInputError("pair_edge_cap value must be >= 0")
     elif con.kind == "slot_sum":
-        if con.op not in ("==", "<=", ">="):
+        if con.op not in _OPS:
             raise GraphInputError(f"bad slot_sum op {con.op!r}")
         if con.value < 0 or not con.slots:
             raise GraphInputError("slot_sum needs slots and value >= 0")
@@ -505,8 +508,7 @@ def load_scenarios(path) -> list[Scenario]:
 # Enumeration engine
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+_OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
 def _top_two_color_load(f: int, b: int) -> int:
@@ -517,6 +519,24 @@ def _top_two_color_load(f: int, b: int) -> int:
     )
     counts += [0, 0]
     return counts[0] + counts[1]
+
+
+# The group rules, as tests on the masks (f, b) of the two directions of one
+# vertex pair.  Each rule names a group kind K and leaves alone every vertex
+# in a group of kind K or of an earlier kind (``_group_vertex_sets``).
+# <K>_maximality: every pair of two other vertices passes the test.
+_MAXIMALITY = {
+    "x_maximality": ("X", lambda f, b: (f & b).bit_count() <= 1),
+    "y_maximality": ("Y", lambda f, b: f.bit_count() + b.bit_count() <= 3),
+    "z_maximality": ("Z", lambda f, b: _top_two_color_load(f, b) <= 2),
+}
+# <K>_trimmed: another vertex has a heavy link (the test) to at most one
+# member of each K group.
+_TRIMMED = {
+    "x_trimmed": ("X", lambda f, b: (f & b).bit_count() >= 2),
+    "y_trimmed": ("Y", lambda f, b: f.bit_count() + b.bit_count() >= 4),
+    "z_trimmed": ("Z", lambda f, b: (f & b) != 0 and (f | b).bit_count() >= 2),
+}
 
 
 class _Engine:
@@ -548,10 +568,10 @@ class _Engine:
         for color, src, dst in objective_slots(scenario):
             self.obj_f[self.index[src]][self.index[dst]] |= 1 << (color - 1)
 
-        in_x, in_xy, in_xyz = _group_vertex_sets(scenario)
-        self.in_x = {self.index[v] for v in in_x}
-        self.in_xy = {self.index[v] for v in in_xy}
-        self.in_xyz = {self.index[v] for v in in_xyz}
+        self.exempt = {
+            kind: {self.index[v] for v in labels}
+            for kind, labels in _group_vertex_sets(scenario).items()
+        }
 
         # live masks: start from the fixed-present configuration
         self.m = [row[:] for row in self.base]
@@ -570,20 +590,16 @@ class _Engine:
             kind = con.kind
             if kind == "pair_edge_cap":
                 cap = con.value
-                preds.append(lambda f, b, cap=cap: _popcount(f) + _popcount(b) <= cap)
+                preds.append(lambda f, b, cap=cap: f.bit_count() + b.bit_count() <= cap)
             elif kind == "oriented":
                 preds.append(lambda f, b: not f & b)
             elif kind == "no_double_double":
-                preds.append(lambda f, b: _popcount(f & b) <= 1)
-            elif kind == "x_maximality":
-                if u not in self.in_x and v not in self.in_x:
-                    preds.append(lambda f, b: _popcount(f & b) <= 1)
-            elif kind == "y_maximality":
-                if u not in self.in_xy and v not in self.in_xy:
-                    preds.append(lambda f, b: _popcount(f) + _popcount(b) <= 3)
-            elif kind == "z_maximality":
-                if u not in self.in_xyz and v not in self.in_xyz:
-                    preds.append(lambda f, b: _top_two_color_load(f, b) <= 2)
+                preds.append(lambda f, b: (f & b).bit_count() <= 1)
+            elif kind in _MAXIMALITY:
+                group_kind, test = _MAXIMALITY[kind]
+                exempt = self.exempt[group_kind]
+                if u not in exempt and v not in exempt:
+                    preds.append(test)
             elif kind == "slot_sum":
                 pairs = {frozenset((s[1], s[2])) for s in con.slots}
                 if pairs == {frozenset((self.labels[u], self.labels[v]))}:
@@ -598,15 +614,10 @@ class _Engine:
                 fwd_mask |= 1 << (color - 1)
             else:
                 bwd_mask |= 1 << (color - 1)
-        op, value = con.op, con.value
+        op, value = _OPS[con.op], con.value
 
         def pred(f: int, b: int) -> bool:
-            total = _popcount(f & fwd_mask) + _popcount(b & bwd_mask)
-            if op == "==":
-                return total == value
-            if op == "<=":
-                return total <= value
-            return total >= value
+            return op((f & fwd_mask).bit_count() + (b & bwd_mask).bit_count(), value)
 
         return pred
 
@@ -633,9 +644,9 @@ class _Engine:
                             else:
                                 b |= 1 << (color - 1)
                     if all(p(f, b) for p in preds):
-                        gain = _popcount(f & self.obj_f[u][v]) + _popcount(
+                        gain = (f & self.obj_f[u][v]).bit_count() + (
                             b & self.obj_f[v][u]
-                        )
+                        ).bit_count()
                         opts.append((f, b, gain))
                 if not opts:
                     self.infeasible_static = True
@@ -672,47 +683,21 @@ class _Engine:
             elif kind == "no_thick_path":
                 for a, b, c in itertools.permutations(range(self.n), 3):
                     def fn(a=a, b=b, c=c):
-                        return _popcount(m[a][b]) < 3 or _popcount(m[b][c]) < 3
+                        return m[a][b].bit_count() < 3 or m[b][c].bit_count() < 3
                     add([(a, b), (b, c)], fn)
-            elif kind == "x_trimmed":
+            elif kind in _TRIMMED:
+                group_kind, heavy = _TRIMMED[kind]
+                exempt = self.exempt[group_kind]
                 for g in self.s.groups:
-                    if g.kind != "X":
+                    if g.kind != group_kind:
                         continue
                     ga, gb = (self.index[x] for x in g.members)
                     for w in range(self.n):
-                        if w in self.in_x:
+                        if w in exempt:
                             continue
-                        def fn(w=w, ga=ga, gb=gb):
-                            return (
-                                _popcount(m[w][ga] & m[ga][w]) < 2
-                                or _popcount(m[w][gb] & m[gb][w]) < 2
-                            )
-                        add([(w, ga), (w, gb)], fn)
-            elif kind == "y_trimmed":
-                for g in self.s.groups:
-                    if g.kind != "Y":
-                        continue
-                    ga, gb = (self.index[x] for x in g.members)
-                    for w in range(self.n):
-                        if w in self.in_xy:
-                            continue
-                        def fn(w=w, ga=ga, gb=gb):
-                            return (
-                                _popcount(m[w][ga]) + _popcount(m[ga][w]) < 4
-                                or _popcount(m[w][gb]) + _popcount(m[gb][w]) < 4
-                            )
-                        add([(w, ga), (w, gb)], fn)
-            elif kind == "z_trimmed":
-                for g in self.s.groups:
-                    if g.kind != "Z":
-                        continue
-                    ga, gb = (self.index[x] for x in g.members)
-                    for w in range(self.n):
-                        if w in self.in_xyz:
-                            continue
-                        def fn(w=w, ga=ga, gb=gb):
+                        def fn(w=w, ga=ga, gb=gb, heavy=heavy):
                             return not (
-                                self._z_qualifies(w, ga) and self._z_qualifies(w, gb)
+                                heavy(m[w][ga], m[ga][w]) and heavy(m[w][gb], m[gb][w])
                             )
                         add([(w, ga), (w, gb)], fn)
             elif kind == "no_shared_color_link":
@@ -738,22 +723,10 @@ class _Engine:
                     (1 << (s[0] - 1), self.index[s[1]], self.index[s[2]])
                     for s in con.slots
                 ]
-                op, value = con.op, con.value
-                def fn(slots_idx=slots_idx, op=op, value=value):
-                    total = sum(1 for bit, a, b in slots_idx if m[a][b] & bit)
-                    if op == "==":
-                        return total == value
-                    if op == "<=":
-                        return total <= value
-                    return total >= value
+                def fn(slots_idx=slots_idx, op=_OPS[con.op], value=con.value):
+                    return op(sum(1 for bit, a, b in slots_idx if m[a][b] & bit), value)
                 add([(a, b) for _, a, b in slots_idx], fn)
         self.checkers = checkers
-
-    def _z_qualifies(self, a: int, b: int) -> bool:
-        """Double edge in some color plus an edge in a different color."""
-        doubles = self.m[a][b] & self.m[b][a]
-        either = self.m[a][b] | self.m[b][a]
-        return doubles != 0 and _popcount(either) >= 2
 
     # -- search -------------------------------------------------------------
 
@@ -776,7 +749,6 @@ class _Engine:
         unary: list[list] = [[] for _ in objp]
         binary: dict[tuple[int, int], list] = {}
         runtime: list[list] = [[] for _ in objp]
-        self.b_ctx_deps: dict[tuple[int, int], list] = {}
         for scope, fn in self.checkers:
             in_obj = sorted(obj_pos[k] for k in scope if k in obj_pos)
             if not in_obj:

@@ -30,7 +30,6 @@ color-permutation orbit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
@@ -110,22 +109,21 @@ def _profiles(c: int, oriented: bool) -> list[_PairState]:
     return out
 
 
-def _permute_mask(mask: int, perm: Sequence[int]) -> int:
-    out = 0
-    for i, target in enumerate(perm):
-        if mask >> i & 1:
-            out |= 1 << target
-    return out
-
-
-def _first_pair_profiles(profiles: Sequence[_PairState], c: int) -> list[_PairState]:
+def _first_pair_profiles(profiles: Sequence[_PairState]) -> list[_PairState]:
     """One representative per color-permutation orbit for the first pair's
-    state: the one whose (fwd_mask, bwd_mask) is least."""
-    perms = list(itertools.permutations(range(c)))
+    state: the one whose (fwd_mask, bwd_mask) is least.
+
+    A color permutation keeps the number of colors that run forward only,
+    backward only, both ways or neither, and can put them in any positions;
+    so the least pair has its k forward colors lowest, the two-way ones first
+    among them, and the backward-only colors right above them."""
     keep = []
     for state in profiles:
         _, f, b, _ = state
-        if (f, b) == min((_permute_mask(f, p), _permute_mask(b, p)) for p in perms):
+        k = f.bit_count()
+        two_way, back_only = (f & b).bit_count(), (b & ~f).bit_count()
+        least_b = ((1 << two_way) - 1) | (((1 << back_only) - 1) << k)
+        if f == (1 << k) - 1 and b == least_b:
             keep.append(state)
     return keep
 
@@ -161,7 +159,7 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     # checks[idx]: the triples completed by pairs[idx], built on first visit
     checks: list[list] = []
     profiles = _profiles(c, problem.oriented)
-    first = _first_pair_profiles(profiles, c)
+    first = _first_pair_profiles(profiles)
     score, divisor = (sum, 1) if problem.objective is SearchObjective.TOTAL else (min, c)
     # reach[idx]: what the pairs from idx on can add to the objective at most
     reach = [

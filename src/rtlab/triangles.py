@@ -149,7 +149,7 @@ def _count_assignments(m1: int, m2: int, m3: int, c: int) -> int:
             if c2 == c1 or not m2 >> (c2 - 1) & 1:
                 continue
             rest = m3 & ~(1 << (c1 - 1)) & ~(1 << (c2 - 1))
-            total += bin(rest).count("1")
+            total += rest.bit_count()
     return total
 
 

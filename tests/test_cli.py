@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -13,9 +14,13 @@ import rtlab
 from rtlab import cli
 from rtlab.cli import main
 from rtlab.graphs import graph_digest, load_graph
-from rtlab.localbounds import Constraint, Objective, Scenario, save_scenarios
-
-DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "rtlab" / "data"
+from rtlab.localbounds import (
+    Constraint,
+    Objective,
+    Scenario,
+    save_scenarios,
+    write_data_files,
+)
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +193,17 @@ def test_scenario_run_pass_and_violation(tmp_path, capsys):
     assert report["results"]["violated"] == ["pair-le-3"]
     assert "pair-le-3" in err
 
+    # a scenario whose premises admit no configuration fails the run too
+    infeasible = tmp_path / "infeasible.json"
+    one_slot_twice = Constraint(kind="slot_sum", op="==", value=2, slots=((1, "u", "v"),))
+    stuck = replace(scenario_pair(4), id="pair-infeasible", constraints=(one_slot_twice,))
+    save_scenarios(infeasible, [scenario_pair(4), stuck])
+    code, report, err = run_cli(capsys, "scenario", "run", "--file", str(infeasible))
+    assert code == 1 and report["pass"] is False
+    assert report["results"]["violated"] == []
+    assert report["results"]["infeasible"] == ["pair-infeasible"]
+    assert "pair-infeasible" in err and "pair-le-4" not in err
+
 
 def test_verify_table_clean(capsys):
     code, report, _ = run_cli(capsys, "scenario", "verify-table", "--jobs", "4")
@@ -201,9 +217,7 @@ def test_verify_table_clean(capsys):
 
 def test_verify_table_names_lowered_cell(tmp_path, capsys):
     workdir = tmp_path / "catalogues"
-    workdir.mkdir()
-    for f in DATA_DIR.glob("*.json"):
-        shutil.copy(f, workdir / f.name)
+    write_data_files(workdir)
     cells = json.loads((workdir / "table10x10.json").read_text())
     victim = cells[41]
     victim["bound"]["num"] -= victim["bound"]["den"]

@@ -13,13 +13,14 @@ import pytest
 from naive import naive_scenario_max, naive_scenario_rules_hold
 from rtlab.graphs import GraphInputError
 from rtlab.localbounds import (
+    CATALOGUE_IDS,
     Constraint,
     Group,
     Objective,
     Scenario,
-    build_catalogue,
     dumps_scenarios,
     enumerate_max,
+    load_catalogue,
     loads_scenarios,
     objective_slots,
     scenario_slot_states,
@@ -129,7 +130,7 @@ def test_pair_edge_cap():
 
 
 def _small_catalogue_scenarios(limit=12):
-    for s in build_catalogue("claims_local"):
+    for s in load_catalogue("claims_local"):
         states = scenario_slot_states(s)
         if sum(1 for st in states.values() if st == "free") <= limit:
             yield s
@@ -203,7 +204,7 @@ def test_engine_agrees_with_naive_on_random_scenarios():
 
 
 def test_witnesses_satisfy_all_rules():
-    for s in build_catalogue("claims_local"):
+    for s in load_catalogue("claims_local"):
         r = enumerate_max(s)
         assert r.feasible, s.id
         edges = set(r.witness)
@@ -249,7 +250,7 @@ def _permute_colors(s: Scenario, perm: dict[int, int]) -> Scenario:
 
 def test_color_swap_leaves_maximum_unchanged():
     scenarios = list(_small_catalogue_scenarios())[:6]
-    table = build_catalogue("table10x10")
+    table = load_catalogue("table10x10")
     scenarios += [s for s in table if s.id in ("table:X12-Y1", "table:Z1-R")]
     for s in scenarios:
         base = enumerate_max(s).maximum
@@ -306,8 +307,8 @@ def test_required_sum_slots_default_to_free():
 
 
 def test_json_round_trip():
-    for which in ("claims_local", "eq1_bullets"):
-        scenarios = build_catalogue(which)
+    for which in CATALOGUE_IDS:
+        scenarios = load_catalogue(which)
         again = loads_scenarios(dumps_scenarios(scenarios))
         assert again == scenarios
 
@@ -315,7 +316,7 @@ def test_json_round_trip():
 def test_scenario_file_round_trip(tmp_path):
     from rtlab.localbounds import load_scenarios, save_scenarios
 
-    scenarios = build_catalogue("eq3_bullets")
+    scenarios = load_catalogue("eq3_bullets")
     path = tmp_path / "cat.json"
     save_scenarios(path, scenarios)
     assert load_scenarios(path) == scenarios

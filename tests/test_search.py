@@ -146,24 +146,36 @@ def test_budget_reports_non_exhaustive():
         assert capped.value <= golden
         if capped.witness is not None:
             assert verify_witness(problem, capped.witness, capped.value)
+    # the budget bounds the work at the largest color count too
+    wide = solve(SearchProblem(4, 8, D), budget=1000)
+    assert not wide.exhaustive
+    assert wide.nodes <= 1001
 
 
 def _permuted(mask, perm):
-    return sum(1 << perm[i] for i in range(3) if mask >> i & 1)
+    return sum(1 << target for i, target in enumerate(perm) if mask >> i & 1)
 
 
 def test_symmetry_pruning_reduces_nodes():
-    """The first pair keeps exactly one state per color-permutation orbit."""
-    perms = list(itertools.permutations(range(3)))
-    for oriented in (False, True):
-        states = {(f, b) for f in range(8) for b in range(8) if not (oriented and f & b)}
-        orbits = {
-            frozenset((_permuted(f, p), _permuted(b, p)) for p in perms) for f, b in states
-        }
-        first = [(f, b) for _, f, b, _ in _first_pair_profiles(_profiles(3, oriented), 3)]
-        assert len(first) == len(set(first)) == len(orbits) < len(states)
-        for orbit in orbits:
-            assert len(orbit.intersection(first)) == 1, sorted(orbit)
+    """The first pair keeps exactly one state per color-permutation orbit:
+    its least (fwd_mask, bwd_mask), which keeps the witnesses stable."""
+    for c in (3, 4):
+        perms = list(itertools.permutations(range(c)))
+        for oriented in (False, True):
+            states = {
+                (f, b)
+                for f in range(1 << c)
+                for b in range(1 << c)
+                if not (oriented and f & b)
+            }
+            orbits = {
+                frozenset((_permuted(f, p), _permuted(b, p)) for p in perms)
+                for f, b in states
+            }
+            first = [(f, b) for _, f, b, _ in _first_pair_profiles(_profiles(c, oriented))]
+            assert len(first) == len(set(first)) == len(orbits) < len(states)
+            for orbit in orbits:
+                assert orbit.intersection(first) == {min(orbit)}, (c, sorted(orbit))
 
 
 def test_verify_witness_rejects_bad_certificates():
