@@ -38,6 +38,12 @@ patterns while packing as many edges as possible into every color layer:
 ``expected_count`` returns the exact per-color edge count each generator
 realizes (including remainder effects at small n), computed from the part
 sizes rather than from the built graph.
+
+Every part is a contiguous vertex range, so each generator fills whole
+blocks of a (c, n, n) bool array by slice assignment and then clears the
+diagonal; a build costs O(c * n**2) array writes and no Python loop over
+edges.  Sizes above ``graphs.MAX_CELLS`` are rejected before the array is
+allocated.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .graphs import ColoredDigraph, GraphBuilder, GraphInputError
+import numpy as np
+
+from .graphs import ColoredDigraph, GraphInputError, check_size
 
 __all__ = [
     "ConstructionId",
@@ -71,15 +79,14 @@ class ConstructionId(str, Enum):
     TWO_COLOR_HEAVY = "two-color-heavy"
 
 
+def _part_sizes(n: int, k: int) -> list[int]:
+    base, rem = divmod(n, k)
+    return [base] * (k - rem) + [base + 1] * rem
+
+
 def equal_parts(n: int, k: int) -> list[list[int]]:
     """Split 0..n-1 into k contiguous near-equal parts, larger parts last."""
-    base, rem = divmod(n, k)
-    sizes = [base] * (k - rem) + [base + 1] * rem
-    parts, start = [], 0
-    for s in sizes:
-        parts.append(list(range(start, start + s)))
-        start += s
-    return parts
+    return [list(range(span.start, span.stop)) for span in _spans(_part_sizes(n, k))]
 
 
 def small_set_size(n: int) -> int:
@@ -90,42 +97,48 @@ def small_set_size(n: int) -> int:
     return math.floor(x) if frac <= 0.5 else math.ceil(x)
 
 
-def _complete_double(b: GraphBuilder, color: int, part: list[int]) -> None:
-    for i, u in enumerate(part):
-        for v in part[i + 1 :]:
-            b.add_double(color, u, v)
+def _spans(sizes: list[int]) -> list[slice]:
+    """Consecutive parts of the given sizes as slices of the vertex axis."""
+    spans, start = [], 0
+    for size in sizes:
+        spans.append(slice(start, start + size))
+        start += size
+    return spans
 
 
-def _cross_double(b: GraphBuilder, color: int, pa: list[int], pb: list[int]) -> None:
-    for u in pa:
-        for v in pb:
-            b.add_double(color, u, v)
+def _blank(n: int, c: int) -> np.ndarray:
+    check_size(n, c)
+    return np.zeros((c, n, n), dtype=bool)
+
+
+def _finish(layers: np.ndarray) -> ColoredDigraph:
+    """Clear the diagonal of every layer (block fills include loops)."""
+    c, n, _ = layers.shape
+    layers[:, np.arange(n), np.arange(n)] = False
+    return ColoredDigraph(n, c, layers)
 
 
 def bipartite_double(n: int, c: int) -> ColoredDigraph:
     if c < 1:
         raise GraphInputError("bipartite_double needs c >= 1")
-    parts = equal_parts(n, 2)
-    b = GraphBuilder(n, c)
-    for color in range(1, c + 1):
-        _cross_double(b, color, parts[0], parts[1])
-    return b.build()
+    layers = _blank(n, c)
+    a, b = _spans(_part_sizes(n, 2))
+    layers[:, a, b] = True
+    layers[:, b, a] = True
+    return _finish(layers)
 
 
 def directed3(n: int) -> ColoredDigraph:
-    parts = equal_parts(n, 3)
-    b = GraphBuilder(n, 3)
+    layers = _blank(n, 3)
+    parts = _spans(_part_sizes(n, 3))
     for i, part in enumerate(parts):  # part Ai+1 is complete in colors != i+1
         for color in range(1, 4):
             if color != i + 1:
-                _complete_double(b, color, part)
+                layers[color - 1, part, part] = True
     for i in range(3):  # forward single edges in every color
         for j in range(i + 1, 3):
-            for color in range(1, 4):
-                for u in parts[i]:
-                    for v in parts[j]:
-                        b.add(color, u, v)
-    return b.build()
+            layers[:, parts[i], parts[j]] = True
+    return _finish(layers)
 
 
 def transitive3(n: int) -> ColoredDigraph:
@@ -133,37 +146,33 @@ def transitive3(n: int) -> ColoredDigraph:
     if n - 2 * a < 0:
         raise GraphInputError(f"n={n} too small for the three-set split")
     # largest set last; designated inner colors per set
-    sets = [list(range(a)), list(range(a, 2 * a)), list(range(2 * a, n))]
+    layers = _blank(n, 3)
+    sets = _spans([a, a, n - 2 * a])
     inner_colors = [(2, 3), (3, 1), (1, 2)]  # large set misses color 3
-    b = GraphBuilder(n, 3)
     for part, colors in zip(sets, inner_colors):
         for color in colors:
-            _complete_double(b, color, part)
+            layers[color - 1, part, part] = True
     for i in range(3):  # all cross pairs double in the missing color 3
         for j in range(i + 1, 3):
-            _cross_double(b, 3, sets[i], sets[j])
-    return b.build()
+            layers[2, sets[i], sets[j]] = True
+            layers[2, sets[j], sets[i]] = True
+    return _finish(layers)
 
 
 def oriented_cyclic(n: int, c: int) -> ColoredDigraph:
     if c < 1:
         raise GraphInputError("oriented_cyclic needs c >= 1")
-    parts = equal_parts(n, 3)
-    b = GraphBuilder(n, c)
+    layers = _blank(n, c)
+    parts = _spans(_part_sizes(n, 3))
     for i in range(3):
-        src, dst = parts[i], parts[(i + 1) % 3]
-        for color in range(1, c + 1):
-            for u in src:
-                for v in dst:
-                    b.add(color, u, v)
-    return b.build()
+        layers[:, parts[i], parts[(i + 1) % 3]] = True
+    return _finish(layers)
 
 
 def two_color_heavy(n: int) -> ColoredDigraph:
-    b = GraphBuilder(n, 3)
-    for color in (1, 2):
-        _complete_double(b, color, list(range(n)))
-    return b.build()
+    layers = _blank(n, 3)
+    layers[:2] = True
+    return _finish(layers)
 
 
 def build_construction(cid: ConstructionId | str, n: int, c: int | None = None) -> ColoredDigraph:
@@ -193,7 +202,7 @@ def expected_count(cid: ConstructionId | str, n: int, color: int, c: int | None 
     if cid is ConstructionId.BIPARTITE_DOUBLE:
         return 2 * (n // 2) * ((n + 1) // 2)
     if cid is ConstructionId.DIRECTED3:
-        m = [len(p) for p in equal_parts(n, 3)]
+        m = _part_sizes(n, 3)
         inner = sum(m[j] * (m[j] - 1) for j in range(3) if j + 1 != color)
         cross = m[0] * m[1] + m[0] * m[2] + m[1] * m[2]
         return inner + cross
@@ -204,7 +213,7 @@ def expected_count(cid: ConstructionId | str, n: int, color: int, c: int | None 
             return b * (b - 1) + a * (a - 1)
         return 2 * a * (a - 1) + 4 * a * b + 2 * a * a
     if cid is ConstructionId.ORIENTED_CYCLIC:
-        m = [len(p) for p in equal_parts(n, 3)]
+        m = _part_sizes(n, 3)
         return m[0] * m[1] + m[1] * m[2] + m[2] * m[0]
     # two_color_heavy
     return n * (n - 1) if color in (1, 2) else 0

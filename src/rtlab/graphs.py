@@ -24,7 +24,13 @@ Interchange format (JSON)::
     {"n": 5, "c": 3, "edges": [[color, from, to], ...]}
 
 with edges deduplicated and sorted lexicographically by (color, from, to),
-so serializing the same graph always yields byte-identical output.
+so serializing the same graph always yields byte-identical output.  Both
+directions work on whole arrays: dumping lists ``np.argwhere`` of the layer
+array, loading checks every entry's shape and types, then checks ranges and
+loops and sets all edges at once.
+
+Every graph has at most ``MAX_CELLS`` layer cells (c * n**2); larger sizes
+are rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_CELLS",
     "GraphInputError",
+    "check_size",
     "EdgeRef",
     "PairProfile",
     "ColoredDigraph",
@@ -55,8 +63,26 @@ __all__ = [
 ]
 
 
+# Cap on c * n**2, the cells of a layer array: 2**26 admits n = 3000 at
+# c = 4 and bounds a graph at 64 MiB.  It also keeps the rainbow kernel of
+# ``triangles`` exact: its float64 matmul entries are at most c**2 * n, which
+# is at most 2**52 under the cap.
+MAX_CELLS = 1 << 26
+
+
 class GraphInputError(ValueError):
     """Raised for structurally invalid graph input (bad vertex, color, loop)."""
+
+
+def check_size(n: int, c: int) -> None:
+    """Reject negative sizes and layer arrays of more than MAX_CELLS cells."""
+    if n < 0 or c < 0:
+        raise GraphInputError("n and c must be non-negative")
+    if c * n * n > MAX_CELLS:
+        raise GraphInputError(
+            f"n={n}, c={c} needs c*n^2 = {c * n * n} layer cells, "
+            f"above the limit MAX_CELLS = {MAX_CELLS}"
+        )
 
 
 class EdgeRef(NamedTuple):
@@ -109,8 +135,7 @@ class ColoredDigraph:
     __slots__ = ("n", "c", "_layers")
 
     def __init__(self, n: int, c: int, layers: np.ndarray):
-        if n < 0 or c < 0:
-            raise GraphInputError("n and c must be non-negative")
+        check_size(n, c)
         if layers.shape != (c, n, n) or layers.dtype != bool:
             raise GraphInputError("layer array must be bool with shape (c, n, n)")
         layers = layers.copy()
@@ -126,7 +151,7 @@ class ColoredDigraph:
 
     @classmethod
     def empty(cls, n: int, c: int) -> "ColoredDigraph":
-        return cls(n, c, np.zeros((c, n, n), dtype=bool))
+        return GraphBuilder(n, c).build()
 
     @classmethod
     def from_edges(cls, n: int, c: int, edges: Iterable) -> "ColoredDigraph":
@@ -154,11 +179,7 @@ class ColoredDigraph:
 
     def edges(self) -> list[EdgeRef]:
         """All edges, sorted lexicographically by (color, src, dst)."""
-        out = []
-        for i in range(self.c):
-            for u, v in zip(*np.nonzero(self._layers[i])):
-                out.append(EdgeRef(i + 1, int(u), int(v)))
-        return out
+        return [EdgeRef(color, u, v) for color, u, v in _edge_rows(self)]
 
     def total_edges(self) -> int:
         return int(self._layers.sum())
@@ -182,8 +203,7 @@ class GraphBuilder:
     """Accumulates edges, then freezes them into a ColoredDigraph."""
 
     def __init__(self, n: int, c: int):
-        if n < 0 or c < 0:
-            raise GraphInputError("n and c must be non-negative")
+        check_size(n, c)
         self.n = n
         self.c = c
         self._layers = np.zeros((c, n, n), dtype=bool)
@@ -278,13 +298,16 @@ def induced(g: ColoredDigraph, S: Iterable[int]) -> ColoredDigraph:
 # -- interchange -------------------------------------------------------
 
 
-def _edge_list(g: ColoredDigraph) -> list[list[int]]:
-    return [[e.color, e.src, e.dst] for e in g.edges()]
+def _edge_rows(g: ColoredDigraph) -> list[list[int]]:
+    """[color, src, dst] rows in (color, src, dst) order; colors 1-based."""
+    rows = np.argwhere(g.layers)
+    rows[:, 0] += 1
+    return rows.tolist()
 
 
 def dumps_graph(g: ColoredDigraph) -> str:
     """Canonical JSON serialization (sorted, compact, byte-reproducible)."""
-    payload = {"n": g.n, "c": g.c, "edges": _edge_list(g)}
+    payload = {"n": g.n, "c": g.c, "edges": _edge_rows(g)}
     return json.dumps(payload, separators=(",", ":"))
 
 
@@ -304,6 +327,23 @@ def loads_graph(text: str) -> ColoredDigraph:
     if not isinstance(edges, list):
         raise GraphInputError("edges must be a list")
     b = GraphBuilder(n, c)
+    rows = None
+    if all(
+        type(e) is list and len(e) == 3 and type(e[0]) is type(e[1]) is type(e[2]) is int
+        for e in edges
+    ):
+        try:
+            rows = np.array(edges, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:  # beyond int64, so out of range anyway
+            pass
+    if rows is not None:
+        color, src, dst = rows.T
+        in_range = (color >= 1) & (color <= c) & (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+        if (in_range & (src != dst)).all():
+            b._layers[color - 1, src, dst] = True
+            return b.build()
+    # Some entry is malformed: adding one edge at a time raises the error of
+    # the first bad entry.
     for e in edges:
         if not (isinstance(e, list) and len(e) == 3):
             raise GraphInputError(f"edge entry {e!r} must be [color, from, to]")

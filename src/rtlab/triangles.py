@@ -6,10 +6,27 @@ Two triangle shapes matter here.  On an ordered vertex triple (u, v, w):
     transitive triangle  edges u->v, v->w, u->w   (u dominates)
 
 A copy is *rainbow* when its three edges can be drawn from three pairwise
-distinct color layers.  Detection iterates ordered vertex triples and, for
-each, the available color assignments; the only precomputation is a per-
-ordered-pair bitmask of the colors carrying that edge, so a triple check is
-three lookups plus a small distinct-representatives search.
+distinct color layers.  Finding and counting share one kernel in the style
+of Itai and Rodeh ("Finding a minimum circuit in a graph", 1978).  With A_k
+the layers, S their sum and C_k the closing slot (A_k transposed for
+directed triangles, A_k for transitive ones), the number of rainbow
+(v, colors) completions of the pair (u, w) is
+
+    K = sum_k C_k * ((S - A_k) @ (S - A_k) + A_k @ A_k - sum_i A_i @ A_i)
+
+by inclusion-exclusion: for closing color k, the first two slots take any
+colors other than k, less the pairs of equal colors other than k.  That is
+2c matrix products and O(c * n**2) memory, never an n**3 tensor.  Counting
+sums K.  Finding takes the first row u of K with a nonzero entry, which is
+the witness's u, and evaluates the same formula for that row alone, with
+outer products in place of matrix products, which gives the
+lexicographically first (v, w); only the color assignment of that one
+triple is searched in Python.
+
+The products run in float64 and the total is summed in int64.  Under
+``graphs.MAX_CELLS`` every matrix product entry is at most c**2 * n <= 2**52,
+and with fewer than 2**16 colors every entry of K (at most c**3 * n) stays
+below 2**53, so all counts are exact.
 
 Copy identification for counting: a directed triangle is identified up to
 rotation of (u, v, w) — the cycle (u, v, w) equals (v, w, u) — while a
@@ -72,14 +89,6 @@ def pattern_edges(pattern: TrianglePattern, u: int, v: int, w: int):
     return ((u, v), (v, w), (u, w))
 
 
-def _color_masks(g: ColoredDigraph) -> np.ndarray:
-    """n x n int array: bit i-1 set when edge (a, b) exists in color i."""
-    masks = np.zeros((g.n, g.n), dtype=np.int64)
-    for i in range(g.c):
-        masks |= g.layers[i].astype(np.int64) << i
-    return masks
-
-
 def sdr_exists(m1: int, m2: int, m3: int) -> bool:
     """Whether three color bitmasks admit pairwise-distinct representatives.
 
@@ -140,17 +149,36 @@ def _lex_least_assignment(m1: int, m2: int, m3: int, c: int):
     return None
 
 
-def _count_assignments(m1: int, m2: int, m3: int, c: int) -> int:
-    total = 0
-    for c1 in range(1, c + 1):
-        if not m1 >> (c1 - 1) & 1:
-            continue
-        for c2 in range(1, c + 1):
-            if c2 == c1 or not m2 >> (c2 - 1) & 1:
-                continue
-            rest = m3 & ~(1 << (c1 - 1)) & ~(1 << (c2 - 1))
-            total += rest.bit_count()
-    return total
+def _rainbow_counts(first, first_others, mid, mid_others, close, mul) -> np.ndarray:
+    """Sum over pairwise distinct colors (i, j, k) of
+    ``mul(first[i], mid[j]) * close[k]``, by inclusion-exclusion.
+
+    ``first_others[k]`` is the sum of ``first`` over the colors other than
+    k, and likewise ``mid_others``.  For a closing color k, the pairs (i, j)
+    that avoid k are ``mul(first_others[k], mid_others[k])`` less the pairs
+    with i == j != k.  ``mul`` contracts the first slot with the middle one:
+    the matrix product over v for the whole graph, or the outer product for
+    a single row u, which keeps v as an axis.
+    """
+    same = mul(first, mid)  # color i on both of the first two slots
+    counts = mul(first_others, mid_others)
+    counts += same
+    counts -= np.add.reduce(same)
+    counts *= close
+    return np.add.reduce(counts)
+
+
+def _outer(first, mid):
+    return first[..., None] * mid
+
+
+def _slot_layers(g: ColoredDigraph, pattern: TrianglePattern):
+    """Float64 layers, the sum of the other layers for each color, and the
+    layers of the closing slot."""
+    layers = g.layers.astype(np.float64)
+    others = np.add.reduce(layers) - layers
+    close = layers.transpose(0, 2, 1) if pattern is TrianglePattern.DIRECTED else layers
+    return layers, others, close
 
 
 def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness | None:
@@ -158,19 +186,20 @@ def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness 
     order, or None when the graph is pattern-free."""
     if g.n < 3 or g.c < 3:
         return None
-    masks = _color_masks(g)
-    for u, v, w in permutations(range(g.n), 3):
-        slots = pattern_edges(pattern, u, v, w)
-        m = [int(masks[a, b]) for a, b in slots]
-        if not (m[0] and m[1] and m[2]):
-            continue
-        colors = _lex_least_assignment(m[0], m[1], m[2], g.c)
-        if colors is not None:
-            edges = tuple(
-                (colors[k], slots[k][0], slots[k][1]) for k in range(3)
-            )
-            return RainbowWitness(pattern, (u, v, w), edges)
-    return None
+    layers, others, close = _slot_layers(g, pattern)
+    rows, _ = _rainbow_counts(layers, others, layers, others, close, np.matmul).nonzero()
+    if not rows.size:
+        return None
+    u = int(rows[0])
+    row = _rainbow_counts(layers[:, u], others[:, u], layers, others, close[:, u, None], _outer)
+    vs, ws = row.nonzero()  # in row-major order, so the first is the least (v, w)
+    v, w = int(vs[0]), int(ws[0])
+    slots = pattern_edges(pattern, u, v, w)
+    slot_colors = g.layers[:, [a for a, _ in slots], [b for _, b in slots]].T.tolist()
+    masks = [sum(1 << i for i, on in enumerate(bits) if on) for bits in slot_colors]
+    colors = _lex_least_assignment(*masks, g.c)
+    edges = tuple((colors[k], slots[k][0], slots[k][1]) for k in range(3))
+    return RainbowWitness(pattern, (u, v, w), edges)
 
 
 def count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
@@ -179,18 +208,11 @@ def count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
     color assignments counted separately in both cases."""
     if g.n < 3 or g.c < 3:
         return 0
-    masks = _color_masks(g)
-    total = 0
-    for u, v, w in permutations(range(g.n), 3):
-        if pattern is TrianglePattern.DIRECTED and u != min(u, v, w):
-            continue  # rotation representative: cycle listed from its least vertex
-        slots = pattern_edges(pattern, u, v, w)
-        m1 = int(masks[slots[0][0], slots[0][1]])
-        m2 = int(masks[slots[1][0], slots[1][1]])
-        m3 = int(masks[slots[2][0], slots[2][1]])
-        if m1 and m2 and m3:
-            total += _count_assignments(m1, m2, m3, g.c)
-    return total
+    layers, others, close = _slot_layers(g, pattern)
+    counts = _rainbow_counts(layers, others, layers, others, close, np.matmul)
+    total = int(counts.sum(dtype=np.int64))
+    # the kernel sees a directed cycle once from each of its three vertices
+    return total // 3 if pattern is TrianglePattern.DIRECTED else total
 
 
 def witness_is_valid(g: ColoredDigraph, witness: RainbowWitness) -> bool:

@@ -5,7 +5,6 @@ Each test prints a single ``[PASS]``/``[FAIL]`` line naming its criterion
 so the suite is green exactly when every criterion holds.
 """
 
-import math
 import time
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ from rtlab.exactmath import (
     lemma21_bound,
     lemma21_oracle,
     scan_constraint_system,
+    threshold_value,
     thresholds,
 )
 from rtlab.graphs import count_color
@@ -34,11 +34,12 @@ CONSTRUCTION_FREE = {
     ConstructionId.ORIENTED_CYCLIC: (T,),
     ConstructionId.TWO_COLOR_HEAVY: (D,),
 }
-DENSITY_TARGETS = {
-    ConstructionId.BIPARTITE_DOUBLE: 1 / 2,
-    ConstructionId.DIRECTED3: 5 / 9,
-    ConstructionId.TRANSITIVE3: (52 - 4 * math.sqrt(7)) / 81,
-    ConstructionId.ORIENTED_CYCLIC: 1 / 3,
+# the threshold entry each extremal family sits just below, per color
+THRESHOLD_ENTRIES = {
+    ConstructionId.BIPARTITE_DOUBLE: "directed-per-color-4plus",
+    ConstructionId.DIRECTED3: "directed-per-color-3",
+    ConstructionId.TRANSITIVE3: "transitive-per-color-3",
+    ConstructionId.ORIENTED_CYCLIC: "transitive-per-color-oriented",
 }
 
 CLAIM_MAXIMA = {
@@ -122,9 +123,10 @@ def test_criterion_3_local_claim_catalogue():
 
 
 def test_criterion_4_construction_suite():
+    started = time.perf_counter()
     problems = []
     for cid, patterns in CONSTRUCTION_FREE.items():
-        for n in range(3, 31):
+        for n in list(range(3, 31)) + [600]:
             g = build_construction(cid, n)
             for color in range(1, g.c + 1):
                 if count_color(g, color) != expected_count(cid, n, color):
@@ -132,18 +134,30 @@ def test_criterion_4_construction_suite():
             for pattern in patterns:
                 if find_rainbow(g, pattern) is not None:
                     problems.append(f"{cid.value} n={n}: rainbow {pattern.value} present")
-    n = 3000
-    for cid, target in DENSITY_TARGETS.items():
-        g = build_construction(cid, n)
+        g = build_construction(cid, 3000)
         for color in range(1, g.c + 1):
-            ratio = count_color(g, color) / n**2
-            if abs(ratio - target) > 1e-2:
-                problems.append(f"{cid.value} n={n} color {color}: ratio {ratio:.5f} vs {target:.5f}")
-    ok = not problems
+            if count_color(g, color) != expected_count(cid, 3000, color):
+                problems.append(f"{cid.value} n=3000 color {color}: count mismatch")
+    # exact densities: every color class at or below its threshold, and the
+    # sparsest class within 4n of it
+    table = thresholds()
+    for cid, name in THRESHOLD_ENTRIES.items():
+        entry = table[name]
+        colors = range(1, 5 if cid is ConstructionId.BIPARTITE_DOUBLE else 4)
+        for n in range(3, 3001):
+            counts = [expected_count(cid, n, color) for color in colors]
+            limit = threshold_value(entry, n)
+            if not max(counts) <= limit:
+                problems.append(f"{cid.value} n={n}: {max(counts)} above {name}")
+            if not limit - min(counts) <= 4 * n:
+                problems.append(f"{cid.value} n={n}: {min(counts)} more than 4n below {name}")
+    elapsed = time.perf_counter() - started
+    ok = not problems and elapsed < 60
     verdict(
-        "criterion 4: constructions exact for n <= 30 and at target density for n = 3000",
+        "criterion 4: constructions exact and pattern-free for n <= 30 and n = 600, "
+        "counts exact at n = 3000, densities within 4n below their thresholds",
         ok,
-        "; ".join(problems[:5]) if problems else "140 small cases + 4 density checks",
+        f"{elapsed:.1f}s" + ("; " + "; ".join(problems[:5]) if problems else ""),
     )
 
 

@@ -87,6 +87,11 @@ def test_detect_input_errors(tmp_path, capsys):
     )
     assert code == 2 and "input error" in err
 
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 1000000, "c": 3, "edges": []}))
+    code, report, err = run_cli(capsys, "detect", "--graph", str(huge), "--pattern", "directed")
+    assert code == 2 and report is None and "MAX_CELLS" in err
+
 
 def test_construct_examples(tmp_path, capsys):
     code, report, _ = run_cli(
@@ -131,6 +136,15 @@ def test_construct_input_errors(tmp_path, capsys):
         str(tmp_path / "y.json"),
     )
     assert code == 2 and "c = 3" in err
+
+    code, report, err = run_cli(
+        capsys,
+        *["construct", "--id", "bipartite-double", "--n", "100000"],
+        "--out",
+        str(tmp_path / "z.json"),
+    )
+    assert code == 2 and report is None and "MAX_CELLS" in err
+    assert not (tmp_path / "z.json").exists()
 
 
 def test_search_total_and_min_color(capsys):
@@ -277,6 +291,9 @@ def test_optscan_cli(capsys):
 
     code, report, err = run_cli(capsys, "optscan", "--step", "0")
     assert code == 2 and "input error" in err
+
+    code, report, err = run_cli(capsys, "optscan", "--step", "1e-6")
+    assert code == 2 and report is None and "MAX_GRID_POINTS" in err
 
 
 def test_thresholds_cli(capsys):

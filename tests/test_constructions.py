@@ -15,7 +15,7 @@ from rtlab.constructions import (
     two_color_heavy,
     bipartite_double,
 )
-from rtlab.graphs import GraphInputError, count_color, induced, is_oriented
+from rtlab.graphs import MAX_CELLS, GraphInputError, count_color, induced, is_oriented
 from rtlab.triangles import TrianglePattern, find_rainbow
 
 D, T = TrianglePattern.DIRECTED, TrianglePattern.TRANSITIVE
@@ -162,3 +162,46 @@ def test_build_construction_dispatch_and_errors():
         build_construction("directed3", 6, c=4)
     with pytest.raises(ValueError):
         build_construction("unknown-construction", 5)
+
+
+def _part_of(n, k):
+    return {v: i for i, part in enumerate(equal_parts(n, k)) for v in part}
+
+
+def test_generators_match_pairwise_definitions():
+    # each family edge by edge from its definition, against the block fills
+    for n in range(0, 26):
+        halves, thirds = _part_of(n, 2), _part_of(n, 3)
+        a = small_set_size(n)
+        sets = {v: 0 if v < a else 1 if v < 2 * a else 2 for v in range(n)}
+        inner = [(2, 3), (3, 1), (1, 2)]
+        rules = [
+            (bipartite_double(n, 4), lambda k, u, v: halves[u] != halves[v]),
+            (
+                directed3(n),
+                lambda k, u, v: thirds[u] < thirds[v]
+                or (thirds[u] == thirds[v] and k != thirds[u] + 1),
+            ),
+            (oriented_cyclic(n, 2), lambda k, u, v: thirds[v] == (thirds[u] + 1) % 3),
+            (two_color_heavy(n), lambda k, u, v: k in (1, 2)),
+        ]
+        if n >= 1:
+            rules.append(
+                (
+                    transitive3(n),
+                    lambda k, u, v: k == 3 if sets[u] != sets[v] else k in inner[sets[u]],
+                )
+            )
+        for g, rule in rules:
+            for k in range(1, g.c + 1):
+                for u in range(n):
+                    for v in range(n):
+                        assert g.has_edge(k, u, v) == (u != v and rule(k, u, v)), (n, k, u, v)
+
+
+def test_size_limit_rejected_before_building():
+    for cid in ConstructionId:
+        with pytest.raises(GraphInputError, match="MAX_CELLS"):
+            build_construction(cid, 10**9)
+    with pytest.raises(GraphInputError, match="MAX_CELLS"):
+        bipartite_double(100, MAX_CELLS // 10**4 + 1)

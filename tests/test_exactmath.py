@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from rtlab.exactmath import (
+    MAX_GRID_POINTS,
     SQRT7,
     ConstraintSystem,
     QuadraticRational,
     lemma21_bound,
+    grid_point_estimate,
     lemma21_oracle,
     scan_constraint_system,
     threshold_value,
@@ -199,3 +201,16 @@ def test_scan_confirms_unique_optimum_coarse():
     assert max(result.polished_point[1:]) <= 1e-4
     assert result.exact_slacks_at_optimum == (0, 0)
     assert result.optimum_confirmed
+
+
+def test_scan_grid_budget():
+    # the estimate tracks the real grid and shrinks toward it as the step does
+    ratios = []
+    for step, points in ((0.01, 204161), (0.005, 2971598)):
+        ratios.append(grid_point_estimate(step) / points)
+        assert scan_constraint_system(grid_step=step, polish_iters=0).grid_points == points
+    assert 0.8 < ratios[0] < ratios[1] < 1
+    assert grid_point_estimate(0.002) < MAX_GRID_POINTS  # the default step runs
+    for step in (0.0, 0.001, 1e-6):
+        with pytest.raises(ValueError):
+            scan_constraint_system(grid_step=step)

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from rtlab.graphs import (
+    MAX_CELLS,
     ColoredDigraph,
     EdgeRef,
     GraphBuilder,
     GraphInputError,
     add_edge,
+    check_size,
     classify_pair,
     count_between,
     count_color,
@@ -167,9 +169,15 @@ def test_induced_relabels_sorted():
 def test_json_round_trip_and_canonical_order():
     g = GraphBuilder(4, 3).add(3, 2, 1).add(1, 3, 0).add(2, 0, 1).build()
     text = dumps_graph(g)
+    assert text == '{"n":4,"c":3,"edges":[[1,3,0],[2,0,1],[3,2,1]]}'
     payload = json.loads(text)
     assert payload["edges"] == sorted(payload["edges"])
+    assert [list(e) for e in g.edges()] == payload["edges"]
     assert loads_graph(text) == g
+    rng = random.Random(19)
+    for _ in range(30):
+        h = random_graph(rng, rng.randrange(0, 7), rng.randrange(0, 5), p=0.4)
+        assert loads_graph(dumps_graph(h)) == h
     # deduplication on load
     payload["edges"].append(payload["edges"][0])
     assert loads_graph(json.dumps(payload)) == g
@@ -184,6 +192,37 @@ def test_loads_rejects_malformed():
         loads_graph('{"n": 2, "c": 1, "edges": [[1, 0, 2]]}')
     with pytest.raises(GraphInputError):
         loads_graph('{"n": 2, "c": 1, "edges": [[1, 0]]}')
+    # each bad entry is named exactly as the per-edge checks name it, and
+    # with several bad entries the first one in input order is reported
+    for edges, message in (
+        ("[[true, 0, 1]]", "color must be an integer, got True"),
+        ("[[1, 0.0, 1]]", "vertex must be an integer, got 0.0"),
+        ("[[1, -1, 1]]", "vertex -1 out of range for n=3"),
+        ("[[2, 1, 1]]", "loop at vertex 1 rejected"),
+        ("[[4, 0, 1]]", "color 4 out of range for c=3"),
+        ("[[0, 0, 1]]", "color 0 out of range for c=3"),
+        ("[[1, 3, 0]]", "vertex 3 out of range for n=3"),
+        ("[[1, 0, -2]]", "vertex -2 out of range for n=3"),
+        ('[{"color": 1}]', "edge entry {'color': 1} must be [color, from, to]"),
+        ("[[1, 0, 1, 2]]", "edge entry [1, 0, 1, 2] must be [color, from, to]"),
+        ('[[1, 0, "2"]]', "vertex must be an integer, got '2'"),
+        ("[[1, 0, 1], [1, 0, 5], [true, 0, 1]]", "vertex 5 out of range for n=3"),
+        ("[[1, 0, 1], [1, 2, 99999999999999999999999]]",
+         "vertex 99999999999999999999999 out of range for n=3"),
+    ):
+        with pytest.raises(GraphInputError) as info:
+            loads_graph(f'{{"n": 3, "c": 3, "edges": {edges}}}')
+        assert str(info.value) == message, edges
+
+
+def test_size_limit_is_checked_before_allocation():
+    with pytest.raises(GraphInputError, match="MAX_CELLS"):
+        loads_graph('{"n": 1000000, "c": 3, "edges": []}')
+    with pytest.raises(GraphInputError, match="MAX_CELLS"):
+        GraphBuilder(2, MAX_CELLS // 4 + 1)
+    with pytest.raises(GraphInputError, match="MAX_CELLS"):
+        ColoredDigraph.empty(1 << 13, 2)
+    check_size(1 << 12, 4)  # exactly at the cap
 
 
 def test_digest_is_stable():

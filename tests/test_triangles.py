@@ -17,6 +17,13 @@ from naive import naive_count_rainbow, naive_find_rainbow, random_graph
 D, T = TrianglePattern.DIRECTED, TrianglePattern.TRANSITIVE
 
 
+def _witness_key(witness):
+    """A witness in the oracle's form: ((u, v, w), (c1, c2, c3)), or None."""
+    if witness is None:
+        return None
+    return witness.vertices, tuple(color for color, _, _ in witness.edges)
+
+
 def test_directed_example():
     g = GraphBuilder(3, 3).add(1, 0, 1).add(2, 1, 2).add(3, 2, 0).build()
     w = find_rainbow(g, D)
@@ -125,9 +132,7 @@ def test_full_enumeration_n3_agrees_with_oracle():
                     layers[color, b2, a2] = True
         g = ColoredDigraph(3, 3, layers)
         for pattern in (D, T):
-            got = find_rainbow(g, pattern)
-            expect = naive_find_rainbow(g, pattern)
-            if (got is None) != (expect is None):
+            if _witness_key(find_rainbow(g, pattern)) != naive_find_rainbow(g, pattern):
                 mismatches += 1
         checked += 1
     assert checked == 64**3
@@ -136,12 +141,28 @@ def test_full_enumeration_n3_agrees_with_oracle():
 
 def test_count_matches_oracle():
     rng = random.Random(37)
-    for _ in range(100):
-        n = rng.randrange(3, 6)
-        c = rng.choice([3, 4])
-        g = random_graph(rng, n, c, p=rng.uniform(0.2, 0.7))
+    for c in range(3, 7):
+        for n in range(3, 9):
+            for p in (0.25, 0.5, 0.8):
+                g = random_graph(rng, n, c, p=p)
+                for pattern in (D, T):
+                    assert count_rainbow(g, pattern) == naive_count_rainbow(g, pattern)
+                    assert _witness_key(find_rainbow(g, pattern)) == naive_find_rainbow(
+                        g, pattern
+                    ), (g.edges(), pattern)
+
+
+def test_colors_beyond_64_are_seen():
+    # a color index past the width of a machine word still counts
+    for colors in ((1, 2, 70), (65, 66, 70)):
+        b = GraphBuilder(4, 70)
+        for color, (u, v) in zip(colors, ((0, 1), (1, 2), (2, 0))):
+            b.add(color, u, v).add(color, u + 1, v + 1 if v < 3 else 0)
+        g = b.build()
         for pattern in (D, T):
+            assert _witness_key(find_rainbow(g, pattern)) == naive_find_rainbow(g, pattern)
             assert count_rainbow(g, pattern) == naive_count_rainbow(g, pattern)
+        assert _witness_key(find_rainbow(g, D)) == ((0, 1, 2), colors)
 
 
 def test_count_identifies_directed_copies_up_to_rotation():
