@@ -62,7 +62,6 @@ from .graphs import (
     count_color,
     dumps_graph,
     graph_digest,
-    induced,
     is_oriented,
     load_graph,
     loads_graph,
@@ -73,7 +72,6 @@ from .triangles import (
     TrianglePattern,
     count_rainbow,
     find_rainbow,
-    heavy_pair_digraph,
     sdr_exists,
     witness_is_valid,
 )

@@ -25,6 +25,9 @@ check.
 
 Worker counts for the scenario evaluators come from --jobs, falling back
 to the RTLAB_JOBS environment variable.
+
+Each verify-all segment is built by one ``check_*`` function below; the
+acceptance suite calls the same functions.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ import time
 import traceback
 from pathlib import Path
 
-from .constructions import ConstructionId, build_construction, expected_count
+from .constructions import AVOIDED_PATTERNS, ConstructionId, build_construction, expected_count
 from .exactmath import (
     lemma21_bound,
     lemma21_oracle,
     scan_constraint_system,
+    threshold_identities,
     thresholds,
 )
 from .graphs import (
@@ -66,18 +70,6 @@ from .search import SearchObjective, SearchProblem, solve
 from .triangles import TrianglePattern, count_rainbow, find_rainbow, witness_is_valid
 
 DEFAULT_SEED = 987654321
-
-# Pattern(s) each construction family is built to avoid.
-CONSTRUCTION_PATTERNS = {
-    ConstructionId.BIPARTITE_DOUBLE: (
-        TrianglePattern.DIRECTED,
-        TrianglePattern.TRANSITIVE,
-    ),
-    ConstructionId.DIRECTED3: (TrianglePattern.DIRECTED,),
-    ConstructionId.TRANSITIVE3: (TrianglePattern.TRANSITIVE,),
-    ConstructionId.ORIENTED_CYCLIC: (TrianglePattern.TRANSITIVE,),
-    ConstructionId.TWO_COLOR_HEAVY: (TrianglePattern.DIRECTED,),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +320,7 @@ def cmd_thresholds(args, echo, started) -> int:
         }
         for entry in table.values()
     ]
-    # Internal consistency: each pair-sum coefficient doubles the matching
-    # per-color one, and the weakest coefficient prints as 0.2557.
-    identities = []
-    for pair_name, per_name in (
-        ("directed-pair-3", "directed-per-color-3"),
-        ("transitive-pair-3", "transitive-per-color-3"),
-        ("undirected-pair-3", "undirected-per-color-3"),
-    ):
-        identities.append(
-            {
-                "check": f"{pair_name} = 2 * {per_name}",
-                "holds": table[pair_name].quad == table[per_name].quad * 2,
-            }
-        )
-    identities.append(
-        {
-            "check": "undirected-per-color-3 rounds to 0.2557",
-            "holds": table["undirected-per-color-3"].quad.decimal(4) == "0.2557",
-        }
-    )
+    identities = threshold_identities(table)
     passed = all(i["holds"] for i in identities)
     results = {"entries": rows, "identities": identities}
     return _emit(echo, _params_digest({"entries": sorted(table)}), results, passed, started)
@@ -367,75 +340,71 @@ def _random_small_graph(rng: random.Random) -> ColoredDigraph:
     return ColoredDigraph.from_edges(n, c, edges)
 
 
-def cmd_verify_all(args, echo, started) -> int:
-    jobs = _resolve_jobs(args.jobs)
-    segments = []
-    digest_parts: dict = {"seed": args.seed}
+def check_catalogue(which: str, scenarios, jobs: int | None):
+    """Grade one bound catalogue.  Returns (segment, digest of the scenarios,
+    entries)."""
+    digest, entries, summary, passed = _check_catalogue(which, scenarios, jobs)
+    return {"name": f"catalogue:{which}", "pass": passed, **summary}, digest, entries
 
-    # 1. every bound catalogue
-    for which in CATALOGUE_IDS:
-        digest_parts[which], _, summary, passed = _check_catalogue(
-            which, _catalogue_scenarios(which, args.catalogue_dir), jobs
-        )
-        segments.append({"name": f"catalogue:{which}", "pass": passed, **summary})
 
-    # 2. two-set edge bound on the full grid a + b <= 7
-    lemma_failures = []
-    lemma_cases = 0
-    for a in range(8):
-        for b in range(8 - a):
+def check_two_set_edge_bound(max_sum: int = 7) -> dict:
+    """The two-set edge bound against exhaustive enumeration for a + b <= max_sum."""
+    failures = []
+    cases = 0
+    for a in range(max_sum + 1):
+        for b in range(max_sum + 1 - a):
             maximum = lemma21_oracle(a, b)
             if maximum > lemma21_bound(a, b):
-                lemma_failures.append({"a": a, "b": b, "maximum": maximum})
-            lemma_cases += 1
-    segments.append(
-        {
-            "name": "two-set-edge-bound",
-            "pass": not lemma_failures,
-            "cases": lemma_cases,
-            "failures": lemma_failures,
-        }
-    )
+                failures.append({"a": a, "b": b, "maximum": maximum})
+            cases += 1
+    return {
+        "name": "two-set-edge-bound",
+        "pass": not failures,
+        "cases": cases,
+        "failures": failures,
+    }
 
-    # 3. constraint-system scan at the default resolution
+
+def check_constraint_scan() -> dict:
+    """The constraint-system scan at the default resolution."""
     scan = scan_constraint_system()
-    segments.append(
-        {
-            "name": "constraint-scan",
-            "pass": scan.optimum_confirmed,
-            "polished_value": scan.polished_value,
-            "polished_point": list(scan.polished_point),
-        }
-    )
+    return {
+        "name": "constraint-scan",
+        "pass": scan.optimum_confirmed,
+        "polished_value": scan.polished_value,
+        "polished_point": list(scan.polished_point),
+    }
 
-    # 4. construction suite: counts and pattern-freeness for n = 3 .. 30
-    construction_failures = []
-    construction_cases = 0
-    for cid, patterns in CONSTRUCTION_PATTERNS.items():
-        for n in range(3, 31):
+
+def check_constructions(sizes=range(3, 31)) -> dict:
+    """Every construction family at each n in ``sizes``: per-color counts
+    equal the closed form, and no avoided pattern occurs rainbow."""
+    failures = []
+    cases = 0
+    for cid, patterns in AVOIDED_PATTERNS.items():
+        for n in sizes:
             graph = build_construction(cid, n)
             for color in range(1, graph.c + 1):
                 if count_color(graph, color) != expected_count(cid, n, color):
-                    construction_failures.append(f"{cid.value} n={n} color {color} count")
+                    failures.append(f"{cid.value} n={n} color {color} count")
             for pattern in patterns:
                 if find_rainbow(graph, pattern) is not None:
-                    construction_failures.append(
-                        f"{cid.value} n={n} rainbow {pattern.value}"
-                    )
-            construction_cases += 1
-    segments.append(
-        {
-            "name": "constructions",
-            "pass": not construction_failures,
-            "cases": construction_cases,
-            "failures": construction_failures,
-        }
-    )
+                    failures.append(f"{cid.value} n={n} rainbow {pattern.value}")
+            cases += 1
+    return {
+        "name": "constructions",
+        "pass": not failures,
+        "cases": cases,
+        "failures": failures,
+    }
 
-    # 5. seeded detector cross-check on random small graphs
-    rng = random.Random(args.seed)
+
+def check_detector_sanity(seed: int, graphs: int = 200) -> dict:
+    """Seeded cross-check of the finder against the counter and the witness
+    validator on random small graphs."""
+    rng = random.Random(seed)
     mismatches = 0
-    for _ in range(200):
+    for _ in range(graphs):
         graph = _random_small_graph(rng)
         for pattern in TrianglePattern:
             witness = find_rainbow(graph, pattern)
@@ -443,15 +412,28 @@ def cmd_verify_all(args, echo, started) -> int:
                 mismatches += 1
             if witness is not None and not witness_is_valid(graph, witness):
                 mismatches += 1
-    segments.append(
-        {
-            "name": "detector-sanity",
-            "pass": mismatches == 0,
-            "graphs": 200,
-            "seed": args.seed,
-            "mismatches": mismatches,
-        }
-    )
+    return {
+        "name": "detector-sanity",
+        "pass": mismatches == 0,
+        "graphs": graphs,
+        "seed": seed,
+        "mismatches": mismatches,
+    }
+
+
+def cmd_verify_all(args, echo, started) -> int:
+    jobs = _resolve_jobs(args.jobs)
+    segments = []
+    digest_parts: dict = {"seed": args.seed}
+    for which in CATALOGUE_IDS:
+        segment, digest_parts[which], _ = check_catalogue(
+            which, _catalogue_scenarios(which, args.catalogue_dir), jobs
+        )
+        segments.append(segment)
+    segments.append(check_two_set_edge_bound())
+    segments.append(check_constraint_scan())
+    segments.append(check_constructions())
+    segments.append(check_detector_sanity(args.seed))
 
     passed = all(s["pass"] for s in segments)
     failed = [s["name"] for s in segments if not s["pass"]]

@@ -54,9 +54,11 @@ from enum import Enum
 import numpy as np
 
 from .graphs import ColoredDigraph, GraphInputError, check_size
+from .triangles import TrianglePattern
 
 __all__ = [
     "ConstructionId",
+    "AVOIDED_PATTERNS",
     "build_construction",
     "expected_count",
     "bipartite_double",
@@ -77,6 +79,16 @@ class ConstructionId(str, Enum):
     TRANSITIVE3 = "transitive3"
     ORIENTED_CYCLIC = "oriented-cyclic"
     TWO_COLOR_HEAVY = "two-color-heavy"
+
+
+# the rainbow pattern(s) each family is built to avoid
+AVOIDED_PATTERNS = {
+    ConstructionId.BIPARTITE_DOUBLE: (TrianglePattern.DIRECTED, TrianglePattern.TRANSITIVE),
+    ConstructionId.DIRECTED3: (TrianglePattern.DIRECTED,),
+    ConstructionId.TRANSITIVE3: (TrianglePattern.TRANSITIVE,),
+    ConstructionId.ORIENTED_CYCLIC: (TrianglePattern.TRANSITIVE,),
+    ConstructionId.TWO_COLOR_HEAVY: (TrianglePattern.DIRECTED,),
+}
 
 
 def _part_sizes(n: int, k: int) -> list[int]:

@@ -48,6 +48,7 @@ __all__ = [
     "SQRT7",
     "ThresholdEntry",
     "thresholds",
+    "threshold_identities",
     "threshold_value",
     "lemma21_bound",
     "lemma21_oracle",
@@ -110,10 +111,6 @@ class QuadraticRational:
         if isinstance(value, (int, Fraction)):
             return QuadraticRational(Fraction(value))
         return NotImplemented
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     # -- ring/field operations ------------------------------------------
     def __add__(self, other):
@@ -391,6 +388,30 @@ def thresholds() -> dict[str, ThresholdEntry]:
         ),
     ]
     return {entry.name: entry for entry in entries}
+
+
+def threshold_identities(table: dict[str, ThresholdEntry]) -> list[dict]:
+    """Internal consistency of the table: each pair-sum coefficient doubles
+    the matching per-color one, and the weakest coefficient prints as 0.2557.
+    Returns one ``{"check", "holds"}`` record per identity."""
+    identities = [
+        {
+            "check": f"{pair_name} = 2 * {per_name}",
+            "holds": table[pair_name].quad == table[per_name].quad * 2,
+        }
+        for pair_name, per_name in (
+            ("directed-pair-3", "directed-per-color-3"),
+            ("transitive-pair-3", "transitive-per-color-3"),
+            ("undirected-pair-3", "undirected-per-color-3"),
+        )
+    ]
+    identities.append(
+        {
+            "check": "undirected-per-color-3 rounds to 0.2557",
+            "holds": table["undirected-per-color-3"].quad.decimal(4) == "0.2557",
+        }
+    )
+    return identities
 
 
 def threshold_value(entry: ThresholdEntry, n: int, c: int | None = None) -> QuadraticRational:

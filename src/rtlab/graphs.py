@@ -54,7 +54,6 @@ __all__ = [
     "count_between",
     "classify_pair",
     "is_oriented",
-    "induced",
     "dumps_graph",
     "loads_graph",
     "save_graph",
@@ -107,10 +106,6 @@ class PairProfile(NamedTuple):
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    def doubled_colors(self) -> tuple[int, ...]:
-        """1-based colors in which the pair carries a double edge."""
-        return tuple(i + 1 for i, k in enumerate(self.counts) if k == 2)
 
 
 def _check_vertex(n: int, v) -> int:
@@ -283,16 +278,6 @@ def is_oriented(g: ColoredDigraph) -> bool:
         if (g.layers[i] & g.layers[i].T).any():
             return False
     return True
-
-
-def induced(g: ColoredDigraph, S: Iterable[int]) -> ColoredDigraph:
-    """Induced subgraph on S, relabeled to 0..|S|-1 in sorted vertex order."""
-    idx = sorted({_check_vertex(g.n, x) for x in S})
-    sel = np.array(idx, dtype=int)
-    layers = g.layers[:, sel[:, None], sel[None, :]] if idx else np.zeros(
-        (g.c, 0, 0), dtype=bool
-    )
-    return ColoredDigraph(len(idx), g.c, np.ascontiguousarray(layers))
 
 
 # -- interchange -------------------------------------------------------

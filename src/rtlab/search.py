@@ -151,7 +151,10 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     ``budget`` caps the number of pair-state assignments explored; when the
     cap is hit the result carries ``exhaustive=False`` and the best value
     found so far, with its witness (none if no complete graph was reached).
+    A negative budget raises ValueError; budget 0 stops at the first node.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     n, c = problem.n, problem.c
     pairs = _pairs_by_max_endpoint(n)
     num_pairs = len(pairs)

@@ -32,10 +32,6 @@ Copy identification for counting: a directed triangle is identified up to
 rotation of (u, v, w) — the cycle (u, v, w) equals (v, w, u) — while a
 transitive triangle is identified by its role-labeled triple (source, middle,
 sink).  Color assignments are counted separately in both cases.
-
-The auxiliary digraph built by ``heavy_pair_digraph`` connects u -> v when
-the pair carries c+1 edges of which at least 3 leave u; it is the bookkeeping
-device used when all color layers are dense.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ __all__ = [
     "sdr_exists",
     "rainbow_free_check",
     "witness_is_valid",
-    "heavy_pair_digraph",
 ]
 
 
@@ -234,18 +229,3 @@ def witness_is_valid(g: ColoredDigraph, witness: RainbowWitness) -> bool:
         colors.append(color)
     return len(set(colors)) == 3
 
-
-def heavy_pair_digraph(g: ColoredDigraph) -> np.ndarray:
-    """Boolean n x n matrix H with H[u, v] = True iff the pair {u, v} carries
-    exactly c+1 edges in total and at least 3 of them go from u to v.
-
-    For c = 4 a pair has 5 edges, so at most one of H[u, v], H[v, u] can
-    hold; from c = 5 on both directions are arithmetically possible.
-    """
-    if g.n == 0:
-        return np.zeros((0, 0), dtype=bool)
-    fwd = g.layers.sum(axis=0, dtype=np.int64)  # edges u -> v over all colors
-    pair_total = fwd + fwd.T
-    h = (pair_total == g.c + 1) & (fwd >= 3)
-    np.fill_diagonal(h, False)
-    return h

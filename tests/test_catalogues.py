@@ -113,8 +113,8 @@ def test_unknown_catalogue_is_rejected():
             fn("no_such_catalogue")
 
 
-def test_table_runs_clean_and_matches_frozen_values():
-    entries = run_catalogue("table10x10", jobs=4)
+def test_table_runs_clean_and_matches_frozen_values(graded_catalogue):
+    _, entries, _ = graded_catalogue("table10x10")
     assert len(entries) == 100
     got = _by_id(entries)
     for row in CLASSES:
@@ -125,8 +125,8 @@ def test_table_runs_clean_and_matches_frozen_values():
             assert e.computed_max == bound, e  # every cell is exactly met
 
 
-def test_two_color_bullets_run_clean():
-    entries = run_catalogue("eq1_bullets")
+def test_two_color_bullets_run_clean(graded_catalogue):
+    _, entries, _ = graded_catalogue("eq1_bullets")
     assert len(entries) == 12
     for e in entries:
         assert e.status not in ("violated", "infeasible"), e
@@ -134,8 +134,8 @@ def test_two_color_bullets_run_clean():
         assert e.computed_max <= e.bound, e
 
 
-def test_all_color_bullets_run_clean():
-    entries = run_catalogue("eq3_bullets")
+def test_all_color_bullets_run_clean(graded_catalogue):
+    _, entries, _ = graded_catalogue("eq3_bullets")
     assert len(entries) == 10
     for e in entries:
         assert e.status not in ("violated", "infeasible"), e
@@ -143,8 +143,8 @@ def test_all_color_bullets_run_clean():
         assert e.computed_max <= e.bound, e
 
 
-def test_claim_maxima_are_reproduced_exactly():
-    entries = run_catalogue("claims_local")
+def test_claim_maxima_are_reproduced_exactly(graded_catalogue):
+    _, entries, _ = graded_catalogue("claims_local")
     assert len(entries) == 13
     for e in entries:
         assert e.status == "tight", e

@@ -174,6 +174,16 @@ def test_search_budget_exhaustion(capsys):
     assert code == 1
     assert report["results"]["exhaustive"] is False
     assert "lower bound" in err
+    # a negative budget is an input error, not an exhausted search
+    code, report, err = run_cli(
+        capsys, "search", "--n", "3", "--c", "3", "--pattern", "directed", "--budget", "-1"
+    )
+    assert code == 2 and report is None
+    assert "budget must be non-negative" in err and "lower bound" not in err
+    code, report, _ = run_cli(
+        capsys, "search", "--n", "3", "--c", "3", "--pattern", "directed", "--budget", "0"
+    )
+    assert code == 1 and report["results"]["exhaustive"] is False
 
 
 def scenario_pair(bound):
@@ -271,6 +281,27 @@ def test_verify_all_passes(capsys):
     assert segments["two-set-edge-bound"]["cases"] == 36
     assert segments["constructions"]["cases"] == 140
     assert report["results"]["failed_segments"] == []
+
+
+def test_non_catalogue_checks_name_their_failures(monkeypatch):
+    # each check calls the library through its cli attribute, so a broken
+    # library function must turn that check red
+    with monkeypatch.context() as m:
+        m.setattr(cli, "lemma21_bound", lambda a, b: -1)
+        segment = cli.check_two_set_edge_bound(max_sum=2)
+    assert segment["pass"] is False and segment["cases"] == 6
+    assert {"a": 1, "b": 1, "maximum": 1} in segment["failures"]
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "expected_count", lambda cid, n, color, c=None: -1)
+        segment = cli.check_constructions(sizes=[3])
+    assert segment["pass"] is False and segment["cases"] == 5
+    assert "directed3 n=3 color 1 count" in segment["failures"]
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "count_rainbow", lambda g, pattern: -1)
+        segment = cli.check_detector_sanity(seed=1, graphs=5)
+    assert segment["pass"] is False and segment["mismatches"] > 0
 
 
 def test_lemma21_cli(capsys):

@@ -16,7 +16,6 @@ from rtlab.graphs import (
     count_color,
     dumps_graph,
     graph_digest,
-    induced,
     is_oriented,
     loads_graph,
 )
@@ -154,16 +153,6 @@ def test_is_oriented():
             for i in range(3)
         )
         assert is_oriented(g3) == expect
-
-
-def test_induced_relabels_sorted():
-    g = GraphBuilder(5, 2).add(1, 4, 2).add(2, 2, 0).add(1, 1, 3).build()
-    h = induced(g, [4, 0, 2])
-    # sorted(S) = [0, 2, 4] -> relabeled 0, 1, 2
-    assert h.n == 3 and h.c == 2
-    assert h.has_edge(1, 2, 1)  # 4->2 becomes 2->1
-    assert h.has_edge(2, 1, 0)  # 2->0 becomes 1->0
-    assert h.total_edges() == 2
 
 
 def test_json_round_trip_and_canonical_order():

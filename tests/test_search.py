@@ -150,6 +150,10 @@ def test_budget_reports_non_exhaustive():
     wide = solve(SearchProblem(4, 8, D), budget=1000)
     assert not wide.exhaustive
     assert wide.nodes <= 1001
+    # budget 0 is a valid, immediately exhausted budget; a negative one is not
+    assert not solve(SearchProblem(3, 3, D), budget=0).exhaustive
+    with pytest.raises(ValueError, match="non-negative"):
+        solve(SearchProblem(3, 3, D), budget=-1)
 
 
 def _permuted(mask, perm):

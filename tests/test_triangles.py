@@ -6,7 +6,6 @@ from rtlab.triangles import (
     TrianglePattern,
     count_rainbow,
     find_rainbow,
-    heavy_pair_digraph,
     pattern_edges,
     rainbow_free_check,
     witness_is_valid,
@@ -190,42 +189,6 @@ def test_transitive_on_doubles_implies_directed_witness():
         wd = find_rainbow(g, D)
         assert wt is not None and wd is not None
         assert sorted(wd.vertices) == sorted(wt.vertices) == [0, 1, 2]
-
-
-def test_heavy_pair_digraph_examples():
-    # c = 4, five edges between the pair, three of them 0 -> 1
-    b = GraphBuilder(2, 4)
-    b.add(1, 0, 1).add(2, 0, 1).add(3, 0, 1).add(1, 1, 0).add(2, 1, 0)
-    h = heavy_pair_digraph(b.build())
-    assert h[0, 1] and not h[1, 0]
-    # four edges only: not a heavy pair
-    b2 = GraphBuilder(2, 4).add(1, 0, 1).add(2, 0, 1).add(3, 0, 1).add(1, 1, 0)
-    assert not heavy_pair_digraph(b2.build()).any()
-
-
-def test_heavy_pair_both_directions_requires_c5():
-    # enumerate every per-pair profile: for c = 4 no profile has total c+1
-    # with >= 3 edges each way (5 < 3 + 3); for c = 5 such profiles exist
-    def both_possible(c):
-        found = False
-        for profile in product(range(4), repeat=c):
-            fwd = sum(1 for p in profile if p & 1)
-            bwd = sum(1 for p in profile if p & 2)
-            if fwd + bwd == c + 1 and fwd >= 3 and bwd >= 3:
-                found = True
-        return found
-
-    assert not both_possible(4)
-    assert both_possible(5)
-
-    # and a concrete c = 5 graph where H holds both ways on one pair
-    b = GraphBuilder(2, 5)
-    for color in (1, 2, 3):
-        b.add(color, 0, 1)
-    for color in (3, 4, 5):
-        b.add(color, 1, 0)
-    h = heavy_pair_digraph(b.build())
-    assert h[0, 1] and h[1, 0]
 
 
 def test_pattern_edges_shapes():
