@@ -9,7 +9,11 @@ Four catalogues are built by the code in this module:
     claims_local   thirteen neighborhood bounds with explicit premises
 
 Every entry pairs a scenario with the bound it has to satisfy.  Evaluation
-recomputes the exact maximum with ``enumerate_max`` and reports one of:
+recomputes the exact maximum with ``enumerate_max``, one enumeration per
+orbit, every entry graded against its own bound: entries whose scenarios
+agree up to a color permutation and a vertex relabelling (equal
+``canonical_key``) share one enumeration, so table10x10's 100 cells take 16.
+Each entry reports one of:
 
     verified     computed maximum <= bound
     tight        computed maximum == floor(bound)  (still verified)
@@ -38,6 +42,7 @@ from .scenarios import (
     Group,
     Objective,
     Scenario,
+    canonical_key,
     dumps_scenarios,
     enumerate_max,
     slots_between,
@@ -89,14 +94,18 @@ _PAIR_POLICIES: dict[tuple[str, str], tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """One evaluated catalogue line."""
+    """One evaluated catalogue line.  ``evaluated_as`` is the id of the entry
+    whose enumeration gave ``computed_max`` (its own id when it was
+    enumerated itself); ``nodes`` counts that enumeration's work and is 0 for
+    an entry that reused another's."""
 
     scenario_id: str
     source: str
     bound: Fraction
     computed_max: int | None
     status: str
-    nodes: int = 0
+    nodes: int
+    evaluated_as: str
 
     def to_dict(self) -> dict:
         return {
@@ -106,39 +115,67 @@ class BoundEntry:
             "computed_max": self.computed_max,
             "status": self.status,
             "nodes": self.nodes,
+            "evaluated_as": self.evaluated_as,
         }
 
 
-def evaluate_scenario(scenario: Scenario) -> BoundEntry:
-    """Enumerate the scenario and grade its maximum against the bound."""
-    result = enumerate_max(scenario)
-    if not result.feasible:
-        status, computed = "infeasible", None
+def _grade(
+    scenario: Scenario, computed: int | None, nodes: int, evaluated_as: str
+) -> BoundEntry:
+    """Grade a computed maximum (None: infeasible) against the scenario's
+    own bound."""
+    if computed is None:
+        status = "infeasible"
+    elif computed > scenario.bound:
+        status = "violated"
+    elif computed == scenario.bound.numerator // scenario.bound.denominator:
+        status = "tight"
     else:
-        computed = result.maximum
-        if computed > scenario.bound:
-            status = "violated"
-        elif computed == scenario.bound.numerator // scenario.bound.denominator:
-            status = "tight"
-        else:
-            status = "verified"
+        status = "verified"
     return BoundEntry(
         scenario_id=scenario.id,
         source=scenario.source,
         bound=scenario.bound,
         computed_max=computed,
         status=status,
-        nodes=result.nodes,
+        nodes=nodes,
+        evaluated_as=evaluated_as,
     )
 
 
+def evaluate_scenario(scenario: Scenario) -> BoundEntry:
+    """Enumerate the scenario and grade its maximum against the bound."""
+    result = enumerate_max(scenario)
+    computed = result.maximum if result.feasible else None
+    return _grade(scenario, computed, result.nodes, scenario.id)
+
+
 def evaluate_scenarios(scenarios, jobs: int | None = None) -> list[BoundEntry]:
-    """Evaluate many scenarios, optionally across worker processes."""
+    """Evaluate many scenarios, one enumeration per isomorphism class.
+
+    Scenarios are grouped by ``canonical_key``; the first of each group, in
+    input order, is enumerated through ``evaluate_scenario`` (across up to
+    ``jobs`` worker processes), and every scenario is graded against its own
+    bound.  The entries come back in input order.
+    """
     scenarios = list(scenarios)
-    if jobs is not None and jobs > 1 and len(scenarios) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(evaluate_scenario, scenarios))
-    return [evaluate_scenario(s) for s in scenarios]
+    keys = [canonical_key(s) for s in scenarios]
+    firsts: dict[tuple, int] = {}
+    for i, key in enumerate(keys):
+        firsts.setdefault(key, i)
+    reps = [scenarios[i] for i in firsts.values()]
+    if jobs is not None and jobs > 1 and len(reps) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
+            evaluated = list(pool.map(evaluate_scenario, reps))
+    else:
+        evaluated = [evaluate_scenario(s) for s in reps]
+    by_key = dict(zip(firsts, evaluated))
+    return [
+        by_key[key]
+        if firsts[key] == i
+        else _grade(s, by_key[key].computed_max, 0, by_key[key].scenario_id)
+        for i, (key, s) in enumerate(zip(keys, scenarios))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,6 +69,7 @@ from ..triangles import TrianglePattern, rainbow_free_check
 
 __all__ = [
     "MAX_FREE_SLOTS",
+    "MAX_KEY_RELABELLINGS",
     "MAX_VERTICES",
     "SLOT_STATES",
     "CONSTRAINT_KINDS",
@@ -82,6 +84,7 @@ __all__ = [
     "fixture_constraints",
     "scenario_slot_states",
     "objective_slots",
+    "canonical_key",
     "enumerate_max",
     "scenario_to_dict",
     "scenario_from_dict",
@@ -387,6 +390,100 @@ def objective_slots(scenario: Scenario) -> tuple[Slot, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Canonical key
+
+# canonical_key tries every (color permutation, vertex relabelling) pair
+# while c! * n! stays at or below this; larger scenarios get the identity
+# normal form
+MAX_KEY_RELABELLINGS = 5040
+
+
+def canonical_key(scenario: Scenario) -> tuple:
+    """An exact isomorphism key: scenarios with equal keys have the same
+    maximum and feasibility under ``enumerate_max``.
+
+    The key is the lexicographically least *normal form* of the scenario
+    over every color permutation sigma of 1..c and every vertex relabelling
+    pi of 0..n-1.  A normal form writes each vertex as its relabelled
+    position and each color as its permuted value, and leaves out ``id``,
+    ``source``, ``bound`` and the label strings, which no rule reads.  Every
+    rule, fixture and the objective is unchanged when colors are permuted or
+    vertices relabelled, so two scenarios with one normal form in common are
+    the same instance up to names.  Of a constraint the form keeps only the
+    fields its kind reads (``pattern``; ``value``; ``op``, ``value`` and
+    ``slots``; ``vertex``, ``pair`` and ``colors``); the engine ignores the
+    rest.
+
+    A normal form sorts only what the engine treats as unordered:
+
+    * groups and constraints: every rule must hold, so the rules are a
+      conjunction, and the groups enter only as a union of vertex sets and
+      as one fixture and trimming rule each;
+    * a group's members and colors: each fixture fills, frees or sums both
+      directions of its pair alike, tests colors by membership, and the
+      trimming rules test both members alike;
+    * a ``slot_sum``'s slots: they are summed;
+    * ``no_shared_color_link``'s pair and colors: the rule is symmetric in
+      the two pair vertices and reads the colors as one mask;
+    * the two objective sides: the objective counts both directions
+      between them, so swapping them counts the same slots.
+
+    Fixed edges are a set (validation rejects a repeated slot), so they are
+    sorted too.  Duplicates are kept wherever they can occur, and an
+    unused field is left out only because no code reads it.
+
+    When c! * n! exceeds ``MAX_KEY_RELABELLINGS`` (up to 8! * 6!, about 29M,
+    passes validation) the key is the identity normal form: it merges fewer
+    scenarios but is still exact.  Raises ``GraphInputError`` for a
+    malformed scenario.
+    """
+    validate_scenario(scenario)
+    s, obj = scenario, scenario.objective
+    n, c = len(s.vertices), s.colors
+
+    def form(sigma, pi):
+        """The normal form under sigma (color -> color, index 0 unused) and
+        pi (vertex label -> position)."""
+
+        def cols(colors):
+            return tuple(sorted(sigma[col] for col in colors))
+
+        def verts(labels):
+            return tuple(sorted(pi[v] for v in labels))
+
+        def con_form(con):
+            kind = con.kind
+            if kind == "no_rainbow":
+                return (kind, con.pattern)
+            if kind == "pair_edge_cap":
+                return (kind, con.value)
+            if kind == "slot_sum":
+                slots = sorted((sigma[col], pi[a], pi[b]) for col, a, b in con.slots)
+                return (kind, con.op, con.value, tuple(slots))
+            if kind == "no_shared_color_link":
+                return (kind, pi[con.vertex], verts(con.pair), cols(con.colors))
+            return (kind,)
+
+        return (
+            cols(obj.colors),
+            tuple(sorted((verts(obj.side_a), verts(obj.side_b)))),
+            tuple(sorted((g.kind, cols(g.colors), verts(g.members)) for g in s.groups)),
+            tuple(
+                sorted((sigma[col], pi[a], pi[b], st) for col, a, b, st in s.fixed_edges)
+            ),
+            tuple(sorted(con_form(con) for con in s.constraints)),
+        )
+
+    if math.factorial(c) * math.factorial(n) > MAX_KEY_RELABELLINGS:
+        sigmas, positions = [tuple(range(c + 1))], [tuple(range(n))]
+    else:
+        sigmas = [(0,) + p for p in itertools.permutations(range(1, c + 1))]
+        positions = itertools.permutations(range(n))
+    relabellings = [dict(zip(s.vertices, p)) for p in positions]
+    return (c, n, min(form(sigma, pi) for sigma in sigmas for pi in relabellings))
+
+
+# ---------------------------------------------------------------------------
 # JSON round trip
 
 
@@ -409,16 +506,41 @@ def _constraint_to_dict(con: Constraint) -> dict:
     return out
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (a bool is not an int here), else raise
+    GraphInputError: a looser type would be truncated, split into
+    characters or left unhashable further on."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise GraphInputError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _typed_seq(values, kind: type, what: str) -> tuple:
+    """A JSON array whose entries are all of type ``kind``, as a tuple."""
+    return tuple(_typed(v, kind, f"{what} entry") for v in _typed(values, list, what))
+
+
+def _slot_from_list(slot) -> Slot:
+    color, src, dst = _typed(slot, list, "slot")
+    return (
+        _typed(color, int, "slot color"),
+        _typed(src, str, "slot label"),
+        _typed(dst, str, "slot label"),
+    )
+
+
 def _constraint_from_dict(d: dict) -> Constraint:
     return Constraint(
-        kind=d["kind"],
-        pattern=d.get("pattern", ""),
-        op=d.get("op", ""),
-        value=int(d.get("value", 0)),
-        slots=tuple((int(c), str(a), str(b)) for c, a, b in d.get("slots", ())),
-        vertex=d.get("vertex", ""),
-        pair=tuple(d.get("pair", ())),
-        colors=tuple(int(c) for c in d.get("colors", ())),
+        kind=_typed(d["kind"], str, "constraint kind"),
+        pattern=_typed(d.get("pattern", ""), str, "constraint pattern"),
+        op=_typed(d.get("op", ""), str, "constraint op"),
+        value=_typed(d.get("value", 0), int, "constraint value"),
+        slots=tuple(
+            _slot_from_list(s) for s in _typed(d.get("slots", []), list, "slots")
+        ),
+        vertex=_typed(d.get("vertex", ""), str, "constraint vertex"),
+        pair=_typed_seq(d.get("pair", []), str, "constraint pair"),
+        colors=_typed_seq(d.get("colors", []), int, "constraint colors"),
     )
 
 
@@ -449,34 +571,47 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """Parse one JSON scenario record and validate it.  Kinds, ops,
+    patterns, states and vertex labels must be strings, and color counts,
+    colors, values and bound terms integers; anything else raises
+    GraphInputError rather than being converted."""
     try:
         obj = d["objective"]
-        side_a, side_b = obj["between"]
+        side_a, side_b = _typed(obj["between"], list, "objective between")
         scenario = Scenario(
             id=str(d["id"]),
             source=str(d.get("source", "")),
-            colors=int(d["colors"]),
-            vertices=tuple(str(v) for v in d["vertices"]),
+            colors=_typed(d["colors"], int, "color count"),
+            vertices=_typed_seq(d["vertices"], str, "vertices"),
             objective=Objective(
-                colors=tuple(int(c) for c in obj["colors"]),
-                side_a=tuple(str(v) for v in side_a),
-                side_b=tuple(str(v) for v in side_b),
+                colors=_typed_seq(obj["colors"], int, "objective colors"),
+                side_a=_typed_seq(side_a, str, "objective side"),
+                side_b=_typed_seq(side_b, str, "objective side"),
             ),
-            bound=Fraction(int(d["bound"]["num"]), int(d["bound"]["den"])),
+            bound=Fraction(
+                _typed(d["bound"]["num"], int, "bound num"),
+                _typed(d["bound"]["den"], int, "bound den"),
+            ),
             groups=tuple(
                 Group(
-                    kind=str(g["kind"]),
-                    colors=tuple(int(c) for c in g["colors"]),
-                    members=tuple(str(m) for m in g["members"]),
+                    kind=_typed(g["kind"], str, "group kind"),
+                    colors=_typed_seq(g["colors"], int, "group colors"),
+                    members=_typed_seq(g["members"], str, "group members"),
                 )
-                for g in d.get("groups", ())
+                for g in _typed(d.get("groups", []), list, "groups")
             ),
             fixed_edges=tuple(
-                (int(e["color"]), str(e["from"]), str(e["to"]), str(e["state"]))
-                for e in d.get("fixed_edges", ())
+                (
+                    _typed(e["color"], int, "fixed edge color"),
+                    _typed(e["from"], str, "fixed edge label"),
+                    _typed(e["to"], str, "fixed edge label"),
+                    _typed(e["state"], str, "fixed edge state"),
+                )
+                for e in _typed(d.get("fixed_edges", []), list, "fixed_edges")
             ),
             constraints=tuple(
-                _constraint_from_dict(c) for c in d.get("constraints", ())
+                _constraint_from_dict(c)
+                for c in _typed(d.get("constraints", []), list, "constraints")
             ),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

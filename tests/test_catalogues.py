@@ -17,12 +17,14 @@ from rtlab.localbounds import (
     Constraint,
     Objective,
     Scenario,
+    canonical_key,
     dumps_scenarios,
     evaluate_scenario,
     evaluate_scenarios,
     load_catalogue,
     run_catalogue,
 )
+from rtlab.localbounds import catalogues
 
 # the full ten-class all-colors bound table, rows and columns ordered
 # X12, X13, X23, Y1, Y2, Y3, Z1, Z2, Z3, R
@@ -151,11 +153,57 @@ def test_claim_maxima_are_reproduced_exactly(graded_catalogue):
         assert e.computed_max == CLAIM_MAXIMA[e.scenario_id], e
 
 
+def test_orbit_members_agree_when_enumerated_alone(graded_catalogue):
+    # the table is graded with one enumeration per canonical key; enumerate
+    # the last member of every orbit on its own and compare
+    _, entries, _ = graded_catalogue("table10x10")
+    shared = _by_id(entries)
+    last = {canonical_key(s): s for s in load_catalogue("table10x10")}
+    assert len(last) == 16
+    # every orbit but R-R's has more than one member
+    assert sum(shared[s.id].evaluated_as != s.id for s in last.values()) == 15
+    for s in last.values():
+        alone = evaluate_scenario(s)
+        assert alone.evaluated_as == s.id and alone.nodes > 0
+        assert alone.computed_max == shared[s.id].computed_max, s.id
+
+
 def test_parallel_evaluation_matches_sequential():
     scenarios = load_catalogue("claims_local")
     seq = evaluate_scenarios(scenarios, jobs=None)
     par = evaluate_scenarios(scenarios, jobs=2)
     assert seq == par
+
+
+def test_worker_pool_is_bounded_by_representatives(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(catalogues, "ProcessPoolExecutor", InProcessPool)
+    eq1 = load_catalogue("eq1_bullets")
+    assert evaluate_scenarios(eq1, jobs=64) == evaluate_scenarios(eq1)
+    assert evaluate_scenarios(eq1, jobs=3) == evaluate_scenarios(eq1)
+    assert pools == [12, 3]
+
+    # two cells of one orbit: one representative, so no pool at all
+    table = {s.id: s for s in load_catalogue("table10x10")}
+    orbit = [table["table:X12-R"], table["table:R-X23"]]
+    first, second = evaluate_scenarios(orbit, jobs=8)
+    assert pools == [12, 3]
+    assert (first.evaluated_as, first.nodes > 0) == ("table:X12-R", True)
+    assert (second.evaluated_as, second.nodes) == ("table:X12-R", 0)
+    assert second.computed_max == first.computed_max == 7
 
 
 def _tiny(bound):
@@ -197,3 +245,4 @@ def test_entry_serialization():
     assert d["bound"] == {"num": 9, "den": 2}
     assert d["computed_max"] == 4 and d["status"] == "tight"
     assert d["scenario_id"] == "tiny" and d["nodes"] > 0
+    assert d["evaluated_as"] == "tiny"

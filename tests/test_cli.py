@@ -18,6 +18,7 @@ from rtlab.localbounds import (
     Constraint,
     Objective,
     Scenario,
+    dumps_scenarios,
     save_scenarios,
     write_data_files,
 )
@@ -237,6 +238,17 @@ def test_verify_table_clean(capsys):
     assert report["results"]["infeasible"] == []
     # every cell's computed optimum equals the shipped bound
     assert report["results"]["tight"] == 100
+    # one enumeration per orbit; every other cell names the one it reused
+    entries = {e["scenario_id"]: e for e in report["results"]["entries"]}
+    assert len(entries) == 100
+    evaluated = {sid for sid, e in entries.items() if e["nodes"] > 0}
+    assert len(evaluated) == 16
+    for sid, e in entries.items():
+        if sid in evaluated:
+            assert e["evaluated_as"] == sid
+        else:
+            assert e["nodes"] == 0 and e["evaluated_as"] in evaluated
+            assert e["computed_max"] == entries[e["evaluated_as"]]["computed_max"]
 
 
 def test_verify_table_names_lowered_cell(tmp_path, capsys):
@@ -253,6 +265,83 @@ def test_verify_table_names_lowered_cell(tmp_path, capsys):
     assert code == 1
     assert report["results"]["violated"] == [victim["id"]]
     assert victim["id"] in err
+
+
+def test_verify_table_grades_every_cell_against_its_own_bound(tmp_path, capsys):
+    workdir = tmp_path / "catalogues"
+    write_data_files(workdir)
+    path = workdir / "table10x10.json"
+    cells = {c["id"]: c for c in json.loads(path.read_text())}
+    # lower the bound of the first cell of its orbit: X(i, j) against Y(k)
+    # with k in {i, j}, in either order, 12 cells
+    rep = cells["table:X12-Y1"]
+    rep["bound"]["num"] -= rep["bound"]["den"]
+    orbit = {
+        cell
+        for x in ("X12", "X13", "X23")
+        for y in ("Y1", "Y2", "Y3")
+        if y[1] in x[1:]
+        for cell in (f"table:{x}-{y}", f"table:{y}-{x}")
+    }
+    assert len(orbit) == 12
+    # a later cell of another orbit loses its pair cap, so it has no orbit
+    # partner left and is enumerated on its own
+    loner = cells["table:Y2-X13"]
+    loner["constraints"] = [
+        c for c in loner["constraints"] if c["kind"] != "pair_edge_cap"
+    ]
+    path.write_text(json.dumps(list(cells.values())))
+
+    code, report, err = run_cli(
+        capsys, "scenario", "verify-table", "--jobs", "4", "--catalogue-dir", str(workdir)
+    )
+    assert code == 1
+    assert report["results"]["violated"] == ["table:X12-Y1"]
+    assert "table:X12-Y1" in err
+    entries = {e["scenario_id"]: e for e in report["results"]["entries"]}
+    for sid in orbit - {"table:X12-Y1"}:
+        assert entries[sid]["status"] == "tight", sid
+        assert entries[sid]["evaluated_as"] == "table:X12-Y1", sid
+        assert entries[sid]["nodes"] == 0, sid
+    assert entries["table:Y2-X13"]["evaluated_as"] == "table:Y2-X13"
+    assert entries["table:Y2-X13"]["nodes"] > 0
+    assert sum(e["nodes"] > 0 for e in entries.values()) == 17
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("kind", ["no_rainbow"]),
+        ("op", ["=="]),
+        ("colors", 4.7),
+        ("value", 2.9),
+        ("value", True),
+        ("vertices", "uvx"),
+    ],
+)
+def test_scenario_run_rejects_loosely_typed_fields(tmp_path, capsys, field, value):
+    # each of these was truncated, read as an int, split into characters or
+    # crashed the run
+    record = json.loads(dumps_scenarios([scenario_pair(4)]))[0]
+    record["vertices"] = ["u", "v", "x"]
+    record["constraints"].append(
+        {"kind": "slot_sum", "op": ">=", "value": 1, "slots": [[1, "u", "x"]]}
+    )
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps([record]))
+    code, report, _ = run_cli(capsys, "scenario", "run", "--file", str(path))
+    assert code == 0 and report["pass"] is True
+
+    if field in ("colors", "vertices"):
+        record[field] = value
+    elif field == "kind":
+        record["constraints"][0]["kind"] = value
+    else:
+        record["constraints"][-1][field] = value
+    path.write_text(json.dumps([record]))
+    code, report, err = run_cli(capsys, "scenario", "run", "--file", str(path))
+    assert code == 2 and report is None
+    assert "input error" in err and repr(value) in err
 
 
 def test_verify_all_missing_catalogue(tmp_path, capsys):

@@ -5,6 +5,7 @@ completion of the free slots with straight-line rule checks.
 """
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from rtlab.localbounds import (
     Group,
     Objective,
     Scenario,
+    canonical_key,
     dumps_scenarios,
     enumerate_max,
     load_catalogue,
@@ -26,6 +28,7 @@ from rtlab.localbounds import (
     scenario_slot_states,
     slots_between,
 )
+from rtlab.localbounds.catalogues import CLASS_NAMES, TABLE_BOUNDS
 
 
 def make(vertices=("u", "v", "w"), colors=3, obj_colors=(1, 2),
@@ -222,28 +225,39 @@ def test_witnesses_satisfy_all_rules():
 # structural invariants
 
 
-def _permute_colors(s: Scenario, perm: dict[int, int]) -> Scenario:
+def _relabel(s: Scenario, sigma: dict[int, int], pi: dict | None = None) -> Scenario:
+    """Apply the color permutation ``sigma`` and the vertex relabelling
+    ``pi`` to every field that names a color or a vertex; the vertex tuple
+    keeps its order, so ``pi`` moves vertices to other positions."""
+    pi = pi or {v: v for v in s.vertices}
+
     def cons(c: Constraint) -> Constraint:
         return replace(
             c,
-            slots=tuple((perm[col], a, b) for col, a, b in c.slots),
-            colors=tuple(perm[col] for col in c.colors),
+            slots=tuple((sigma[col], pi[a], pi[b]) for col, a, b in c.slots),
+            vertex=pi[c.vertex] if c.vertex else "",
+            pair=tuple(pi[v] for v in c.pair),
+            colors=tuple(sigma[col] for col in c.colors),
         )
 
     return replace(
         s,
         groups=tuple(
-            Group(g.kind, tuple(perm[col] for col in g.colors), g.members)
+            Group(
+                g.kind,
+                tuple(sigma[col] for col in g.colors),
+                tuple(pi[v] for v in g.members),
+            )
             for g in s.groups
         ),
         fixed_edges=tuple(
-            (perm[col], a, b, st) for col, a, b, st in s.fixed_edges
+            (sigma[col], pi[a], pi[b], st) for col, a, b, st in s.fixed_edges
         ),
         constraints=tuple(cons(c) for c in s.constraints),
         objective=Objective(
-            tuple(perm[col] for col in s.objective.colors),
-            s.objective.side_a,
-            s.objective.side_b,
+            tuple(sigma[col] for col in s.objective.colors),
+            tuple(pi[v] for v in s.objective.side_a),
+            tuple(pi[v] for v in s.objective.side_b),
         ),
     )
 
@@ -256,7 +270,7 @@ def test_color_swap_leaves_maximum_unchanged():
         base = enumerate_max(s).maximum
         for perm in ({1: 2, 2: 1, 3: 3}, {1: 1, 2: 3, 3: 2}):
             full = {c: perm.get(c, c) for c in range(1, s.colors + 1)}
-            swapped = _permute_colors(s, full)
+            swapped = _relabel(s, full)
             assert enumerate_max(swapped).maximum == base, (s.id, perm)
 
 
@@ -277,6 +291,121 @@ def test_objective_split_is_subadditive():
             assert rs.feasible
             parts += rs.maximum
         assert r.maximum <= parts, s.id
+
+
+# ---------------------------------------------------------------------------
+# canonical key
+
+
+def _shuffled_copy(s: Scenario, rng: random.Random) -> Scenario:
+    """A random isomorphic copy: colors permuted, vertices relabelled, every
+    unordered collection reordered, and id, source and bound changed."""
+    colors = list(range(1, s.colors + 1))
+    sigma = dict(zip(colors, rng.sample(colors, len(colors))))
+    pi = dict(zip(s.vertices, rng.sample(s.vertices, len(s.vertices))))
+    out = _relabel(s, sigma, pi)
+
+    def shuffled(items):
+        items = list(items)
+        return tuple(rng.sample(items, len(items)))
+
+    sides = shuffled((out.objective.side_a, out.objective.side_b))
+    return replace(
+        out,
+        id="copy",
+        source="elsewhere",
+        bound=s.bound + 1,
+        objective=Objective(
+            shuffled(out.objective.colors), shuffled(sides[0]), shuffled(sides[1])
+        ),
+        groups=shuffled(
+            replace(g, colors=shuffled(g.colors), members=shuffled(g.members))
+            for g in out.groups
+        ),
+        fixed_edges=shuffled(out.fixed_edges),
+        constraints=shuffled(
+            replace(
+                c, slots=shuffled(c.slots), pair=shuffled(c.pair), colors=shuffled(c.colors)
+            )
+            for c in out.constraints
+        ),
+    )
+
+
+def test_canonical_key_is_invariant_under_relabelling():
+    rng = random.Random(20261018)
+    scenarios = [s for which in CATALOGUE_IDS for s in load_catalogue(which)]
+    assert len(scenarios) == 135
+    for s in scenarios:
+        copy = _shuffled_copy(s, rng)
+        assert canonical_key(copy) == canonical_key(s), s.id
+
+
+def _edit_constraint(s: Scenario, kind: str, **changes) -> Scenario:
+    k = next(i for i, c in enumerate(s.constraints) if c.kind == kind)
+    rules = list(s.constraints)
+    rules[k] = replace(rules[k], **changes)
+    return replace(s, constraints=tuple(rules))
+
+
+def test_canonical_key_sees_every_field():
+    table = {s.id: s for s in load_catalogue("table10x10")}
+    claims = {s.id: s for s in load_catalogue("claims_local")}
+    cell = table["table:X12-Y1"]
+    fan = claims["heavy-fan:third-pair:c4"]
+    single = claims["single-edge:other-colors:c3"]
+    link = claims["one-double:no-shared-link:c4"]
+    edits = [
+        (cell, _edit_constraint(cell, "pair_edge_cap", value=4)),
+        (cell, _edit_constraint(cell, "no_rainbow", pattern="transitive")),
+        (fan, _edit_constraint(fan, "slot_sum", op="<=")),
+        (single, replace(single, fixed_edges=((3, "u", "v", "absent"),))),
+        (single, replace(single, objective=replace(single.objective, colors=(1, 3)))),
+        (cell, replace(cell, groups=(cell.groups[0], Group("Y", (3,), ("b1", "b2"))))),
+        (link, _edit_constraint(link, "no_shared_color_link", colors=(2, 3))),
+    ]
+    # move one slot of a one-way sum to the other direction
+    ge = next(c for c in fan.constraints if c.op == ">=")
+    color, a, b = ge.slots[0]
+    moved = replace(ge, slots=((color, b, a),) + ge.slots[1:])
+    rules = tuple(moved if c is ge else c for c in fan.constraints)
+    edits.append((fan, replace(fan, constraints=rules)))
+    for before, after in edits:
+        assert after != before
+        assert canonical_key(after) != canonical_key(before), after.id
+
+
+def test_table_cells_fall_into_sixteen_orbits_of_equal_bound():
+    orbits = {}
+    for s in load_catalogue("table10x10"):
+        row, col = s.id.removeprefix("table:").split("-")
+        bound = TABLE_BOUNDS[row][CLASS_NAMES.index(col)]
+        orbits.setdefault(canonical_key(s), set()).add(bound)
+    assert len(orbits) == 16
+    assert all(len(bounds) == 1 for bounds in orbits.values())
+
+
+def test_canonical_key_of_largest_scenario_is_fast():
+    # c = 8 and n = 6 allow 8! * 6! relabellings; the key falls back to the
+    # identity normal form, which still sorts the unordered fields
+    s = make(
+        vertices=tuple("abcdef"),
+        colors=8,
+        obj_colors=(4, 5, 6),
+        side_a=("e",),
+        side_b=("f",),
+        groups=(Group("X", (1, 2), ("a", "b")), Group("Y", (3,), ("c", "d"))),
+        constraints=(rainbow(), Constraint("pair_edge_cap", value=5),
+                     Constraint("x_trimmed")),
+    )
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        key = canonical_key(s)
+        best = min(best, time.perf_counter() - started)
+    assert best <= 0.05
+    reordered = replace(s, constraints=s.constraints[::-1], groups=s.groups[::-1])
+    assert canonical_key(reordered) == key
 
 
 # ---------------------------------------------------------------------------
