@@ -49,9 +49,12 @@ premise edges included):
 Free slots not reachable by the objective or by an ``==`` / ``>=`` slot sum
 stay absent by default: every rule above is preserved under edge deletion,
 so the maximum over such reduced configurations equals the maximum over all
-of them.  The enumerator assigns whole unordered pairs at a time, fires each
-rule as soon as the last pair it can see is decided, and propagates
-two-pair rules through per-pair candidate bitmasks.
+of them.  The enumerator is one branch-and-bound over whole unordered pairs.
+A pair's options are the completions of its free slots that pass the rules
+seeing that pair alone.  Pairs with no objective slot come first, and every
+rule that sees several pairs fires when the last of them is decided.  Options
+are tried highest objective gain first, and a pair's loop stops once its gain
+plus the top gains of the later pairs cannot beat the best value found.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ class Scenario:
 @dataclass(frozen=True)
 class EnumerationResult:
     """Outcome of ``enumerate_max``: infeasibility is reported distinctly
-    from a feasible scenario whose best objective value is 0."""
+    from a feasible scenario whose best objective value is 0.  ``nodes``
+    counts the pair options tried, the unit of ``SearchResult.nodes``."""
 
     feasible: bool
     maximum: int | None
@@ -240,8 +244,8 @@ def validate_scenario(scenario: Scenario) -> None:
         if g.kind not in GROUP_KINDS:
             raise GraphInputError(f"unknown group kind {g.kind!r}")
         want = 1 if g.kind == "R" else 2
-        if len(g.members) != want:
-            raise GraphInputError(f"{g.kind} group needs {want} member(s)")
+        if len(g.members) != want or len(set(g.members)) != want:
+            raise GraphInputError(f"{g.kind} group needs {want} distinct member(s)")
         if not set(g.members) <= labels:
             raise GraphInputError(f"group members {g.members} not all vertices")
         if grouped & set(g.members):
@@ -571,16 +575,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Parse one JSON scenario record and validate it.  Kinds, ops,
-    patterns, states and vertex labels must be strings, and color counts,
-    colors, values and bound terms integers; anything else raises
-    GraphInputError rather than being converted."""
+    """Parse one JSON scenario record and validate it.  Ids, sources,
+    kinds, ops, patterns, states and vertex labels must be strings, and
+    color counts, colors, values and bound terms integers; anything else
+    raises GraphInputError rather than being converted."""
     try:
         obj = d["objective"]
         side_a, side_b = _typed(obj["between"], list, "objective between")
         scenario = Scenario(
-            id=str(d["id"]),
-            source=str(d.get("source", "")),
+            id=_typed(d["id"], str, "scenario id"),
+            source=_typed(d.get("source", ""), str, "scenario source"),
             colors=_typed(d["colors"], int, "color count"),
             vertices=_typed_seq(d["vertices"], str, "vertices"),
             objective=Objective(
@@ -678,7 +682,6 @@ class _Engine:
     def __init__(self, scenario: Scenario):
         validate_scenario(scenario)
         self.s = scenario
-        self.c = scenario.colors
         self.index = {v: i for i, v in enumerate(scenario.vertices)}
         self.n = len(scenario.vertices)
         self.labels = scenario.vertices
@@ -710,6 +713,8 @@ class _Engine:
 
         # live masks: start from the fixed-present configuration
         self.m = [row[:] for row in self.base]
+        self.best = -1  # stays -1 while no admissible completion is found
+        self.best_witness: tuple[Slot, ...] | None = None
 
         self.infeasible_static = False
         self.all_constraints = scenario.constraints + fixture_constraints(scenario)
@@ -863,170 +868,7 @@ class _Engine:
                 add([(a, b) for _, a, b in slots_idx], fn)
         self.checkers = checkers
 
-    # -- search -------------------------------------------------------------
-
-    def run(self) -> EnumerationResult:
-        if self.infeasible_static:
-            return EnumerationResult(False, None, None, 0, self.free_count)
-
-        ctx = [k for k in self.pair_keys if not (self.obj_f[k[0]][k[1]] | self.obj_f[k[1]][k[0]])]
-        ctx_set = set(ctx)
-        objp = [k for k in self.pair_keys if k not in ctx_set]
-        self.ctx_order = ctx
-        self.obj_order = objp
-        self.ctx_set = ctx_set
-        ctx_pos = {k: i for i, k in enumerate(ctx)}
-        obj_pos = {k: i for i, k in enumerate(objp)}
-
-        # classify checkers once: fully-in-context ones fire during phase A,
-        # the rest are split by how many objective pairs they still see
-        self.ctx_fire: list[list] = [[] for _ in ctx]
-        unary: list[list] = [[] for _ in objp]
-        binary: dict[tuple[int, int], list] = {}
-        runtime: list[list] = [[] for _ in objp]
-        for scope, fn in self.checkers:
-            in_obj = sorted(obj_pos[k] for k in scope if k in obj_pos)
-            if not in_obj:
-                self.ctx_fire[max(ctx_pos[k] for k in scope)].append(fn)
-            elif len(in_obj) == 1:
-                unary[in_obj[0]].append((scope, fn))
-            elif len(in_obj) == 2:
-                key = (in_obj[0], in_obj[1])
-                binary.setdefault(key, []).append((scope, fn))
-            else:
-                runtime[max(in_obj)].append(fn)
-        self.unary = unary
-        self.binary = binary
-        self.runtime = runtime
-
-        self.best = -1
-        self.best_witness: tuple[Slot, ...] | None = None
-        self.nodes = 0
-        self.found = False
-        self.compat_cache: dict = {}
-
-        self._phase_a(0)
-
-        if not self.found:
-            return EnumerationResult(False, None, None, self.nodes, self.free_count)
-        return EnumerationResult(
-            True, self.best, self.best_witness, self.nodes, self.free_count
-        )
-
-    def _phase_a(self, idx: int) -> None:
-        if idx == len(self.ctx_order):
-            self._phase_b()
-            return
-        u, v = self.ctx_order[idx]
-        for f, b, _gain in self.options[(u, v)]:
-            self.nodes += 1
-            self.m[u][v], self.m[v][u] = f, b
-            if all(fn() for fn in self.ctx_fire[idx]):
-                self._phase_a(idx + 1)
-        self.m[u][v], self.m[v][u] = self.base[u][v], self.base[v][u]
-
-    def _ctx_key(self, scopes) -> tuple:
-        deps = sorted(
-            {k for scope, _ in scopes for k in scope if k in self.ctx_set}
-        )
-        return tuple((self.m[a][b], self.m[b][a]) for a, b in deps)
-
-    def _phase_b(self) -> None:
-        order = self.obj_order
-        if not order:
-            # nothing to optimize beyond the context itself
-            self._record_leaf(0)
-            return
-        cand = []
-        for pos, key in enumerate(order):
-            mask = (1 << len(self.options[key])) - 1
-            for scope, fn in self.unary[pos]:
-                mask &= self._filter_unary(key, fn, mask)
-                if not mask:
-                    return
-            cand.append(mask)
-
-        tables: dict[tuple[int, int], list[int]] = {}
-        for (i, j), rules in self.binary.items():
-            key = (order[i], order[j], i, j, self._ctx_key(rules))
-            rows = self.compat_cache.get(key)
-            if rows is None:
-                rows = self._build_compat(order[i], order[j], rules)
-                self.compat_cache[key] = rows
-            tables[(i, j)] = rows
-
-        self.b_tables: list[list[tuple[int, list[int]]]] = [[] for _ in order]
-        for (i, j), rows in tables.items():
-            self.b_tables[i].append((j, rows))
-
-        self._dfs_b(0, 0, cand)
-
-    def _filter_unary(self, key, fn, mask: int) -> int:
-        u, v = key
-        out = 0
-        for idx, (f, b, _gain) in enumerate(self.options[key]):
-            if not mask >> idx & 1:
-                continue
-            self.m[u][v], self.m[v][u] = f, b
-            if fn():
-                out |= 1 << idx
-        self.m[u][v], self.m[v][u] = self.base[u][v], self.base[v][u]
-        return out
-
-    def _build_compat(self, kp, kq, rules) -> list[int]:
-        (pu, pv), (qu, qv) = kp, kq
-        rows = []
-        for f, b, _gain in self.options[kp]:
-            self.m[pu][pv], self.m[pv][pu] = f, b
-            row = 0
-            for idx, (qf, qb, _qgain) in enumerate(self.options[kq]):
-                self.m[qu][qv], self.m[qv][qu] = qf, qb
-                if all(fn() for _scope, fn in rules):
-                    row |= 1 << idx
-            rows.append(row)
-        self.m[pu][pv], self.m[pv][pu] = self.base[pu][pv], self.base[pv][pu]
-        self.m[qu][qv], self.m[qv][qu] = self.base[qu][qv], self.base[qv][qu]
-        return rows
-
-    def _max_gain(self, pos: int, mask: int) -> int:
-        for idx, (_f, _b, gain) in enumerate(self.options[self.obj_order[pos]]):
-            if mask >> idx & 1:
-                return gain  # options are sorted by decreasing gain
-        return 0
-
-    def _dfs_b(self, pos: int, current: int, cand: list[int]) -> None:
-        order = self.obj_order
-        if pos == len(order):
-            self._record_leaf(current)
-            return
-        ceiling = current + sum(
-            self._max_gain(t, cand[t]) for t in range(pos, len(order))
-        )
-        if ceiling <= self.best:
-            return
-        u, v = order[pos]
-        opts = self.options[(u, v)]
-        mask = cand[pos]
-        for idx, (f, b, gain) in enumerate(opts):
-            if not mask >> idx & 1:
-                continue
-            self.nodes += 1
-            self.m[u][v], self.m[v][u] = f, b
-            nxt = cand
-            dead = False
-            for j, rows in self.b_tables[pos]:
-                if nxt is cand:
-                    nxt = cand[:]
-                nxt[j] &= rows[idx]
-                if not nxt[j]:
-                    dead = True
-                    break
-            if not dead and all(fn() for fn in self.runtime[pos]):
-                self._dfs_b(pos + 1, current + gain, nxt)
-        self.m[u][v], self.m[v][u] = self.base[u][v], self.base[v][u]
-
     def _record_leaf(self, value: int) -> None:
-        self.found = True
         if value > self.best:
             self.best = value
             slots = []
@@ -1048,4 +890,44 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
     """Exact maximum of the scenario objective over all admissible
     completions of the free slots, with a witness configuration; scenarios
     with no admissible completion are reported as infeasible."""
-    return _Engine(scenario).run()
+    engine = _Engine(scenario)
+    if engine.infeasible_static:
+        return EnumerationResult(False, None, None, 0, engine.free_count)
+    m, options = engine.m, engine.options
+    # pairs with no objective slot first, so the bound below prunes only
+    # among the objective pairs; each checker fires at its scope's last pair
+    obj_f = engine.obj_f
+    order = sorted(engine.pair_keys, key=lambda k: bool(obj_f[k[0]][k[1]] | obj_f[k[1]][k[0]]))
+    pos = {key: idx for idx, key in enumerate(order)}
+    fire: list[list] = [[] for _ in order]
+    for scope, fn in engine.checkers:
+        fire[max(pos[key] for key in scope)].append(fn)
+    # reach[idx]: what the pairs from idx on can add to the objective at most
+    reach = [0] * (len(order) + 1)
+    for idx in range(len(order) - 1, -1, -1):
+        reach[idx] = reach[idx + 1] + options[order[idx]][0][2]
+    nodes = 0
+
+    def rec(idx: int, current: int) -> None:
+        nonlocal nodes
+        if idx == len(order):
+            engine._record_leaf(current)
+            return
+        u, v = key = order[idx]
+        checks, rest = fire[idx], reach[idx + 1]
+        for f, b, gain in options[key]:
+            if current + gain + rest <= engine.best:
+                break  # options are sorted by decreasing gain
+            nodes += 1
+            m[u][v], m[v][u] = f, b
+            for check in checks:
+                if not check():
+                    break
+            else:
+                rec(idx + 1, current + gain)
+        m[u][v], m[v][u] = engine.base[u][v], engine.base[v][u]
+
+    rec(0, 0)
+    if engine.best < 0:
+        return EnumerationResult(False, None, None, nodes, engine.free_count)
+    return EnumerationResult(True, engine.best, engine.best_witness, nodes, engine.free_count)

@@ -317,6 +317,8 @@ def test_verify_table_grades_every_cell_against_its_own_bound(tmp_path, capsys):
         ("value", 2.9),
         ("value", True),
         ("vertices", "uvx"),
+        ("id", ["eq1", 1]),
+        ("source", 7),
     ],
 )
 def test_scenario_run_rejects_loosely_typed_fields(tmp_path, capsys, field, value):
@@ -332,7 +334,7 @@ def test_scenario_run_rejects_loosely_typed_fields(tmp_path, capsys, field, valu
     code, report, _ = run_cli(capsys, "scenario", "run", "--file", str(path))
     assert code == 0 and report["pass"] is True
 
-    if field in ("colors", "vertices"):
+    if field in ("colors", "vertices", "id", "source"):
         record[field] = value
     elif field == "kind":
         record["constraints"][0]["kind"] = value

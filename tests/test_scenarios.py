@@ -4,6 +4,7 @@ The engine is cross-checked against ``naive_scenario_max``, which tries every
 completion of the free slots with straight-line rule checks.
 """
 
+import itertools
 import random
 import time
 from dataclasses import replace
@@ -150,41 +151,67 @@ def test_engine_agrees_with_naive_on_shipped_claims():
     assert checked >= 5
 
 
-def _random_scenario(rng: random.Random, tag: int) -> Scenario:
-    # keep the objective to at most 12 free slots so the naive oracle
-    # (one pass per completion) stays quick
-    n, k, obj_colors = rng.choice(
-        (
-            (3, 1, (1, 2)),
-            (3, 1, (1, 2, 3)),
-            (3, 2, (2, 3)),
-            (4, 1, (1, 2)),
-            (4, 1, (2, 3)),
-            (4, 2, (3,)),
-            (4, 3, (1, 2)),
-        )
-    )
-    vertices = tuple("pqrs"[:n])
+RANDOM_FREE_SLOTS = 16  # the naive oracle makes one pass per completion
+GROUP_RULES = ("x_maximality", "y_maximality", "z_maximality",
+               "x_trimmed", "y_trimmed", "z_trimmed")
+
+
+def _draw_scenario(rng: random.Random, tag: int) -> Scenario:
     colors = 3
+    n = rng.choice((3, 4, 4))
+    vertices = tuple("pqrs"[:n])
+    k = rng.randrange(1, n)
     side_a, side_b = vertices[:k], vertices[k:]
+    # on three vertices the objective joins the third vertex to both members
+    # of a typed pair, heavily enough to test the trimming rules
+    width = rng.choice((2, 2, 3) if n == 3 else (1, 1, 2))
+    obj_colors = tuple(sorted(rng.sample((1, 2, 3), width)))
     goal = set(slots_between(obj_colors, side_a, side_b))
 
-    fixed = []
-    for color in range(1, colors + 1):
-        for a in vertices:
-            for b in vertices:
-                if a != b and (color, a, b) not in goal and rng.random() < 0.25:
-                    fixed.append((color, a, b, "present"))
+    # typed pairs sit inside one side, so no objective slot is a fixture slot
+    groups, grouped = [], set()
+    for side in (side_a, side_b):
+        if len(side) >= 2 and rng.random() < 0.6:
+            kind = rng.choice("XYZ")
+            ncol = 2 if kind == "X" else 1
+            groups.append(Group(kind, tuple(rng.sample((1, 2, 3), ncol)), side[:2]))
+            grouped.update(side[:2])
+    groups += [Group("R", (), (v,)) for v in vertices
+               if v not in grouped and rng.random() < 0.3]
+    group_pairs = {frozenset(g.members) for g in groups if g.kind != "R"}
 
+    # untouched slots are absent; some are set present, a few left free
+    all_slots = [(col, a, b) for col in range(1, colors + 1)
+                 for a, b in itertools.permutations(vertices, 2)]
+    fixed = []
+    for color, a, b in all_slots:
+        if (color, a, b) in goal or frozenset((a, b)) in group_pairs:
+            continue
+        roll = rng.random()
+        if roll < 0.12:
+            fixed.append((color, a, b, "present"))
+        elif roll < 0.16:
+            fixed.append((color, a, b, "free"))
+
+    x, u, v = rng.sample(vertices, 3)
+    sum_slots = tuple(rng.sample(all_slots, rng.choice((2, 3))))
+    # typed pairs carry double edges, which "oriented" always forbids and
+    # "no_double_double" forbids for X, so those rules skip such scenarios
     pool = [
         rainbow("directed"),
         rainbow("transitive"),
-        Constraint("oriented"),
         Constraint("pair_edge_cap", value=rng.choice((3, 4, 5))),
-        Constraint("no_double_double"),
         Constraint("no_thick_path"),
-    ]
-    rules = tuple(con for con in pool if rng.random() < 0.5)
+        Constraint("slot_sum", op=rng.choice(("<=", ">=", "==")),
+                   value=rng.randrange(len(sum_slots) + 1), slots=sum_slots),
+        Constraint("no_shared_color_link", vertex=x, pair=(u, v),
+                   colors=tuple(rng.sample((1, 2, 3), rng.choice((1, 2))))),
+    ] + [Constraint(kind) for kind in GROUP_RULES]
+    if not group_pairs:
+        pool.append(Constraint("oriented"))
+    if not any(g.kind == "X" for g in groups):
+        pool.append(Constraint("no_double_double"))
+    rules = tuple(con for con in pool if rng.random() < 0.4)
     return Scenario(
         id=f"rand{tag}",
         source="test",
@@ -192,33 +219,53 @@ def _random_scenario(rng: random.Random, tag: int) -> Scenario:
         vertices=vertices,
         objective=Objective(obj_colors, side_a, side_b),
         bound=Fraction(99),
+        groups=tuple(groups),
         fixed_edges=tuple(fixed),
         constraints=rules,
     )
 
 
+def _random_scenario(rng: random.Random, tag: int) -> Scenario:
+    """A random scenario over the whole rule and group vocabulary with at
+    most ``RANDOM_FREE_SLOTS`` free slots."""
+    while True:
+        s = _draw_scenario(rng, tag)
+        states = scenario_slot_states(s).values()
+        if sum(st == "free" for st in states) <= RANDOM_FREE_SLOTS:
+            return s
+
+
+def _check_witness(s: Scenario, r) -> None:
+    """The witness keeps every fixed slot, passes every rule and scores the
+    maximum."""
+    edges = set(r.witness)
+    for slot, state in scenario_slot_states(s).items():
+        if state != "free":
+            assert (slot in edges) == (state == "present"), (s.id, slot)
+    assert naive_scenario_rules_hold(s, edges), s.id
+    assert len(edges & set(objective_slots(s))) == r.maximum, s.id
+
+
 def test_engine_agrees_with_naive_on_random_scenarios():
     rng = random.Random(20260817)
+    seen = set()
     for tag in range(25):
         s = _random_scenario(rng, tag)
         feasible, best = naive_scenario_max(s)
         r = enumerate_max(s)
         assert (r.feasible, r.maximum) == (feasible, best), s.id
+        if r.feasible:
+            _check_witness(s, r)
+        seen.update(g.kind for g in s.groups)
+        seen.update(c.kind for c in s.constraints)
+    assert seen >= {"X", "Y", "Z", "slot_sum", "no_shared_color_link", *GROUP_RULES}
 
 
 def test_witnesses_satisfy_all_rules():
     for s in load_catalogue("claims_local"):
         r = enumerate_max(s)
         assert r.feasible, s.id
-        edges = set(r.witness)
-        states = scenario_slot_states(s)
-        for slot, state in states.items():
-            if state == "present":
-                assert slot in edges, (s.id, slot)
-            elif state == "absent":
-                assert slot not in edges, (s.id, slot)
-        assert naive_scenario_rules_hold(s, edges), s.id
-        assert len(edges & set(objective_slots(s))) == r.maximum, s.id
+        _check_witness(s, r)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +522,7 @@ def test_malformed_records_are_rejected():
         dict(constraints=(Constraint("no_rainbow", pattern="odd"),)),
         dict(constraints=(Constraint("slot_sum", op="<", value=1,
                                      slots=((1, "u", "v"),)),)),
+        dict(groups=(Group("X", (1, 2), ("u", "u")),)),
     ],
 )
 def test_validation_rejects_bad_scenarios(breakage):
