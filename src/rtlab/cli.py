@@ -23,8 +23,7 @@ on an internal error: any other exception, reported as ``internal error:``
 plus its traceback on stderr, so that a crash is never read as a failed
 check.
 
-Worker counts for the scenario evaluators come from --jobs, falling back
-to the RTLAB_JOBS environment variable.
+Worker counts for the scenario evaluators come from --jobs (default 1).
 
 Each verify-all segment is built by one ``check_*`` function below; the
 acceptance suite calls the same functions.
@@ -35,7 +34,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -99,15 +97,7 @@ def _emit(echo, digest, results, passed, started) -> int:
 
 
 def _resolve_jobs(jobs: int | None) -> int | None:
-    if jobs is None:
-        env = os.environ.get("RTLAB_JOBS")
-        if env is None:
-            return None
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise GraphInputError(f"RTLAB_JOBS must be an integer, got {env!r}")
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise GraphInputError("worker count must be at least 1")
     return jobs
 
@@ -453,7 +443,7 @@ def _add_jobs(parser) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for scenario evaluation (default: RTLAB_JOBS or 1)",
+        help="worker processes for scenario evaluation (default: 1)",
     )
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "thresholds",
     "threshold_identities",
     "threshold_value",
+    "MAX_LEMMA21_SIZE",
     "lemma21_bound",
     "lemma21_oracle",
     "ConstraintSystem",
@@ -437,6 +438,11 @@ def lemma21_bound(a: int, b: int) -> int:
     return comb(a, 2) + comb(b, 2) + min(a, b)
 
 
+# Work budget of lemma21_oracle: it enumerates 2**(a*b) cross graphs and
+# lists the within-side pairs, so a*b and each side stay at or below this.
+MAX_LEMMA21_SIZE = 20
+
+
 def lemma21_oracle(a: int, b: int) -> int:
     """True maximum edge count over all graphs on sets of sizes a and b with
     no triangle having vertices on both sides.
@@ -449,8 +455,11 @@ def lemma21_oracle(a: int, b: int) -> int:
     """
     if a < 0 or b < 0:
         raise ValueError("set sizes must be non-negative")
-    if a * b > 20:
-        raise ValueError("cross graph space too large; keep a*b <= 20")
+    if max(a, b, a * b) > MAX_LEMMA21_SIZE:
+        raise ValueError(
+            f"a={a}, b={b} exceed the limit MAX_LEMMA21_SIZE = {MAX_LEMMA21_SIZE} "
+            "on a*b and on each side"
+        )
     a_pairs = list(itertools.combinations(range(a), 2))
     best = 0
     for bits in range(1 << (a * b)):

@@ -307,8 +307,8 @@ def loads_graph(text: str) -> ColoredDigraph:
         if key not in payload:
             raise GraphInputError(f"graph JSON missing key {key!r}")
     n, c, edges = payload["n"], payload["c"], payload["edges"]
-    if not isinstance(n, int) or not isinstance(c, int):
-        raise GraphInputError("n and c must be integers")
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (n, c)):
+        raise GraphInputError(f"n and c must be integers, got n={n!r}, c={c!r}")
     if not isinstance(edges, list):
         raise GraphInputError("edges must be a list")
     b = GraphBuilder(n, c)

@@ -49,12 +49,17 @@ premise edges included):
 Free slots not reachable by the objective or by an ``==`` / ``>=`` slot sum
 stay absent by default: every rule above is preserved under edge deletion,
 so the maximum over such reduced configurations equals the maximum over all
-of them.  The enumerator is one branch-and-bound over whole unordered pairs.
-A pair's options are the completions of its free slots that pass the rules
-seeing that pair alone.  Pairs with no objective slot come first, and every
-rule that sees several pairs fires when the last of them is decided.  Options
-are tried highest objective gain first, and a pair's loop stops once its gain
-plus the top gains of the later pairs cannot beat the best value found.
+of them.  The enumerator is one branch-and-bound over the *undecided* pairs,
+the unordered vertex pairs that hold free slots.  Every rule, fixtures
+included, becomes tests of the live color masks, one per vertex pair or
+triple it applies to, and each test is sorted by how many undecided pairs it
+reads.  A test that reads none is checked once before the search, and the
+scenario is infeasible if it fails.  A test that reads one filters that
+pair's options, the completions of its free slots.  A test that reads more
+fires when the last of its pairs is decided.  Pairs with no objective slot
+come first.  Options are tried highest objective gain first, and a pair's
+loop stops once its gain plus the top gains of the later pairs cannot beat
+the best value found.
 """
 
 from __future__ import annotations
@@ -676,247 +681,181 @@ _TRIMMED = {
     "y_trimmed": ("Y", lambda f, b: f.bit_count() + b.bit_count() >= 4),
     "z_trimmed": ("Z", lambda f, b: (f & b) != 0 and (f | b).bit_count() >= 2),
 }
+# The other rules that hold pair by pair, on every vertex pair.
+_PAIR_TESTS = {
+    "oriented": lambda f, b: not f & b,
+    "no_double_double": lambda f, b: (f & b).bit_count() <= 1,
+}
 
 
-class _Engine:
-    def __init__(self, scenario: Scenario):
-        validate_scenario(scenario)
-        self.s = scenario
-        self.index = {v: i for i, v in enumerate(scenario.vertices)}
-        self.n = len(scenario.vertices)
-        self.labels = scenario.vertices
+def _rules(
+    scenario: Scenario,
+    index: dict[str, int],
+    m: list[list[int]],
+    exempt: dict[str, set[int]],
+):
+    """Yield every rule of the scenario, group fixtures included, as
+    (the vertex pairs it reads, a test of the live masks ``m``).
 
-        states = scenario_slot_states(scenario)
-        self.base = [[0] * self.n for _ in range(self.n)]
-        self.free: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-        free_count = 0
-        for (color, src, dst), state in states.items():
-            u, v = self.index[src], self.index[dst]
-            if state == "present":
-                self.base[u][v] |= 1 << (color - 1)
-            elif state == "free":
-                key = (min(u, v), max(u, v))
-                self.free.setdefault(key, []).append((color, u < v))
-                free_count += 1
-        self.free_count = free_count
-        for slots in self.free.values():
-            slots.sort()
-
-        self.obj_f = [[0] * self.n for _ in range(self.n)]
-        for color, src, dst in objective_slots(scenario):
-            self.obj_f[self.index[src]][self.index[dst]] |= 1 << (color - 1)
-
-        self.exempt = {
-            kind: {self.index[v] for v in labels}
-            for kind, labels in _group_vertex_sets(scenario).items()
-        }
-
-        # live masks: start from the fixed-present configuration
-        self.m = [row[:] for row in self.base]
-        self.best = -1  # stays -1 while no admissible completion is found
-        self.best_witness: tuple[Slot, ...] | None = None
-
-        self.infeasible_static = False
-        self.all_constraints = scenario.constraints + fixture_constraints(scenario)
-        self._build_pair_options()
-        if not self.infeasible_static:
-            self._build_checkers()
-
-    # -- pair-local rules ---------------------------------------------------
-
-    def _local_predicates(self, u: int, v: int):
-        preds = []
-        for con in self.all_constraints:
-            kind = con.kind
-            if kind == "pair_edge_cap":
-                cap = con.value
-                preds.append(lambda f, b, cap=cap: f.bit_count() + b.bit_count() <= cap)
-            elif kind == "oriented":
-                preds.append(lambda f, b: not f & b)
-            elif kind == "no_double_double":
-                preds.append(lambda f, b: (f & b).bit_count() <= 1)
-            elif kind in _MAXIMALITY:
-                group_kind, test = _MAXIMALITY[kind]
-                exempt = self.exempt[group_kind]
-                if u not in exempt and v not in exempt:
-                    preds.append(test)
-            elif kind == "slot_sum":
-                pairs = {frozenset((s[1], s[2])) for s in con.slots}
-                if pairs == {frozenset((self.labels[u], self.labels[v]))}:
-                    preds.append(self._pair_sum_predicate(con, u, v))
-        return preds
-
-    def _pair_sum_predicate(self, con: Constraint, u: int, v: int):
-        fwd_mask = 0
-        bwd_mask = 0
-        for color, src, dst in con.slots:
-            if self.index[src] == u:
-                fwd_mask |= 1 << (color - 1)
-            else:
-                bwd_mask |= 1 << (color - 1)
-        op, value = _OPS[con.op], con.value
-
-        def pred(f: int, b: int) -> bool:
-            return op((f & fwd_mask).bit_count() + (b & bwd_mask).bit_count(), value)
-
-        return pred
-
-    def _build_pair_options(self) -> None:
-        self.pair_keys: list[tuple[int, int]] = []
-        self.options: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                preds = self._local_predicates(u, v)
-                key = (u, v)
-                slots = self.free.get(key)
-                if not slots:
-                    f, b = self.base[u][v], self.base[v][u]
-                    if not all(p(f, b) for p in preds):
-                        self.infeasible_static = True
+    ``m[u][v]`` is the color mask of the edges u -> v; a test reads ``m``
+    on every call, so the caller mutates it in place between calls.  A rule
+    that holds pair by pair yields one test per vertex pair it applies to.
+    ``exempt[K]`` holds the vertex indices the rules of group kind K leave
+    alone.
+    """
+    n = len(scenario.vertices)
+    for con in scenario.constraints + fixture_constraints(scenario):
+        kind = con.kind
+        if kind == "no_rainbow":
+            pattern = TrianglePattern(con.pattern)
+            for a, b, c in itertools.combinations(range(n), 3):
+                yield [(a, b), (b, c), (a, c)], rainbow_free_check(m, pattern, a, b, c)
+        elif kind == "no_thick_path":
+            for a, b, c in itertools.permutations(range(n), 3):
+                def test(a=a, b=b, c=c):
+                    return m[a][b].bit_count() < 3 or m[b][c].bit_count() < 3
+                yield [(a, b), (b, c)], test
+        elif kind in _TRIMMED:
+            group_kind, heavy = _TRIMMED[kind]
+            for g in scenario.groups:
+                if g.kind != group_kind:
                     continue
-                opts = []
-                for bits in range(1 << len(slots)):
-                    f, b = self.base[u][v], self.base[v][u]
-                    for k, (color, is_fwd) in enumerate(slots):
-                        if bits >> k & 1:
-                            if is_fwd:
-                                f |= 1 << (color - 1)
-                            else:
-                                b |= 1 << (color - 1)
-                    if all(p(f, b) for p in preds):
-                        gain = (f & self.obj_f[u][v]).bit_count() + (
-                            b & self.obj_f[v][u]
-                        ).bit_count()
-                        opts.append((f, b, gain))
-                if not opts:
-                    self.infeasible_static = True
-                    return
-                opts.sort(key=lambda t: -t[2])
-                self.pair_keys.append(key)
-                self.options[key] = opts
-
-    # -- multi-pair rules ---------------------------------------------------
-
-    def _build_checkers(self) -> None:
-        """Compile every rule that couples several pairs into (scope, fn)
-        where scope is the set of undecided pair variables it can see."""
-        m = self.m
-        checkers: list[tuple[frozenset, object]] = []
-        pairvars = set(self.pair_keys)
-
-        def add(touched, fn):
-            scope = frozenset(
-                (min(a, b), max(a, b)) for a, b in touched
-            ) & pairvars
-            if not scope:
-                if not fn():
-                    self.infeasible_static = True
+                ga, gb = (index[x] for x in g.members)
+                for w in range(n):
+                    if w in exempt[group_kind]:
+                        continue
+                    def test(w=w, ga=ga, gb=gb, heavy=heavy):
+                        return not (heavy(m[w][ga], m[ga][w]) and heavy(m[w][gb], m[gb][w]))
+                    yield [(w, ga), (w, gb)], test
+        elif kind == "no_shared_color_link":
+            x = index[con.vertex]
+            u, v = (index[p] for p in con.pair)
+            mask = sum(1 << (color - 1) for color in set(con.colors))
+            def test(x=x, u=u, v=v, mask=mask):
+                return not (m[x][u] | m[u][x]) & (m[x][v] | m[v][x]) & mask
+            yield [(x, u), (x, v)], test
+        elif kind == "slot_sum":
+            masks: dict[tuple[int, int], int] = {}
+            for color, src, dst in con.slots:
+                key = (index[src], index[dst])
+                masks[key] = masks.get(key, 0) | 1 << (color - 1)
+            terms = tuple((a, b, mask) for (a, b), mask in masks.items())
+            def test(terms=terms, op=_OPS[con.op], value=con.value):
+                return op(sum((m[a][b] & mask).bit_count() for a, b, mask in terms), value)
+            yield list(masks), test
+        else:  # a rule on the masks (f, b) of each vertex pair on its own
+            skip: set[int] = set()
+            if kind in _MAXIMALITY:
+                group_kind, pair_test = _MAXIMALITY[kind]
+                skip = exempt[group_kind]
+            elif kind == "pair_edge_cap":
+                def pair_test(f, b, cap=con.value):
+                    return f.bit_count() + b.bit_count() <= cap
             else:
-                checkers.append((scope, fn))
-
-        for con in self.all_constraints:
-            kind = con.kind
-            if kind == "no_rainbow":
-                pattern = TrianglePattern(con.pattern)
-                for a, b, c in itertools.combinations(range(self.n), 3):
-                    add([(a, b), (b, c), (a, c)], rainbow_free_check(m, pattern, a, b, c))
-            elif kind == "no_thick_path":
-                for a, b, c in itertools.permutations(range(self.n), 3):
-                    def fn(a=a, b=b, c=c):
-                        return m[a][b].bit_count() < 3 or m[b][c].bit_count() < 3
-                    add([(a, b), (b, c)], fn)
-            elif kind in _TRIMMED:
-                group_kind, heavy = _TRIMMED[kind]
-                exempt = self.exempt[group_kind]
-                for g in self.s.groups:
-                    if g.kind != group_kind:
-                        continue
-                    ga, gb = (self.index[x] for x in g.members)
-                    for w in range(self.n):
-                        if w in exempt:
-                            continue
-                        def fn(w=w, ga=ga, gb=gb, heavy=heavy):
-                            return not (
-                                heavy(m[w][ga], m[ga][w]) and heavy(m[w][gb], m[gb][w])
-                            )
-                        add([(w, ga), (w, gb)], fn)
-            elif kind == "no_shared_color_link":
-                x = self.index[con.vertex]
-                u, v = (self.index[p] for p in con.pair)
-                mask = 0
-                for color in con.colors:
-                    mask |= 1 << (color - 1)
-                def fn(x=x, u=u, v=v, mask=mask):
-                    return not (m[x][u] | m[u][x]) & (m[x][v] | m[v][x]) & mask
-                add([(x, u), (x, v)], fn)
-            elif kind == "slot_sum":
-                pairs = {
-                    (
-                        min(self.index[s[1]], self.index[s[2]]),
-                        max(self.index[s[1]], self.index[s[2]]),
-                    )
-                    for s in con.slots
-                }
-                if len(pairs) <= 1:
-                    continue  # handled as a pair-local rule
-                slots_idx = [
-                    (1 << (s[0] - 1), self.index[s[1]], self.index[s[2]])
-                    for s in con.slots
-                ]
-                def fn(slots_idx=slots_idx, op=_OPS[con.op], value=con.value):
-                    return op(sum(1 for bit, a, b in slots_idx if m[a][b] & bit), value)
-                add([(a, b) for _, a, b in slots_idx], fn)
-        self.checkers = checkers
-
-    def _record_leaf(self, value: int) -> None:
-        if value > self.best:
-            self.best = value
-            slots = []
-            for u in range(self.n):
-                for v in range(self.n):
-                    if u == v:
-                        continue
-                    mask = self.m[u][v]
-                    color = 1
-                    while mask:
-                        if mask & 1:
-                            slots.append((color, self.labels[u], self.labels[v]))
-                        mask >>= 1
-                        color += 1
-            self.best_witness = tuple(sorted(slots))
+                pair_test = _PAIR_TESTS[kind]
+            for u, v in itertools.combinations(range(n), 2):
+                if u not in skip and v not in skip:
+                    yield [(u, v)], lambda u=u, v=v, t=pair_test: t(m[u][v], m[v][u])
 
 
 def enumerate_max(scenario: Scenario) -> EnumerationResult:
     """Exact maximum of the scenario objective over all admissible
     completions of the free slots, with a witness configuration; scenarios
     with no admissible completion are reported as infeasible."""
-    engine = _Engine(scenario)
-    if engine.infeasible_static:
-        return EnumerationResult(False, None, None, 0, engine.free_count)
-    m, options = engine.m, engine.options
+    validate_scenario(scenario)
+    labels = scenario.vertices
+    n = len(labels)
+    index = {v: i for i, v in enumerate(labels)}
+    m = [[0] * n for _ in range(n)]  # live masks, from the fixed-present edges
+    obj = [[0] * n for _ in range(n)]  # objective masks
+    free: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    for (color, src, dst), state in scenario_slot_states(scenario).items():
+        u, v = index[src], index[dst]
+        if state == "present":
+            m[u][v] |= 1 << (color - 1)
+        elif state == "free":
+            free.setdefault((min(u, v), max(u, v)), []).append((color, u < v))
+    free_count = sum(len(slots) for slots in free.values())
+    for color, src, dst in objective_slots(scenario):
+        obj[index[src]][index[dst]] |= 1 << (color - 1)
+    infeasible = EnumerationResult(False, None, None, 0, free_count)
+
+    # sort each rule by the undecided pairs (those with free slots) it reads
+    exempt = {
+        kind: {index[v] for v in vs} for kind, vs in _group_vertex_sets(scenario).items()
+    }
+    filters: dict[tuple[int, int], list] = {key: [] for key in free}
+    multi = []
+    for pairs, test in _rules(scenario, index, m, exempt):
+        scope = {(min(a, b), max(a, b)) for a, b in pairs} & free.keys()
+        if not scope:
+            if not test():
+                return infeasible
+        elif len(scope) == 1:
+            filters[scope.pop()].append(test)
+        else:
+            multi.append((scope, test))
+
+    # a pair's options: the completions of its free slots that pass its
+    # filters, highest objective gain first
+    options = {}
+    for (u, v), slots in sorted(free.items()):
+        slots.sort()
+        base = m[u][v], m[v][u]
+        opts = []
+        for bits in range(1 << len(slots)):
+            f, b = base
+            for k, (color, is_fwd) in enumerate(slots):
+                if bits >> k & 1:
+                    if is_fwd:
+                        f |= 1 << (color - 1)
+                    else:
+                        b |= 1 << (color - 1)
+            m[u][v], m[v][u] = f, b
+            for test in filters[u, v]:
+                if not test():
+                    break
+            else:
+                gain = (f & obj[u][v]).bit_count() + (b & obj[v][u]).bit_count()
+                opts.append((f, b, gain))
+        m[u][v], m[v][u] = base
+        if not opts:
+            return infeasible
+        opts.sort(key=lambda t: -t[2])
+        options[u, v] = opts
+
     # pairs with no objective slot first, so the bound below prunes only
-    # among the objective pairs; each checker fires at its scope's last pair
-    obj_f = engine.obj_f
-    order = sorted(engine.pair_keys, key=lambda k: bool(obj_f[k[0]][k[1]] | obj_f[k[1]][k[0]]))
+    # among the objective pairs; a rule on several pairs fires at the last
+    order = sorted(options, key=lambda k: bool(obj[k[0]][k[1]] | obj[k[1]][k[0]]))
     pos = {key: idx for idx, key in enumerate(order)}
     fire: list[list] = [[] for _ in order]
-    for scope, fn in engine.checkers:
-        fire[max(pos[key] for key in scope)].append(fn)
+    for scope, test in multi:
+        fire[max(pos[key] for key in scope)].append(test)
     # reach[idx]: what the pairs from idx on can add to the objective at most
     reach = [0] * (len(order) + 1)
     for idx in range(len(order) - 1, -1, -1):
         reach[idx] = reach[idx + 1] + options[order[idx]][0][2]
-    nodes = 0
+    nodes, best, witness = 0, -1, None  # best stays -1 until a leaf is reached
 
     def rec(idx: int, current: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, best, witness
         if idx == len(order):
-            engine._record_leaf(current)
+            # the bound lets a leaf through only when it beats the best
+            best = current
+            edges = [
+                (color, labels[u], labels[v])
+                for color in range(1, scenario.colors + 1)
+                for u in range(n)
+                for v in range(n)
+                if m[u][v] >> (color - 1) & 1
+            ]
+            witness = tuple(sorted(edges))
             return
         u, v = key = order[idx]
         checks, rest = fire[idx], reach[idx + 1]
+        base = m[u][v], m[v][u]
         for f, b, gain in options[key]:
-            if current + gain + rest <= engine.best:
+            if current + gain + rest <= best:
                 break  # options are sorted by decreasing gain
             nodes += 1
             m[u][v], m[v][u] = f, b
@@ -925,9 +864,9 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
                     break
             else:
                 rec(idx + 1, current + gain)
-        m[u][v], m[v][u] = engine.base[u][v], engine.base[v][u]
+        m[u][v], m[v][u] = base
 
     rec(0, 0)
-    if engine.best < 0:
-        return EnumerationResult(False, None, None, nodes, engine.free_count)
-    return EnumerationResult(True, engine.best, engine.best_witness, nodes, engine.free_count)
+    if best < 0:
+        return EnumerationResult(False, None, None, nodes, free_count)
+    return EnumerationResult(True, best, witness, nodes, free_count)

@@ -39,12 +39,18 @@ from .graphs import ColoredDigraph, GraphBuilder, count_color, is_oriented
 from .triangles import TrianglePattern, find_rainbow, rainbow_free_check
 
 __all__ = [
+    "MAX_SEARCH_VERTICES",
     "SearchObjective",
     "SearchProblem",
     "SearchResult",
     "solve",
     "verify_witness",
 ]
+
+
+# solve allocates its pair list and n x n masks before the node budget counts
+# anything, so n is capped; an exhaustive search is out of reach far below.
+MAX_SEARCH_VERTICES = 64
 
 
 class SearchObjective(str, Enum):
@@ -63,8 +69,10 @@ class SearchProblem:
     objective: SearchObjective = SearchObjective.TOTAL
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
+        if not 0 <= self.n <= MAX_SEARCH_VERTICES:
+            raise ValueError(
+                f"n must lie in 0..{MAX_SEARCH_VERTICES} (MAX_SEARCH_VERTICES), got {self.n}"
+            )
         if not 1 <= self.c <= 8:
             raise ValueError("c must be between 1 and 8")
 

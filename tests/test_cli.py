@@ -88,6 +88,11 @@ def test_detect_input_errors(tmp_path, capsys):
     )
     assert code == 2 and "input error" in err
 
+    boolean = tmp_path / "bool.json"
+    boolean.write_text(json.dumps({"n": True, "c": 3, "edges": []}))
+    code, report, err = run_cli(capsys, "detect", "--graph", str(boolean), "--pattern", "directed")
+    assert code == 2 and report is None and "n and c must be integers" in err
+
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"n": 1000000, "c": 3, "edges": []}))
     code, report, err = run_cli(capsys, "detect", "--graph", str(huge), "--pattern", "directed")
@@ -185,6 +190,13 @@ def test_search_budget_exhaustion(capsys):
         capsys, "search", "--n", "3", "--c", "3", "--pattern", "directed", "--budget", "0"
     )
     assert code == 1 and report["results"]["exhaustive"] is False
+
+
+def test_search_vertex_cap(capsys):
+    code, report, err = run_cli(
+        capsys, "search", "--n", "65", "--c", "3", "--pattern", "directed", "--budget", "10"
+    )
+    assert code == 2 and report is None and "MAX_SEARCH_VERTICES" in err
 
 
 def scenario_pair(bound):
@@ -403,6 +415,10 @@ def test_lemma21_cli(capsys):
     code, report, err = run_cli(capsys, "lemma21", "--a", "5", "--b", "5")
     assert code == 2 and report is None and "input error" in err
 
+    # an empty side leaves a*b = 0, but the other side is capped as well
+    code, report, err = run_cli(capsys, "lemma21", "--a", "21", "--b", "0")
+    assert code == 2 and report is None and "MAX_LEMMA21_SIZE" in err
+
 
 def test_optscan_cli(capsys):
     code, report, _ = run_cli(capsys, "optscan", "--step", "0.01", "--iters", "100")
@@ -434,18 +450,9 @@ def test_thresholds_cli(capsys):
     assert by_name["undirected-per-color-3"]["coefficient"]["decimal"].startswith("0.2556")
 
 
-def test_jobs_environment_variable(tmp_path, capsys, monkeypatch):
+def test_jobs_must_be_at_least_one(tmp_path, capsys):
     path = tmp_path / "one.json"
     save_scenarios(path, [scenario_pair(4)])
-    monkeypatch.setenv("RTLAB_JOBS", "2")
-    code, report, _ = run_cli(capsys, "scenario", "run", "--file", str(path))
-    assert code == 0 and report["pass"] is True
-
-    monkeypatch.setenv("RTLAB_JOBS", "many")
-    code, _, err = run_cli(capsys, "scenario", "run", "--file", str(path))
-    assert code == 2 and "RTLAB_JOBS" in err
-
-    monkeypatch.delenv("RTLAB_JOBS")
     code, _, err = run_cli(capsys, "scenario", "run", "--file", str(path), "--jobs", "0")
     assert code == 2 and "worker count" in err
 

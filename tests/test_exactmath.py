@@ -149,6 +149,10 @@ def test_lemma21_input_validation():
         lemma21_bound(-1, 2)
     with pytest.raises(ValueError):
         lemma21_oracle(5, 5)
+    assert lemma21_oracle(20, 0) == 190  # each side may reach the cap
+    for a, b in ((21, 0), (0, 21)):
+        with pytest.raises(ValueError, match="MAX_LEMMA21_SIZE"):
+            lemma21_oracle(a, b)
 
 
 def test_constraint_system_exact_point():

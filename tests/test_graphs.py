@@ -181,6 +181,11 @@ def test_loads_rejects_malformed():
         loads_graph('{"n": 2, "c": 1, "edges": [[1, 0, 2]]}')
     with pytest.raises(GraphInputError):
         loads_graph('{"n": 2, "c": 1, "edges": [[1, 0]]}')
+    # a JSON boolean is not a size, as it is not a vertex or a color
+    with pytest.raises(GraphInputError, match="n and c must be integers"):
+        loads_graph('{"n": true, "c": 3, "edges": []}')
+    with pytest.raises(GraphInputError, match="n and c must be integers"):
+        loads_graph('{"n": 3, "c": false, "edges": []}')
     # each bad entry is named exactly as the per-edge checks name it, and
     # with several bad entries the first one in input order is reported
     for edges, message in (

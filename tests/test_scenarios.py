@@ -129,6 +129,18 @@ def test_pair_edge_cap():
     assert enumerate_max(s).maximum == 5
 
 
+def test_rule_on_one_undecided_pair_filters_its_options():
+    # u -> v and v -> w are fixed, so the triangle rule reads one undecided
+    # pair, {u, w}: the options with w -> u in color 3 close a rainbow cycle
+    # and are dropped before the search rather than tried in it
+    fixed = ((1, "u", "v", "present"), (2, "v", "w", "present"))
+    s = make(obj_colors=(3,), side_a=("u",), side_b=("w",), fixed_edges=fixed,
+             constraints=(rainbow(),))
+    r = enumerate_max(s)
+    assert (r.feasible, r.maximum, r.nodes) == (True, 1, 1)
+    assert r.witness == ((1, "u", "v"), (2, "v", "w"), (3, "u", "w"))
+
+
 # ---------------------------------------------------------------------------
 # engine vs naive enumeration
 

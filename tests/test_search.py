@@ -201,3 +201,6 @@ def test_problem_validation():
         SearchProblem(3, 0, D)
     with pytest.raises(ValueError):
         SearchProblem(3, 9, D)
+    SearchProblem(64, 3, D)  # exactly at the cap
+    with pytest.raises(ValueError, match="MAX_SEARCH_VERTICES"):
+        SearchProblem(65, 3, D)
