@@ -112,35 +112,6 @@ def _catalogue_scenarios(which: str, directory: str | None):
     return load_scenarios(path)
 
 
-def _entry_summary(entries) -> dict:
-    violated = [e.scenario_id for e in entries if e.status == "violated"]
-    infeasible = [e.scenario_id for e in entries if e.status == "infeasible"]
-    return {
-        "scenarios": len(entries),
-        "tight": sum(1 for e in entries if e.status == "tight"),
-        "verified": sum(1 for e in entries if e.status == "verified"),
-        "violated": violated,
-        "infeasible": infeasible,
-    }
-
-
-def _check_catalogue(label: str, scenarios, jobs: int | None):
-    """Evaluate a scenario list and print each violated or infeasible entry,
-    prefixed by ``label``, to stderr; the list passes when there are none.
-    Returns (digest of the scenarios, entries, summary, passed)."""
-    entries = evaluate_scenarios(scenarios, jobs=jobs)
-    summary = _entry_summary(entries)
-    for e in entries:
-        if e.status in ("violated", "infeasible"):
-            print(
-                f"{label}: {e.status} at {e.scenario_id} "
-                f"(computed {e.computed_max}, bound {e.bound})",
-                file=sys.stderr,
-            )
-    passed = not (summary["violated"] or summary["infeasible"])
-    return _sha256(dumps_scenarios(scenarios)), entries, summary, passed
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -228,30 +199,18 @@ def cmd_search(args, echo, started) -> int:
     return _emit(echo, digest, results, result.exhaustive, started)
 
 
-def cmd_scenario_run(args, echo, started) -> int:
-    digest, entries, summary, passed = _check_catalogue(
-        str(args.file), load_scenarios(args.file), _resolve_jobs(args.jobs)
-    )
-    results = {
-        "file": str(args.file),
-        **summary,
-        "entries": [e.to_dict() for e in entries],
-    }
-    return _emit(echo, digest, results, passed, started)
-
-
-def cmd_verify_table(args, echo, started) -> int:
-    digest, entries, summary, passed = _check_catalogue(
-        "table10x10",
-        _catalogue_scenarios("table10x10", args.catalogue_dir),
-        _resolve_jobs(args.jobs),
-    )
-    results = {
-        "catalogue": "table10x10",
-        **summary,
-        "entries": [e.to_dict() for e in entries],
-    }
-    return _emit(echo, digest, results, passed, started)
+def cmd_catalogue(args, echo, started) -> int:
+    """``scenario run`` grades a scenario file, ``scenario verify-table``
+    the class-pair table."""
+    if args.scenario_command == "run":
+        key, label, scenarios = "file", str(args.file), load_scenarios(args.file)
+    else:
+        key, label = "catalogue", "table10x10"
+        scenarios = _catalogue_scenarios(label, args.catalogue_dir)
+    segment, digest, entries = check_catalogue(label, scenarios, _resolve_jobs(args.jobs))
+    summary = {k: v for k, v in segment.items() if k not in ("name", "pass")}
+    results = {key: label, **summary, "entries": [e.to_dict() for e in entries]}
+    return _emit(echo, digest, results, segment["pass"], started)
 
 
 def cmd_lemma21(args, echo, started) -> int:
@@ -270,14 +229,8 @@ def cmd_lemma21(args, echo, started) -> int:
 
 
 def cmd_optscan(args, echo, started) -> int:
-    if not 0 < args.step <= 0.25:
-        raise GraphInputError("step must lie in (0, 0.25]")
-    if args.iters < 0:
-        raise GraphInputError("iters must be non-negative")
-    scan = scan_constraint_system(grid_step=args.step, polish_iters=args.iters)
+    scan = scan_constraint_system()
     results = {
-        "step": args.step,
-        "iters": args.iters,
         "grid_points": scan.grid_points,
         "grid_value": scan.grid_value,
         "grid_point": list(scan.grid_point),
@@ -286,8 +239,7 @@ def cmd_optscan(args, echo, started) -> int:
         "exact_slacks_at_optimum": [str(s) for s in scan.exact_slacks_at_optimum],
         "optimum_confirmed": scan.optimum_confirmed,
     }
-    digest = _params_digest({"step": args.step, "iters": args.iters})
-    return _emit(echo, digest, results, scan.optimum_confirmed, started)
+    return _emit(echo, _params_digest({}), results, scan.optimum_confirmed, started)
 
 
 def cmd_thresholds(args, echo, started) -> int:
@@ -331,10 +283,27 @@ def _random_small_graph(rng: random.Random) -> ColoredDigraph:
 
 
 def check_catalogue(which: str, scenarios, jobs: int | None):
-    """Grade one bound catalogue.  Returns (segment, digest of the scenarios,
-    entries)."""
-    digest, entries, summary, passed = _check_catalogue(which, scenarios, jobs)
-    return {"name": f"catalogue:{which}", "pass": passed, **summary}, digest, entries
+    """Grade a scenario list and print each violated or infeasible entry,
+    prefixed by ``which``, to stderr; it passes when there are none.
+    Returns (segment, digest of the scenarios, entries)."""
+    entries = evaluate_scenarios(scenarios, jobs=jobs)
+    failed = [e for e in entries if e.status in ("violated", "infeasible")]
+    for e in failed:
+        print(
+            f"{which}: {e.status} at {e.scenario_id} "
+            f"(computed {e.computed_max}, bound {e.bound})",
+            file=sys.stderr,
+        )
+    segment = {
+        "name": f"catalogue:{which}",
+        "pass": not failed,
+        "scenarios": len(entries),
+        "tight": sum(1 for e in entries if e.status == "tight"),
+        "verified": sum(1 for e in entries if e.status == "verified"),
+        "violated": [e.scenario_id for e in failed if e.status == "violated"],
+        "infeasible": [e.scenario_id for e in failed if e.status == "infeasible"],
+    }
+    return segment, _sha256(dumps_scenarios(scenarios)), entries
 
 
 def check_two_set_edge_bound(max_sum: int = 7) -> dict:
@@ -499,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ssub.add_parser("run", help="evaluate every scenario in a file against its bound")
     q.add_argument("--file", required=True, help="path to a scenario JSON file")
     _add_jobs(q)
-    q.set_defaults(handler=cmd_scenario_run)
+    q.set_defaults(handler=cmd_catalogue)
 
     q = ssub.add_parser(
         "verify-table",
@@ -511,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="read catalogue JSON from this directory instead of the built-in catalogues",
     )
-    q.set_defaults(handler=cmd_verify_table)
+    q.set_defaults(handler=cmd_catalogue)
 
     p = sub.add_parser(
         "lemma21",
@@ -525,8 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         "optscan",
         help="grid scan plus polish over the four-variable constraint system",
     )
-    p.add_argument("--step", type=float, default=0.002, help="grid resolution")
-    p.add_argument("--iters", type=int, default=200, help="polish iterations")
     p.set_defaults(handler=cmd_optscan)
 
     p = sub.add_parser("thresholds", help="print the edge-count threshold table")

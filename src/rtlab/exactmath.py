@@ -28,9 +28,11 @@ the verification commands:
   linear constraints in four nonnegative reals (u, y, z, r) whose non-strict
   version admits exactly one solution (1/3, 0, 0, 0).  The scanner maximizes
   the minimum slack of the two quadratic constraints over the linearly
-  feasible region on a dense grid, polishes by projected coordinate ascent,
-  and checks the slacks vanish exactly (in Fraction arithmetic) at the
-  claimed point.
+  feasible region on one fixed grid (step 0.002, 109,502,171 points),
+  polishes by projected coordinate ascent, and checks the slacks vanish
+  exactly (in Fraction arithmetic) at the claimed point.  The slack pair and
+  the linear constraints are each written once, and evaluate exactly on
+  Fractions and elementwise on float64 arrays.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ __all__ = [
     "lemma21_oracle",
     "ConstraintSystem",
     "ScanResult",
-    "MAX_GRID_POINTS",
-    "grid_point_estimate",
     "scan_constraint_system",
 ]
 
@@ -481,6 +481,38 @@ def lemma21_oracle(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _slack_pair(u, y, z, r, bound1, bound2):
+    """The slack pair (q1 - bound1, q2 - bound2) of ``ConstraintSystem``.
+
+    The coefficients are made in the number type of the bounds: ``Fraction``
+    bounds give exact slacks at a rational point, float bounds give float64
+    slacks, elementwise over (broadcast) arrays.  q1 is expanded as
+    base^2 + 2*base*w, with each bound subtracted last; the scan's results
+    depend on this exact float order.
+    """
+    num = type(bound1)
+    half = num(1) / 2
+    w = half * z + num(3) / 4 * r
+    base = u + y * (num(7) / 12)
+    lin = 1 - half * y - 2 * u - r
+    s1 = base * base + 2 * base * w - bound1
+    s2 = 2 * u * u + lin * lin - half * y * z - num(3) / 2 * z * z - bound2
+    return s1, s2
+
+
+def _headroom(u, y, z, r):
+    """Headroom of the two linear constraints, 1 - (3u + y/2 + r) and
+    u - 3y/4 - z; exact on Fractions, elementwise on float64 arrays."""
+    return 1 - 3 * u - y / 2 - r, u - 3 * y / 4 - z
+
+
+def _feasible(u, y, z, r):
+    """Nonnegative variables and headroom; exact on Fractions, elementwise
+    on float64 arrays."""
+    room1, room2 = _headroom(u, y, z, r)
+    return (u >= 0) & (y >= 0) & (z >= 0) & (r >= 0) & (room1 >= 0) & (room2 >= 0)
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     """The final four-variable system of the three-color transitive argument.
@@ -492,10 +524,10 @@ class ConstraintSystem:
         q1 = (u + 7y/12 + z/2 + 3r/4)^2 - (z/2 + 3r/4)^2
         q2 = 2u^2 + (1 - r - y/2 - 2u)^2 - yz/2 - 3z^2/2
 
-    each come with a lower bound (1/9 and 1/3).  The slack pair is
-    ``(q1 - 1/9, q2 - 1/3)``; the system's defining property is that the
-    minimum of the two slacks is nonpositive everywhere on the feasible
-    region and vanishes only at (u, y, z, r) = (1/3, 0, 0, 0).
+    each come with a lower bound (``bound1`` and ``bound2``).  The slack
+    pair is ``(q1 - bound1, q2 - bound2)``; the system's defining property
+    is that the minimum of the two slacks is nonpositive everywhere on the
+    feasible region and vanishes only at ``OPTIMUM`` = (1/3, 0, 0, 0).
     """
 
     bound1: Fraction = Fraction(1, 9)
@@ -504,27 +536,21 @@ class ConstraintSystem:
     OPTIMUM = (Fraction(1, 3), Fraction(0), Fraction(0), Fraction(0))
 
     def feasible(self, u, y, z, r) -> bool:
-        u, y, z, r = Fraction(u), Fraction(y), Fraction(z), Fraction(r)
-        if min(u, y, z, r) < 0:
-            return False
-        return 3 * u + y / 2 + r <= 1 and u - 3 * y / 4 - z >= 0
+        return _feasible(*map(Fraction, (u, y, z, r)))
 
     def slacks(self, u, y, z, r) -> tuple[Fraction, Fraction]:
-        """Exact slack pair (q1 - 1/9, q2 - 1/3) at a rational point."""
-        u, y, z, r = Fraction(u), Fraction(y), Fraction(z), Fraction(r)
-        w = z / 2 + 3 * r / 4
-        q1 = (u + 7 * y / 12 + w) ** 2 - w**2
-        q2 = 2 * u**2 + (1 - r - y / 2 - 2 * u) ** 2 - y * z / 2 - 3 * z**2 / 2
-        return q1 - self.bound1, q2 - self.bound2
+        """Exact slack pair at a rational point."""
+        point = map(Fraction, (u, y, z, r))
+        return _slack_pair(*point, Fraction(self.bound1), Fraction(self.bound2))
 
     def min_slack(self, u, y, z, r) -> Fraction:
         return min(self.slacks(u, y, z, r))
 
-    def min_slack_float(self, u: float, y: float, z: float, r: float) -> float:
-        w = 0.5 * z + 0.75 * r
-        q1 = (u + y * 7.0 / 12.0 + w) ** 2 - w * w
-        q2 = 2.0 * u * u + (1.0 - r - 0.5 * y - 2.0 * u) ** 2 - 0.5 * y * z - 1.5 * z * z
-        return min(q1 - 1.0 / 9.0, q2 - 1.0 / 3.0)
+    def min_slack_float(self, u, y, z, r) -> np.ndarray:
+        """Minimum slack in float64, elementwise over arrays; -inf outside
+        the feasible region."""
+        s1, s2 = _slack_pair(u, y, z, r, float(self.bound1), float(self.bound2))
+        return np.where(_feasible(u, y, z, r), np.minimum(s1, s2), -np.inf)
 
 
 @dataclass(frozen=True)
@@ -542,13 +568,11 @@ class ScanResult:
     def optimum_confirmed(self) -> bool:
         """True when the scan supports the unique-optimum property: the
         polished maximum of the minimum slack is numerically nonpositive,
-        the maximizer sits at (1/3, 0, 0, 0), and the exact slacks there
-        vanish."""
+        the maximizer sits at ``ConstraintSystem.OPTIMUM``, and the exact
+        slacks there vanish."""
         close = max(
-            abs(self.polished_point[0] - 1 / 3),
-            self.polished_point[1],
-            self.polished_point[2],
-            self.polished_point[3],
+            abs(p - float(o))
+            for p, o in zip(self.polished_point, ConstraintSystem.OPTIMUM)
         )
         return (
             self.polished_value <= 1e-9
@@ -557,29 +581,16 @@ class ScanResult:
         )
 
 
-def _min_slack_masked(u, y, z, r):
-    """Vectorized minimum slack; -inf outside the feasible region."""
-    w = 0.5 * z + 0.75 * r
-    base = u + y * (7.0 / 12.0)
-    s1 = (base + w) ** 2 - w * w - 1.0 / 9.0
-    lin = 1.0 - r - 0.5 * y - 2.0 * u
-    s2 = 2.0 * u * u + lin * lin - 0.5 * y * z - 1.5 * z * z - 1.0 / 3.0
-    feas = (
-        (u >= 0.0)
-        & (y >= 0.0)
-        & (z >= 0.0)
-        & (r >= 0.0)
-        & (3.0 * u + 0.5 * y + r <= 1.0)
-        & (u - 0.75 * y - z >= 0.0)
-    )
-    return np.where(feas, np.minimum(s1, s2), -np.inf)
-
-
 # global coordinate boxes implied by the linear constraints alone
 _BOXES = ((0.0, 1.0 / 3.0), (0.0, 4.0 / 9.0), (0.0, 1.0 / 3.0), (0.0, 1.0))
 
+# The scan's fixed resolution: the grid step (109,502,171 grid points) and
+# the cap on polish rounds, which stops earlier once a round gains nothing.
+_GRID_STEP = 0.002
+_POLISH_ITERS = 200
 
-def _polish(system: ConstraintSystem, start: Sequence[float], iters: int) -> tuple[float, list[float]]:
+
+def _polish(system: ConstraintSystem, start: Sequence[float]) -> tuple[float, list[float]]:
     """Projected ascent over pairs of coordinates with shrinking windows.
 
     The objective is a minimum of two smooth functions, so single-coordinate
@@ -587,10 +598,10 @@ def _polish(system: ConstraintSystem, start: Sequence[float], iters: int) -> tup
     jointly in two coordinates walks along that ridge.
     """
     point = list(map(float, start))
-    best = system.min_slack_float(*point)
+    best = float(system.min_slack_float(*point))
     coord_pairs = list(itertools.combinations(range(4), 2))
 
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         improved = 0.0
         for i, j in coord_pairs:
             width_i = _BOXES[i][1] - _BOXES[i][0]
@@ -609,7 +620,7 @@ def _polish(system: ConstraintSystem, start: Sequence[float], iters: int) -> tup
                 coords = [np.full((33, 33), v) for v in point]
                 coords[i] = np.broadcast_to(ti[:, None], (33, 33))
                 coords[j] = np.broadcast_to(tj[None, :], (33, 33))
-                vals = _min_slack_masked(*coords)
+                vals = system.min_slack_float(*coords)
                 k = int(np.argmax(vals))
                 ki, kj = divmod(k, 33)
                 if vals.flat[k] > best:
@@ -623,64 +634,28 @@ def _polish(system: ConstraintSystem, start: Sequence[float], iters: int) -> tup
     return best, point
 
 
-# Work budget of the grid scan: about nine times the 109,502,171 points of
-# the default step 0.002, admitting steps down to about 0.00114.
-MAX_GRID_POINTS = 10**9
-
-
-def grid_point_estimate(grid_step: float) -> float:
-    """Leading-order size of the scan grid: the volume 1/594 of the feasible
-    (u, y, z, r) polytope over grid_step**4.  It is 4% below the true count
-    at the default step 0.002, and the gap shrinks with the step."""
-    return 1.0 / (594.0 * grid_step**4)
-
-
-def scan_constraint_system(
-    grid_step: float = 0.002, polish_iters: int = 200
-) -> ScanResult:
+def scan_constraint_system() -> ScanResult:
     """Maximize the minimum slack over the feasible region.
 
     Grid scan: for each grid (u, y) the feasible (z, r) set is the rectangle
     [0, u - 3y/4] x [0, 1 - 3u - y/2], evaluated vectorized.  The best grid
     point is then polished by projected coordinate ascent, and the exact
     slack pair is computed at (1/3, 0, 0, 0) in Fraction arithmetic.
-    A step whose grid estimate exceeds ``MAX_GRID_POINTS`` is rejected with
-    ``ValueError`` before anything is scanned.
     """
-    if not grid_step > 0:
-        raise ValueError(f"grid step must be positive, got {grid_step}")
-    estimate = grid_point_estimate(grid_step)
-    if estimate > MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid step {grid_step} gives about {estimate:.3g} grid points, "
-            f"above the limit MAX_GRID_POINTS = {MAX_GRID_POINTS}"
-        )
     system = ConstraintSystem()
-    h = grid_step
+    bound1, bound2 = float(system.bound1), float(system.bound2)
+    h = _GRID_STEP
     best = -np.inf
     best_point = (0.0, 0.0, 0.0, 0.0)
     total = 0
-    for u in np.arange(0.0, 1.0 / 3.0 + h / 2, h):
-        y_max = min(4.0 * u / 3.0, 2.0 * (1.0 - 3.0 * u))
-        if y_max < 0:
-            continue
-        for y in np.arange(0.0, y_max + h / 2, h):
-            z_hi = u - 0.75 * y
-            r_hi = 1.0 - 3.0 * u - 0.5 * y
-            if z_hi < 0 or r_hi < 0:
-                continue
+    for u in np.arange(0.0, _BOXES[0][1] + h / 2, h):
+        for y in np.arange(0.0, _BOXES[1][1] + h / 2, h):
+            r_hi, z_hi = _headroom(u, y, 0.0, 0.0)
+            if r_hi < 0 or z_hi < 0:
+                break  # both shrink as y grows
             zs = np.arange(0.0, z_hi + h / 2, h)
             rs = np.arange(0.0, r_hi + h / 2, h)
-            zcol = zs[:, None]
-            rrow = rs[None, :]
-            w = 0.5 * zcol + 0.75 * rrow
-            base = u + y * (7.0 / 12.0)
-            slack1 = base * base + 2.0 * base * w - 1.0 / 9.0
-            lin = 1.0 - 0.5 * y - 2.0 * u - rrow
-            slack2 = (
-                2.0 * u * u + lin * lin - 0.5 * y * zcol - 1.5 * zcol * zcol - 1.0 / 3.0
-            )
-            grid = np.minimum(slack1, slack2)
+            grid = np.minimum(*_slack_pair(u, y, zs[:, None], rs[None, :], bound1, bound2))
             total += grid.size
             k = int(np.argmax(grid))
             if grid.flat[k] > best:
@@ -688,7 +663,7 @@ def scan_constraint_system(
                 iz, ir = divmod(k, grid.shape[1])
                 best_point = (float(u), float(y), float(zs[iz]), float(rs[ir]))
 
-    polished_value, polished_point = _polish(system, best_point, polish_iters)
+    polished_value, polished_point = _polish(system, best_point)
     return ScanResult(
         grid_value=best,
         grid_point=best_point,

@@ -134,9 +134,8 @@ class ColoredDigraph:
         if layers.shape != (c, n, n) or layers.dtype != bool:
             raise GraphInputError("layer array must be bool with shape (c, n, n)")
         layers = layers.copy()
-        for i in range(c):
-            if layers[i].diagonal().any():
-                raise GraphInputError("loops are not allowed")
+        if layers.diagonal(0, 1, 2).any():
+            raise GraphInputError("loops are not allowed")
         layers.setflags(write=False)
         self.n = n
         self.c = c
@@ -274,10 +273,7 @@ def classify_pair(g: ColoredDigraph, u: int, v: int) -> PairProfile:
 
 def is_oriented(g: ColoredDigraph) -> bool:
     """True iff no color layer contains both (u, v) and (v, u)."""
-    for i in range(g.c):
-        if (g.layers[i] & g.layers[i].T).any():
-            return False
-    return True
+    return not (g.layers & g.layers.transpose(0, 2, 1)).any()
 
 
 # -- interchange -------------------------------------------------------

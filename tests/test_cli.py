@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -421,17 +422,40 @@ def test_lemma21_cli(capsys):
 
 
 def test_optscan_cli(capsys):
-    code, report, _ = run_cli(capsys, "optscan", "--step", "0.01", "--iters", "100")
+    code, report, _ = run_cli(capsys, "optscan")
     assert code == 0
-    assert report["results"]["optimum_confirmed"] is True
-    assert report["results"]["polished_value"] <= 1e-9
-    assert report["results"]["exact_slacks_at_optimum"] == ["0", "0"]
+    results = report["results"]
+    assert "step" not in results and "iters" not in results
+    assert results["grid_points"] == 109_502_171
+    assert results["optimum_confirmed"] is True
+    assert results["polished_value"] <= 1e-9
+    assert results["exact_slacks_at_optimum"] == ["0", "0"]
 
-    code, report, err = run_cli(capsys, "optscan", "--step", "0")
-    assert code == 2 and "input error" in err
+    # the scan has one fixed resolution: the old knobs are usage errors
+    for argv in (["optscan", "--step", "0.01"], ["optscan", "--iters", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    capsys.readouterr()
 
-    code, report, err = run_cli(capsys, "optscan", "--step", "1e-6")
-    assert code == 2 and report is None and "MAX_GRID_POINTS" in err
+
+def test_readme_command_lines_parse():
+    # every `rtlab ...` line of the README's sh blocks names real options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [
+        line.split("#")[0].split()
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("rtlab ")
+    ]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {' '.join(argv)}")
 
 
 def test_thresholds_cli(capsys):

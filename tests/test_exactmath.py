@@ -1,15 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rtlab.exactmath import (
-    MAX_GRID_POINTS,
     SQRT7,
     ConstraintSystem,
     QuadraticRational,
     lemma21_bound,
-    grid_point_estimate,
     lemma21_oracle,
     scan_constraint_system,
     threshold_value,
@@ -181,40 +180,36 @@ def test_constraint_system_sample_points():
 
 
 def test_constraint_system_float_agrees_with_exact():
+    # one call evaluates every sample; the float mask is the exact feasibility
     system = ConstraintSystem()
     rng = random.Random(3)
-    for _ in range(200):
-        u = Fraction(rng.randint(0, 333), 1000)
-        y = Fraction(rng.randint(0, 1000), 3000)
-        z = Fraction(rng.randint(0, 333), 1000)
-        r = Fraction(rng.randint(0, 1000), 1000)
-        if not system.feasible(u, y, z, r):
-            continue
-        exact = float(system.min_slack(u, y, z, r))
-        approx = system.min_slack_float(float(u), float(y), float(z), float(r))
-        assert abs(exact - approx) < 1e-12
+    points = [
+        (
+            Fraction(rng.randint(0, 333), 1000),
+            Fraction(rng.randint(0, 1000), 3000),
+            Fraction(rng.randint(0, 333), 1000),
+            Fraction(rng.randint(0, 1000), 1000),
+        )
+        for _ in range(200)
+    ]
+    coords = np.array(points, dtype=float).T
+    approx = system.min_slack_float(*coords)
+    assert approx.shape == (200,)
+    feasible = 0
+    for point, value in zip(points, approx):
+        if system.feasible(*point):
+            feasible += 1
+            assert abs(float(system.min_slack(*point)) - value) < 1e-12
+        else:
+            assert value == -np.inf
+    assert 10 < feasible < 200
+    assert system.min_slack_float(1 / 3, 0.0, 0.0, 0.0) == 0.0
 
 
-def test_scan_confirms_unique_optimum_coarse():
-    # coarse grid keeps this test quick; the fine default runs in acceptance
-    result = scan_constraint_system(grid_step=0.02, polish_iters=60)
-    assert result.grid_points > 1000
+def test_scan_at_the_fixed_resolution():
+    result = scan_constraint_system()
+    assert result.grid_points == 109_502_171
+    assert result.grid_point == (0.332, 0.0, 0.004, 0.0)
     assert result.grid_value <= 0
-    assert result.polished_value <= 1e-9
-    assert abs(result.polished_point[0] - 1 / 3) <= 1e-4
-    assert max(result.polished_point[1:]) <= 1e-4
     assert result.exact_slacks_at_optimum == (0, 0)
     assert result.optimum_confirmed
-
-
-def test_scan_grid_budget():
-    # the estimate tracks the real grid and shrinks toward it as the step does
-    ratios = []
-    for step, points in ((0.01, 204161), (0.005, 2971598)):
-        ratios.append(grid_point_estimate(step) / points)
-        assert scan_constraint_system(grid_step=step, polish_iters=0).grid_points == points
-    assert 0.8 < ratios[0] < ratios[1] < 1
-    assert grid_point_estimate(0.002) < MAX_GRID_POINTS  # the default step runs
-    for step in (0.0, 0.001, 1e-6):
-        with pytest.raises(ValueError):
-            scan_constraint_system(grid_step=step)

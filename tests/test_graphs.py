@@ -1,6 +1,8 @@
 import json
 import random
+import time
 
+import numpy as np
 import pytest
 
 from rtlab.graphs import (
@@ -224,3 +226,17 @@ def test_digest_is_stable():
     g2 = GraphBuilder(3, 2).add(2, 1, 2).add(1, 0, 1).build()
     assert graph_digest(g1) == graph_digest(g2)
     assert graph_digest(add_edge(g1, (1, 2, 0))) != graph_digest(g1)
+
+
+def test_graph_checks_do_not_loop_over_colors():
+    # the loop and two-way-pair checks are whole-array operations, so many
+    # colors on few vertices cost about as much as the cells they hold
+    start = time.perf_counter()
+    for n, c in ((1, 1 << 22), (2, 1 << 20)):
+        g = loads_graph(f'{{"n": {n}, "c": {c}, "edges": []}}')
+        assert is_oriented(g)
+        layers = np.zeros((c, n, n), dtype=bool)
+        layers[-1, n - 1, n - 1] = True
+        with pytest.raises(GraphInputError, match="loops are not allowed"):
+            ColoredDigraph(n, c, layers)
+    assert time.perf_counter() - start < 1.0
