@@ -38,7 +38,10 @@ import random
 import sys
 import time
 import traceback
+from itertools import combinations
 from pathlib import Path
+
+import numpy as np
 
 from .constructions import AVOIDED_PATTERNS, ConstructionId, build_construction, expected_count
 from .exactmath import (
@@ -65,7 +68,13 @@ from .localbounds import (
     load_scenarios,
 )
 from .search import SearchObjective, SearchProblem, solve
-from .triangles import TrianglePattern, count_rainbow, find_rainbow, witness_is_valid
+from .triangles import (
+    TrianglePattern,
+    count_rainbow,
+    find_rainbow,
+    rainbow_free_check,
+    witness_is_valid,
+)
 
 DEFAULT_SEED = 987654321
 
@@ -233,9 +242,7 @@ def cmd_optscan(args, echo, started) -> int:
     results = {
         "grid_points": scan.grid_points,
         "grid_value": scan.grid_value,
-        "grid_point": list(scan.grid_point),
-        "polished_value": scan.polished_value,
-        "polished_point": list(scan.polished_point),
+        "grid_point": [float(v) for v in scan.grid_point],
         "exact_slacks_at_optimum": [str(s) for s in scan.exact_slacks_at_optimum],
         "optimum_confirmed": scan.optimum_confirmed,
     }
@@ -330,8 +337,8 @@ def check_constraint_scan() -> dict:
     return {
         "name": "constraint-scan",
         "pass": scan.optimum_confirmed,
-        "polished_value": scan.polished_value,
-        "polished_point": list(scan.polished_point),
+        "grid_value": scan.grid_value,
+        "grid_point": [float(v) for v in scan.grid_point],
     }
 
 
@@ -359,15 +366,20 @@ def check_constructions(sizes=range(3, 31)) -> dict:
 
 
 def check_detector_sanity(seed: int, graphs: int = 200) -> dict:
-    """Seeded cross-check of the finder against the counter and the witness
-    validator on random small graphs."""
+    """Seeded cross-check of the finder against the counter, the witness
+    validator and the search's per-triple Hall test on random small graphs."""
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(graphs):
         graph = _random_small_graph(rng)
+        masks = np.tensordot(1 << np.arange(graph.c), graph.layers, axes=1).tolist()
+        triples = list(combinations(range(graph.n), 3))
         for pattern in TrianglePattern:
             witness = find_rainbow(graph, pattern)
             if (witness is None) != (count_rainbow(graph, pattern) == 0):
+                mismatches += 1
+            free = all(rainbow_free_check(masks, pattern, *t)() for t in triples)
+            if (witness is None) != free:
                 mismatches += 1
             if witness is not None and not witness_is_valid(graph, witness):
                 mismatches += 1
@@ -492,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "optscan",
-        help="grid scan plus polish over the four-variable constraint system",
+        help="grid scan (step 1/498) over the four-variable constraint system",
     )
     p.set_defaults(handler=cmd_optscan)
 

@@ -27,12 +27,12 @@ the verification commands:
   the three-color transitive argument: a system of two quadratic and two
   linear constraints in four nonnegative reals (u, y, z, r) whose non-strict
   version admits exactly one solution (1/3, 0, 0, 0).  The scanner maximizes
-  the minimum slack of the two quadratic constraints over the linearly
-  feasible region on one fixed grid (step 0.002, 109,502,171 points),
-  polishes by projected coordinate ascent, and checks the slacks vanish
-  exactly (in Fraction arithmetic) at the claimed point.  The slack pair and
-  the linear constraints are each written once, and evaluate exactly on
-  Fractions and elementwise on float64 arrays.
+  the minimum slack of the two quadratic constraints over the feasible
+  points of one fixed grid of step 1/498 (106,601,574 points), which holds
+  the claimed point, and checks that the best grid point is that point and
+  that the slacks vanish there exactly (in Fraction arithmetic).  The slack
+  pair and the linear constraints are each written once, and evaluate
+  exactly on Fractions and elementwise on float64 arrays.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
-from typing import Sequence
+from math import comb, floor, isqrt
 
 import numpy as np
 
@@ -546,129 +545,64 @@ class ConstraintSystem:
     def min_slack(self, u, y, z, r) -> Fraction:
         return min(self.slacks(u, y, z, r))
 
-    def min_slack_float(self, u, y, z, r) -> np.ndarray:
-        """Minimum slack in float64, elementwise over arrays; -inf outside
-        the feasible region."""
-        s1, s2 = _slack_pair(u, y, z, r, float(self.bound1), float(self.bound2))
-        return np.where(_feasible(u, y, z, r), np.minimum(s1, s2), -np.inf)
-
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Outcome of the grid scan plus polish over the feasible region."""
+    """The best feasible grid point, in exact coordinates, and its slack."""
 
     grid_value: float
-    grid_point: tuple[float, float, float, float]
-    polished_value: float
-    polished_point: tuple[float, float, float, float]
+    grid_point: tuple[Fraction, Fraction, Fraction, Fraction]
     grid_points: int
     exact_slacks_at_optimum: tuple[Fraction, Fraction]
 
     @property
     def optimum_confirmed(self) -> bool:
-        """True when the scan supports the unique-optimum property: the
-        polished maximum of the minimum slack is numerically nonpositive,
-        the maximizer sits at ``ConstraintSystem.OPTIMUM``, and the exact
-        slacks there vanish."""
-        close = max(
-            abs(p - float(o))
-            for p, o in zip(self.polished_point, ConstraintSystem.OPTIMUM)
-        )
-        return (
-            self.polished_value <= 1e-9
-            and close <= 1e-4
-            and self.exact_slacks_at_optimum == (0, 0)
-        )
+        """Whether the best grid point is OPTIMUM, with exact slacks (0, 0)."""
+        optimum = ConstraintSystem.OPTIMUM
+        return self.grid_point == optimum and self.exact_slacks_at_optimum == (0, 0)
 
 
-# global coordinate boxes implied by the linear constraints alone
-_BOXES = ((0.0, 1.0 / 3.0), (0.0, 4.0 / 9.0), (0.0, 1.0 / 3.0), (0.0, 1.0))
-
-# The scan's fixed resolution: the grid step (109,502,171 grid points) and
-# the cap on polish rounds, which stops earlier once a round gains nothing.
-_GRID_STEP = 0.002
-_POLISH_ITERS = 200
+# The scan's grid: every coordinate is i / _GRID_DENOM for an integer i.
+# 498 = 3 * 166, so ConstraintSystem.OPTIMUM is itself a grid point.
+_GRID_DENOM = 498
 
 
-def _polish(system: ConstraintSystem, start: Sequence[float]) -> tuple[float, list[float]]:
-    """Projected ascent over pairs of coordinates with shrinking windows.
+def _grid_columns():
+    """(iu, iy, nz, nr) for each grid (u, y) with nonnegative headroom: its
+    feasible grid z and r are i / 498 for i in range(nz) and range(nr).
 
-    The objective is a minimum of two smooth functions, so single-coordinate
-    moves stall on the ridge where the two slacks agree; scanning a window
-    jointly in two coordinates walks along that ridge.
+    Both exact headrooms times 498 are multiples of 1/4 there, so the floor
+    of the float headroom times 498 never exceeds the exact one; rounding
+    can only drop a boundary point whose exact bound is an integer.
     """
-    point = list(map(float, start))
-    best = float(system.min_slack_float(*point))
-    coord_pairs = list(itertools.combinations(range(4), 2))
-
-    for _ in range(_POLISH_ITERS):
-        improved = 0.0
-        for i, j in coord_pairs:
-            width_i = _BOXES[i][1] - _BOXES[i][0]
-            width_j = _BOXES[j][1] - _BOXES[j][0]
-            for _refine in range(20):
-                ti = np.linspace(
-                    max(_BOXES[i][0], point[i] - width_i),
-                    min(_BOXES[i][1], point[i] + width_i),
-                    33,
-                )
-                tj = np.linspace(
-                    max(_BOXES[j][0], point[j] - width_j),
-                    min(_BOXES[j][1], point[j] + width_j),
-                    33,
-                )
-                coords = [np.full((33, 33), v) for v in point]
-                coords[i] = np.broadcast_to(ti[:, None], (33, 33))
-                coords[j] = np.broadcast_to(tj[None, :], (33, 33))
-                vals = system.min_slack_float(*coords)
-                k = int(np.argmax(vals))
-                ki, kj = divmod(k, 33)
-                if vals.flat[k] > best:
-                    improved += vals.flat[k] - best
-                    best = float(vals.flat[k])
-                    point[i], point[j] = float(ti[ki]), float(tj[kj])
-                width_i /= 3.0
-                width_j /= 3.0
-        if improved < 1e-16:
-            break
-    return best, point
+    m = _GRID_DENOM
+    for iu in range(m // 3 + 1):  # 3u <= 1
+        for iy in itertools.count():
+            r_room, z_room = _headroom(iu / m, iy / m, 0.0, 0.0)
+            if r_room < 0 or z_room < 0:
+                break  # both shrink as y grows
+            yield iu, iy, floor(z_room * m) + 1, floor(r_room * m) + 1
 
 
 def scan_constraint_system() -> ScanResult:
-    """Maximize the minimum slack over the feasible region.
-
-    Grid scan: for each grid (u, y) the feasible (z, r) set is the rectangle
-    [0, u - 3y/4] x [0, 1 - 3u - y/2], evaluated vectorized.  The best grid
-    point is then polished by projected coordinate ascent, and the exact
-    slack pair is computed at (1/3, 0, 0, 0) in Fraction arithmetic.
-    """
+    """Maximize the float64 minimum slack over the feasible grid points,
+    one vectorized (z, r) rectangle per grid (u, y), and compute the exact
+    slack pair at (1/3, 0, 0, 0) in Fraction arithmetic."""
     system = ConstraintSystem()
     bound1, bound2 = float(system.bound1), float(system.bound2)
-    h = _GRID_STEP
-    best = -np.inf
-    best_point = (0.0, 0.0, 0.0, 0.0)
-    total = 0
-    for u in np.arange(0.0, _BOXES[0][1] + h / 2, h):
-        for y in np.arange(0.0, _BOXES[1][1] + h / 2, h):
-            r_hi, z_hi = _headroom(u, y, 0.0, 0.0)
-            if r_hi < 0 or z_hi < 0:
-                break  # both shrink as y grows
-            zs = np.arange(0.0, z_hi + h / 2, h)
-            rs = np.arange(0.0, r_hi + h / 2, h)
-            grid = np.minimum(*_slack_pair(u, y, zs[:, None], rs[None, :], bound1, bound2))
-            total += grid.size
-            k = int(np.argmax(grid))
-            if grid.flat[k] > best:
-                best = float(grid.flat[k])
-                iz, ir = divmod(k, grid.shape[1])
-                best_point = (float(u), float(y), float(zs[iz]), float(rs[ir]))
-
-    polished_value, polished_point = _polish(system, best_point)
+    m = _GRID_DENOM
+    best, best_index, total = -np.inf, None, 0
+    for iu, iy, nz, nr in _grid_columns():
+        zs, rs = np.arange(nz)[:, None] / m, np.arange(nr) / m
+        grid = np.minimum(*_slack_pair(iu / m, iy / m, zs, rs, bound1, bound2))
+        total += grid.size
+        k = int(np.argmax(grid))
+        if grid.flat[k] > best:
+            best = float(grid.flat[k])
+            best_index = (iu, iy, *divmod(k, nr))
     return ScanResult(
         grid_value=best,
-        grid_point=best_point,
-        polished_value=polished_value,
-        polished_point=tuple(polished_point),
+        grid_point=tuple(Fraction(i, m) for i in best_index),
         grid_points=total,
         exact_slacks_at_optimum=system.slacks(*ConstraintSystem.OPTIMUM),
     )

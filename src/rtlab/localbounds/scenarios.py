@@ -186,15 +186,6 @@ class EnumerationResult:
     nodes: int
     free_slot_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "maximum": self.maximum,
-            "witness": None if self.witness is None else [list(s) for s in self.witness],
-            "nodes": self.nodes,
-            "free_slot_count": self.free_slot_count,
-        }
-
 
 def slots_between(colors, side_a, side_b) -> tuple[Slot, ...]:
     """All ordered slots in the given colors running between the two sides."""
@@ -529,6 +520,20 @@ def _typed_seq(values, kind: type, what: str) -> tuple:
     return tuple(_typed(v, kind, f"{what} entry") for v in _typed(values, list, what))
 
 
+def _record(d, keys: str, what: str) -> dict:
+    """``d`` if it is a JSON object with no key outside ``keys``; an unread
+    key, a misspelled one say, would silently change what a record checks."""
+    unknown = sorted(set(_typed(d, dict, what)) - set(keys.split()))
+    if unknown:
+        raise GraphInputError(f"{what} has unknown key {', '.join(map(repr, unknown))}")
+    return d
+
+
+def _records(d: dict, field: str, keys: str) -> list[dict]:
+    """The optional JSON array ``d[field]`` of records, each as ``_record``."""
+    return [_record(e, keys, f"{field} entry") for e in _typed(d.get(field, []), list, field)]
+
+
 def _slot_from_list(slot) -> Slot:
     color, src, dst = _typed(slot, list, "slot")
     return (
@@ -583,9 +588,13 @@ def scenario_from_dict(d: dict) -> Scenario:
     """Parse one JSON scenario record and validate it.  Ids, sources,
     kinds, ops, patterns, states and vertex labels must be strings, and
     color counts, colors, values and bound terms integers; anything else
-    raises GraphInputError rather than being converted."""
+    raises GraphInputError rather than being converted, and so does a key
+    that no record of its kind reads."""
     try:
-        obj = d["objective"]
+        keys = "id source colors vertices objective bound groups fixed_edges constraints"
+        _record(d, keys, "scenario")
+        obj = _record(d["objective"], "colors between", "objective")
+        bound = _record(d["bound"], "num den", "bound")
         side_a, side_b = _typed(obj["between"], list, "objective between")
         scenario = Scenario(
             id=_typed(d["id"], str, "scenario id"),
@@ -598,8 +607,8 @@ def scenario_from_dict(d: dict) -> Scenario:
                 side_b=_typed_seq(side_b, str, "objective side"),
             ),
             bound=Fraction(
-                _typed(d["bound"]["num"], int, "bound num"),
-                _typed(d["bound"]["den"], int, "bound den"),
+                _typed(bound["num"], int, "bound num"),
+                _typed(bound["den"], int, "bound den"),
             ),
             groups=tuple(
                 Group(
@@ -607,7 +616,7 @@ def scenario_from_dict(d: dict) -> Scenario:
                     colors=_typed_seq(g["colors"], int, "group colors"),
                     members=_typed_seq(g["members"], str, "group members"),
                 )
-                for g in _typed(d.get("groups", []), list, "groups")
+                for g in _records(d, "groups", "kind colors members")
             ),
             fixed_edges=tuple(
                 (
@@ -616,11 +625,13 @@ def scenario_from_dict(d: dict) -> Scenario:
                     _typed(e["to"], str, "fixed edge label"),
                     _typed(e["state"], str, "fixed edge state"),
                 )
-                for e in _typed(d.get("fixed_edges", []), list, "fixed_edges")
+                for e in _records(d, "fixed_edges", "color from to state")
             ),
             constraints=tuple(
                 _constraint_from_dict(c)
-                for c in _typed(d.get("constraints", []), list, "constraints")
+                for c in _records(
+                    d, "constraints", "kind pattern op value slots vertex pair colors"
+                )
             ),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

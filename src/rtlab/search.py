@@ -93,7 +93,6 @@ class SearchResult:
     witness: ColoredDigraph | None
     nodes: int
     exhaustive: bool
-    objective: SearchObjective
 
 
 def _pairs_by_max_endpoint(n: int) -> list[tuple[int, int]]:
@@ -218,7 +217,6 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
         witness=best_graph,
         nodes=tracker.nodes,
         exhaustive=not tracker.hit,
-        objective=problem.objective,
     )
 
 

@@ -157,18 +157,16 @@ def test_criterion_5_two_set_edge_bound():
 
 
 def test_criterion_6_scan_confirms_unique_optimum():
+    # the claimed optimum is a grid point, so the best one must be exactly it
     segment = check_constraint_scan()
-    value, point = segment["polished_value"], segment["polished_point"]
-    u, y, z, r = point
-    near = (
-        abs(u - 1 / 3) <= 1e-4 and abs(y) <= 1e-4 and abs(z) <= 1e-4 and abs(r) <= 1e-4
-    )
+    value, point = segment["grid_value"], segment["grid_point"]
+    at_optimum = point == [float(v) for v in ConstraintSystem.OPTIMUM]
     exact_zero = ConstraintSystem().slacks(*ConstraintSystem.OPTIMUM) == (0, 0)
-    ok = value <= 1e-9 and near and exact_zero and segment["pass"]
+    ok = value <= 0 and at_optimum and exact_zero and segment["pass"]
     verdict(
         "criterion 6: constraint scan pins the unique zero-slack optimum",
         ok,
-        f"polished value {value:.2e} at {tuple(round(v, 6) for v in point)}",
+        f"best grid value {value:.2e} at {tuple(round(v, 6) for v in point)}",
     )
 
 

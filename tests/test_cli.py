@@ -359,6 +359,44 @@ def test_scenario_run_rejects_loosely_typed_fields(tmp_path, capsys, field, valu
     assert "input error" in err and repr(value) in err
 
 
+@pytest.mark.parametrize(
+    "record_of, unknown",
+    [
+        ("scenario", "constraint"),
+        ("objective", "side_a"),
+        ("bound", "denominator"),
+        ("group", "color"),
+        ("fixed_edge", "colour"),
+        ("constraint", "values"),
+    ],
+)
+def test_scenario_run_rejects_unknown_keys(tmp_path, capsys, record_of, unknown):
+    # a key no record reads was ignored, so a misspelled one left its field
+    # at the default and changed what the file checks
+    record = json.loads(dumps_scenarios([scenario_pair(4)]))[0]
+    record["vertices"] = ["u", "v", "x"]
+    record["groups"] = [{"kind": "R", "colors": [], "members": ["x"]}]
+    record["fixed_edges"] = [{"color": 1, "from": "u", "to": "x", "state": "absent"}]
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps([record]))
+    code, report, _ = run_cli(capsys, "scenario", "run", "--file", str(path))
+    assert code == 0 and report["pass"] is True
+
+    owner = {
+        "scenario": record,
+        "objective": record["objective"],
+        "bound": record["bound"],
+        "group": record["groups"][0],
+        "fixed_edge": record["fixed_edges"][0],
+        "constraint": record["constraints"][-1],
+    }[record_of]
+    owner[unknown] = []
+    path.write_text(json.dumps([record]))
+    code, report, err = run_cli(capsys, "scenario", "run", "--file", str(path))
+    assert code == 2 and report is None
+    assert "input error" in err and f"unknown key {unknown!r}" in err
+
+
 def test_verify_all_missing_catalogue(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -408,6 +446,17 @@ def test_non_catalogue_checks_name_their_failures(monkeypatch):
     assert segment["pass"] is False and segment["mismatches"] > 0
 
 
+def test_detector_sanity_catches_a_blind_detector(monkeypatch):
+    # a finder and a counter that agree on "no rainbow anywhere" must not
+    # pass: the per-triple Hall test does not go through their kernel
+    monkeypatch.setattr(cli, "find_rainbow", lambda g, pattern: None)
+    monkeypatch.setattr(cli, "count_rainbow", lambda g, pattern: 0)
+    segment = cli.check_detector_sanity(cli.DEFAULT_SEED)
+    assert segment["pass"] is False
+    # 124 of the 200 graphs hold a rainbow directed triangle, 151 a transitive one
+    assert segment["mismatches"] == 124 + 151
+
+
 def test_lemma21_cli(capsys):
     code, report, _ = run_cli(capsys, "lemma21", "--a", "3", "--b", "3")
     assert code == 0
@@ -426,9 +475,11 @@ def test_optscan_cli(capsys):
     assert code == 0
     results = report["results"]
     assert "step" not in results and "iters" not in results
-    assert results["grid_points"] == 109_502_171
+    assert not any(key.startswith("polished") for key in results)
+    assert results["grid_points"] == 106_601_574
+    assert results["grid_value"] == 0.0
+    assert results["grid_point"] == [1 / 3, 0.0, 0.0, 0.0]
     assert results["optimum_confirmed"] is True
-    assert results["polished_value"] <= 1e-9
     assert results["exact_slacks_at_optimum"] == ["0", "0"]
 
     # the scan has one fixed resolution: the old knobs are usage errors

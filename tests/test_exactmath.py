@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import floor
 
 import numpy as np
 import pytest
@@ -8,6 +10,12 @@ from rtlab.exactmath import (
     SQRT7,
     ConstraintSystem,
     QuadraticRational,
+    ScanResult,
+    _feasible,
+    _grid_columns,
+    _GRID_DENOM,
+    _headroom,
+    _slack_pair,
     lemma21_bound,
     lemma21_oracle,
     scan_constraint_system,
@@ -180,7 +188,8 @@ def test_constraint_system_sample_points():
 
 
 def test_constraint_system_float_agrees_with_exact():
-    # one call evaluates every sample; the float mask is the exact feasibility
+    # the scan's float path: one call evaluates every sample, and the float
+    # feasibility mask is the exact one
     system = ConstraintSystem()
     rng = random.Random(3)
     points = [
@@ -193,23 +202,47 @@ def test_constraint_system_float_agrees_with_exact():
         for _ in range(200)
     ]
     coords = np.array(points, dtype=float).T
-    approx = system.min_slack_float(*coords)
-    assert approx.shape == (200,)
-    feasible = 0
-    for point, value in zip(points, approx):
-        if system.feasible(*point):
-            feasible += 1
-            assert abs(float(system.min_slack(*point)) - value) < 1e-12
-        else:
-            assert value == -np.inf
-    assert 10 < feasible < 200
-    assert system.min_slack_float(1 / 3, 0.0, 0.0, 0.0) == 0.0
+    s1, s2 = _slack_pair(*coords, float(system.bound1), float(system.bound2))
+    mask = _feasible(*coords)
+    assert s1.shape == s2.shape == mask.shape == (200,)
+    for point, a, b, ok in zip(points, s1, s2, mask):
+        assert ok == system.feasible(*point), point
+        exact1, exact2 = system.slacks(*point)
+        assert abs(float(exact1) - a) < 1e-12 and abs(float(exact2) - b) < 1e-12
+    assert 10 < mask.sum() < 200
+    assert min(_slack_pair(1 / 3, 0.0, 0.0, 0.0, 1 / 9, 1 / 3)) == 0.0
+
+
+def test_scan_grid_stays_inside_the_exact_region():
+    # the float bounds floor(headroom * 498) against the same bounds in
+    # Fraction: never above, so no grid point outside the region is graded
+    m = _GRID_DENOM
+    kept = below = 0
+    for iu, iy, nz, nr in _grid_columns():
+        r_room, z_room = _headroom(Fraction(iu, m), Fraction(iy, m), 0, 0)
+        assert r_room >= 0 and z_room >= 0, (iu, iy)
+        assert nz - 1 <= z_room * m and nr - 1 <= r_room * m, (iu, iy)
+        kept += 1
+        below += (nz - 1 < floor(z_room * m)) + (nr - 1 < floor(r_room * m))
+    assert kept == 15_134
+    # rounding only drops boundary rows or columns whose exact bound is an integer
+    assert below == 3_428
 
 
 def test_scan_at_the_fixed_resolution():
     result = scan_constraint_system()
-    assert result.grid_points == 109_502_171
-    assert result.grid_point == (0.332, 0.0, 0.004, 0.0)
-    assert result.grid_value <= 0
+    assert result.grid_points == 106_601_574
+    assert result.grid_point == ConstraintSystem.OPTIMUM
+    assert result.grid_value == 0.0
     assert result.exact_slacks_at_optimum == (0, 0)
     assert result.optimum_confirmed
+
+
+def test_optimum_is_confirmed_only_at_the_claimed_point():
+    at_optimum = ScanResult(0.0, ConstraintSystem.OPTIMUM, 1, (Fraction(0), Fraction(0)))
+    assert at_optimum.optimum_confirmed
+    m = _GRID_DENOM
+    runner_up = (Fraction(165, m), Fraction(0), Fraction(2, m), Fraction(0))
+    assert not replace(at_optimum, grid_point=runner_up).optimum_confirmed
+    off = replace(at_optimum, exact_slacks_at_optimum=(Fraction(0), Fraction(1, m)))
+    assert not off.optimum_confirmed

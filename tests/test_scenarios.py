@@ -5,6 +5,7 @@ completion of the free slots with straight-line rule checks.
 """
 
 import itertools
+import json
 import random
 import time
 from dataclasses import replace
@@ -515,6 +516,11 @@ def test_malformed_records_are_rejected():
         loads_scenarios('{"not": "a list"}')
     with pytest.raises(GraphInputError):
         loads_scenarios('[{"id": "x"}]')
+    # a misspelled key is an input error, not a record without that field
+    records = json.loads(dumps_scenarios(load_catalogue("claims_local")))
+    records[0]["constraint"] = records[0].pop("constraints")
+    with pytest.raises(GraphInputError, match="unknown key 'constraint'"):
+        loads_scenarios(json.dumps(records))
 
 
 @pytest.mark.parametrize(
