@@ -60,13 +60,15 @@ for a, b in ((0, 4), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4)):
 
 # The final ingredient is a four-variable constraint system whose two
 # quadratic slacks must both vanish.  One scan at a fixed resolution (a
-# grid of step 1/498, about 1.1e8 feasible points, about a second) holds
-# the claimed optimum (1/3, 0, 0, 0) as a grid point, finds the best
-# minimum slack exactly there, and the slacks there are exactly zero.
+# grid of step 1/498, all 106,923,921 feasible points, in integer
+# arithmetic, about a second) holds the claimed optimum (1/3, 0, 0, 0) as a
+# grid point, finds it the only point where both slacks are >= 0, and the
+# slacks there are exactly zero.
 scan = scan_constraint_system()
 print()
 print("scan over", scan.grid_points, "grid points")
 print("best grid min-slack:", scan.grid_value)
+print("grid points with both slacks >= 0:", scan.nonnegative_points)
 print("at point:", tuple(str(v) for v in scan.grid_point))
 print("exact slacks there:", scan.exact_slacks_at_optimum)
 print("optimum confirmed?", scan.optimum_confirmed)

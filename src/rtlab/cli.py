@@ -241,7 +241,8 @@ def cmd_optscan(args, echo, started) -> int:
     scan = scan_constraint_system()
     results = {
         "grid_points": scan.grid_points,
-        "grid_value": scan.grid_value,
+        "nonnegative_points": scan.nonnegative_points,
+        "grid_value": float(scan.grid_value),
         "grid_point": [float(v) for v in scan.grid_point],
         "exact_slacks_at_optimum": [str(s) for s in scan.exact_slacks_at_optimum],
         "optimum_confirmed": scan.optimum_confirmed,
@@ -337,7 +338,7 @@ def check_constraint_scan() -> dict:
     return {
         "name": "constraint-scan",
         "pass": scan.optimum_confirmed,
-        "grid_value": scan.grid_value,
+        "grid_value": float(scan.grid_value),
         "grid_point": [float(v) for v in scan.grid_point],
     }
 
@@ -541,7 +542,7 @@ def main(argv=None) -> int:
     except GraphInputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

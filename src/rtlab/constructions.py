@@ -16,8 +16,8 @@ patterns while packing as many edges as possible into every color layer:
     live, so no rainbow directed triangle appears; density 5/9 per color.
 
 ``transitive3(n)``
-    Three sets: two of size a = round(alpha*n), alpha = (4 - sqrt 7)/9 (ties
-    toward zero), one of size n - 2a, listed largest-last.  Each set is a
+    Three sets: two of size a = round(alpha*n), alpha = (4 - sqrt 7)/9 (in
+    exact arithmetic), one of size n - 2a, listed largest-last.  Each set is a
     complete double-edge digraph in its two designated colors — the large set
     misses color 3, the small sets are {2,3} and {3,1} — and all cross pairs
     carry double edges in color 3.  Every pair of vertices spans at most two
@@ -48,11 +48,12 @@ allocated.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
+from .exactmath import QuadraticRational
 from .graphs import ColoredDigraph, GraphInputError, check_size
 from .triangles import TrianglePattern
 
@@ -70,7 +71,7 @@ __all__ = [
     "small_set_size",
 ]
 
-ALPHA = (4.0 - math.sqrt(7.0)) / 9.0  # size ratio of each small set in transitive3
+ALPHA = QuadraticRational(Fraction(4, 9), Fraction(-1, 9))  # (4 - sqrt(7)) / 9, small-set ratio
 
 
 class ConstructionId(str, Enum):
@@ -102,11 +103,8 @@ def equal_parts(n: int, k: int) -> list[list[int]]:
 
 
 def small_set_size(n: int) -> int:
-    """round(alpha * n) with ties toward zero (alpha*n is never exactly .5
-    for n > 0 since alpha is irrational, but the convention is pinned)."""
-    x = ALPHA * n
-    frac = x - math.floor(x)
-    return math.floor(x) if frac <= 0.5 else math.ceil(x)
+    """round(alpha * n), exactly; alpha * n is irrational for n > 0, so there is no tie."""
+    return (ALPHA * n + Fraction(1, 2)).floor_scaled(1)
 
 
 def _spans(sizes: list[int]) -> list[slice]:

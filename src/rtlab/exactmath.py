@@ -26,13 +26,11 @@ the verification commands:
 * ``ConstraintSystem`` / ``scan_constraint_system`` -- the final reduction of
   the three-color transitive argument: a system of two quadratic and two
   linear constraints in four nonnegative reals (u, y, z, r) whose non-strict
-  version admits exactly one solution (1/3, 0, 0, 0).  The scanner maximizes
-  the minimum slack of the two quadratic constraints over the feasible
-  points of one fixed grid of step 1/498 (106,601,574 points), which holds
-  the claimed point, and checks that the best grid point is that point and
-  that the slacks vanish there exactly (in Fraction arithmetic).  The slack
-  pair and the linear constraints are each written once, and evaluate
-  exactly on Fractions and elementwise on float64 arrays.
+  version admits exactly one solution (1/3, 0, 0, 0).  The system is written
+  once, in integers, for a point over a common denominator.  The scanner
+  grades all 106,923,921 feasible points of the grid of step 1/498 exactly
+  and checks that (1/3, 0, 0, 0) is the only one where both slacks are
+  >= 0, and that both vanish there.
 """
 
 from __future__ import annotations
@@ -40,9 +38,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor, isqrt
+from math import comb, isqrt, lcm
 
 import numpy as np
+
+from .graphs import GraphInputError
 
 __all__ = [
     "QuadraticRational",
@@ -216,7 +216,7 @@ class QuadraticRational:
     def floor_scaled(self, scale: int) -> int:
         """floor(self * scale) for a positive integer scale, exactly."""
         if scale <= 0:
-            raise ValueError("scale must be a positive integer")
+            raise GraphInputError("scale must be a positive integer")
         a, b = self.a * scale, self.b * scale
         d = a.denominator * b.denominator
         big_a = a.numerator * b.denominator
@@ -228,7 +228,7 @@ class QuadraticRational:
     def decimal(self, digits: int = 4) -> str:
         """Decimal string rounded (half away from zero) to ``digits`` places."""
         if digits < 0:
-            raise ValueError("digits must be non-negative")
+            raise GraphInputError("digits must be non-negative")
         neg = self.sign() < 0
         v = -self if neg else self
         scaled = (v.floor_scaled(10 ** (digits + 1)) + 5) // 10
@@ -419,7 +419,7 @@ def threshold_value(entry: ThresholdEntry, n: int, c: int | None = None) -> Quad
     quad = entry.quad
     if entry.scales_with_colors:
         if c is None:
-            raise ValueError(f"entry {entry.name!r} needs the number of colors")
+            raise GraphInputError(f"entry {entry.name!r} needs the number of colors")
         quad = quad * c
     return quad * (n * n) + QuadraticRational(entry.linear * n)
 
@@ -433,7 +433,7 @@ def lemma21_bound(a: int, b: int) -> int:
     """Edge bound C(a,2) + C(b,2) + min(a,b) for graphs on two disjoint sets
     with no triangle touching both sides."""
     if a < 0 or b < 0:
-        raise ValueError("set sizes must be non-negative")
+        raise GraphInputError("set sizes must be non-negative")
     return comb(a, 2) + comb(b, 2) + min(a, b)
 
 
@@ -453,9 +453,9 @@ def lemma21_oracle(a: int, b: int) -> int:
     pairs.
     """
     if a < 0 or b < 0:
-        raise ValueError("set sizes must be non-negative")
+        raise GraphInputError("set sizes must be non-negative")
     if max(a, b, a * b) > MAX_LEMMA21_SIZE:
-        raise ValueError(
+        raise GraphInputError(
             f"a={a}, b={b} exceed the limit MAX_LEMMA21_SIZE = {MAX_LEMMA21_SIZE} "
             "on a*b and on each side"
         )
@@ -480,36 +480,27 @@ def lemma21_oracle(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _slack_pair(u, y, z, r, bound1, bound2):
-    """The slack pair (q1 - bound1, q2 - bound2) of ``ConstraintSystem``.
+def _scaled_system(iu, iy, iz, ir, m):
+    """The system at (u, y, z, r) = (iu, iy, iz, ir) / m in exact integers:
+    (144 m^2 q1, 144 m^2 q2, 4m (1 - 3u - y/2 - r), 4m (u - 3y/4 - z)).
 
-    The coefficients are made in the number type of the bounds: ``Fraction``
-    bounds give exact slacks at a rational point, float bounds give float64
-    slacks, elementwise over (broadcast) arrays.  q1 is expanded as
-    base^2 + 2*base*w, with each bound subtracted last; the scan's results
-    depend on this exact float order.
+    Works on Python ints and elementwise on int64 arrays.  With every
+    numerator in [-2m, 2m] each intermediate is below 2^14 m^2 in absolute
+    value, so int64 is exact for m <= 2^24; at the feasible points of the
+    scan's grid (m = 498) every value is below 2^31.
     """
-    num = type(bound1)
-    half = num(1) / 2
-    w = half * z + num(3) / 4 * r
-    base = u + y * (num(7) / 12)
-    lin = 1 - half * y - 2 * u - r
-    s1 = base * base + 2 * base * w - bound1
-    s2 = 2 * u * u + lin * lin - half * y * z - num(3) / 2 * z * z - bound2
-    return s1, s2
+    base = 12 * iu + 7 * iy  # 12m (u + 7y/12)
+    w = 6 * iz + 9 * ir  # 12m (z/2 + 3r/4)
+    lin = 12 * (m - ir - 2 * iu) - 6 * iy  # 12m (1 - r - y/2 - 2u)
+    q1 = base * (base + 2 * w)
+    q2 = 288 * iu * iu + lin * lin - 72 * iz * (iy + 3 * iz)
+    return q1, q2, 4 * (m - 3 * iu - ir) - 2 * iy, 4 * (iu - iz) - 3 * iy
 
 
-def _headroom(u, y, z, r):
-    """Headroom of the two linear constraints, 1 - (3u + y/2 + r) and
-    u - 3y/4 - z; exact on Fractions, elementwise on float64 arrays."""
-    return 1 - 3 * u - y / 2 - r, u - 3 * y / 4 - z
-
-
-def _feasible(u, y, z, r):
-    """Nonnegative variables and headroom; exact on Fractions, elementwise
-    on float64 arrays."""
-    room1, room2 = _headroom(u, y, z, r)
-    return (u >= 0) & (y >= 0) & (z >= 0) & (r >= 0) & (room1 >= 0) & (room2 >= 0)
+def _numerators(point) -> tuple[list[int], int]:
+    """The numerators of a rational point over its least common denominator m, and m."""
+    m = lcm(*(Fraction(x).denominator for x in point))
+    return [(Fraction(x) * m).numerator for x in point], m
 
 
 @dataclass(frozen=True)
@@ -535,12 +526,15 @@ class ConstraintSystem:
     OPTIMUM = (Fraction(1, 3), Fraction(0), Fraction(0), Fraction(0))
 
     def feasible(self, u, y, z, r) -> bool:
-        return _feasible(*map(Fraction, (u, y, z, r)))
+        nums, m = _numerators((u, y, z, r))
+        return min(*nums, *_scaled_system(*nums, m)[2:]) >= 0
 
     def slacks(self, u, y, z, r) -> tuple[Fraction, Fraction]:
         """Exact slack pair at a rational point."""
-        point = map(Fraction, (u, y, z, r))
-        return _slack_pair(*point, Fraction(self.bound1), Fraction(self.bound2))
+        nums, m = _numerators((u, y, z, r))
+        q1, q2, _, _ = _scaled_system(*nums, m)
+        scale = 144 * m * m
+        return Fraction(q1, scale) - self.bound1, Fraction(q2, scale) - self.bound2
 
     def min_slack(self, u, y, z, r) -> Fraction:
         return min(self.slacks(u, y, z, r))
@@ -548,18 +542,20 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """The best feasible grid point, in exact coordinates, and its slack."""
+    """The best feasible grid point, in exact coordinates, its exact minimum
+    slack, and the number of feasible grid points with both slacks >= 0."""
 
-    grid_value: float
+    grid_value: Fraction
     grid_point: tuple[Fraction, Fraction, Fraction, Fraction]
     grid_points: int
+    nonnegative_points: int
     exact_slacks_at_optimum: tuple[Fraction, Fraction]
 
     @property
     def optimum_confirmed(self) -> bool:
-        """Whether the best grid point is OPTIMUM, with exact slacks (0, 0)."""
-        optimum = ConstraintSystem.OPTIMUM
-        return self.grid_point == optimum and self.exact_slacks_at_optimum == (0, 0)
+        """Whether OPTIMUM alone has both slacks >= 0, and both are 0 there."""
+        exact = self.exact_slacks_at_optimum == (0, 0)
+        return self.nonnegative_points == 1 and self.grid_point == ConstraintSystem.OPTIMUM and exact
 
 
 # The scan's grid: every coordinate is i / _GRID_DENOM for an integer i.
@@ -567,42 +563,46 @@ class ScanResult:
 _GRID_DENOM = 498
 
 
-def _grid_columns():
-    """(iu, iy, nz, nr) for each grid (u, y) with nonnegative headroom: its
-    feasible grid z and r are i / 498 for i in range(nz) and range(nr).
-
-    Both exact headrooms times 498 are multiples of 1/4 there, so the floor
-    of the float headroom times 498 never exceeds the exact one; rounding
-    can only drop a boundary point whose exact bound is an integer.
-    """
-    m = _GRID_DENOM
+def _grid_columns(m):
+    """(iu, iy, nz, nr) for each (u, y) with nonnegative headroom on the grid
+    of step 1/m: its feasible grid z and r are i / m for i in range(nz) and
+    range(nr), since a grid step of z or r takes 4 off one scaled headroom."""
     for iu in range(m // 3 + 1):  # 3u <= 1
         for iy in itertools.count():
-            r_room, z_room = _headroom(iu / m, iy / m, 0.0, 0.0)
-            if r_room < 0 or z_room < 0:
+            *_, room1, room2 = _scaled_system(iu, iy, 0, 0, m)
+            if min(room1, room2) < 0:
                 break  # both shrink as y grows
-            yield iu, iy, floor(z_room * m) + 1, floor(r_room * m) + 1
+            yield iu, iy, room2 // 4 + 1, room1 // 4 + 1
 
 
 def scan_constraint_system() -> ScanResult:
-    """Maximize the float64 minimum slack over the feasible grid points,
-    one vectorized (z, r) rectangle per grid (u, y), and compute the exact
-    slack pair at (1/3, 0, 0, 0) in Fraction arithmetic."""
+    """Maximize the exact minimum slack over every feasible point of the grid
+    of step 1/498, one int64 (z, r) rectangle per grid (u, y), and count the
+    points with both slacks >= 0.  Neither slack has a z*r term, so each
+    rectangle is the outer sum of its r = 0 column and its z = 0 row, less
+    the corner they share."""
     system = ConstraintSystem()
-    bound1, bound2 = float(system.bound1), float(system.bound2)
     m = _GRID_DENOM
-    best, best_index, total = -np.inf, None, 0
-    for iu, iy, nz, nr in _grid_columns():
-        zs, rs = np.arange(nz)[:, None] / m, np.arange(nr) / m
-        grid = np.minimum(*_slack_pair(iu / m, iy / m, zs, rs, bound1, bound2))
+    scale = 144 * m * m
+    # the bounds 1/9 and 1/3 times 144 m^2 are the integers 16 m^2 and 48 m^2
+    bound1, bound2 = (int(b * scale) for b in (system.bound1, system.bound2))
+    steps = np.arange(m + 1, dtype=np.int64)
+    best, best_index, total, nonnegative = None, None, 0, 0
+    for iu, iy, nz, nr in _grid_columns(m):
+        z1, z2, _, _ = _scaled_system(iu, iy, steps[:nz], 0, m)
+        r1, r2, _, _ = _scaled_system(iu, iy, 0, steps[:nr], m)
+        s1 = (z1 - bound1)[:, None] + (r1 - r1[0])
+        grid = np.minimum(s1, (z2 - bound2)[:, None] + (r2 - r2[0]))
         total += grid.size
-        k = int(np.argmax(grid))
-        if grid.flat[k] > best:
-            best = float(grid.flat[k])
-            best_index = (iu, iy, *divmod(k, nr))
+        top = int(grid.max())
+        if top >= 0:
+            nonnegative += int(np.count_nonzero(grid >= 0))
+        if best is None or top > best:
+            best, best_index = top, (iu, iy, *divmod(int(grid.argmax()), nr))
     return ScanResult(
-        grid_value=best,
+        grid_value=Fraction(best, scale),
         grid_point=tuple(Fraction(i, m) for i in best_index),
         grid_points=total,
+        nonnegative_points=nonnegative,
         exact_slacks_at_optimum=system.slacks(*ConstraintSystem.OPTIMUM),
     )

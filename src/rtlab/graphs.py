@@ -70,7 +70,8 @@ MAX_CELLS = 1 << 26
 
 
 class GraphInputError(ValueError):
-    """Raised for structurally invalid graph input (bad vertex, color, loop)."""
+    """Raised for invalid input: a bad vertex, color, loop, size, scenario or
+    parameter.  The command line reports it with exit code 2."""
 
 
 def check_size(n: int, c: int) -> None:

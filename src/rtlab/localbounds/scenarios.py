@@ -125,6 +125,16 @@ CONSTRAINT_KINDS = frozenset(
     }
 )
 
+# The fields of a constraint that each kind reads; every other kind reads
+# none.  JSON records carry exactly these keys besides ``kind``, and
+# ``canonical_key`` keeps exactly these.
+_CONSTRAINT_FIELDS = {
+    "no_rainbow": ("pattern",),
+    "pair_edge_cap": ("value",),
+    "slot_sum": ("op", "value", "slots"),
+    "no_shared_color_link": ("vertex", "pair", "colors"),
+}
+
 Slot = tuple[int, str, str]  # (color, from label, to label)
 
 
@@ -410,8 +420,7 @@ def canonical_key(scenario: Scenario) -> tuple:
     rule, fixture and the objective is unchanged when colors are permuted or
     vertices relabelled, so two scenarios with one normal form in common are
     the same instance up to names.  Of a constraint the form keeps only the
-    fields its kind reads (``pattern``; ``value``; ``op``, ``value`` and
-    ``slots``; ``vertex``, ``pair`` and ``colors``); the engine ignores the
+    fields its kind reads (``_CONSTRAINT_FIELDS``); the engine ignores the
     rest.
 
     A normal form sorts only what the engine treats as unordered:
@@ -451,18 +460,18 @@ def canonical_key(scenario: Scenario) -> tuple:
         def verts(labels):
             return tuple(sorted(pi[v] for v in labels))
 
+        def slots(entries):
+            return tuple(sorted((sigma[col], pi[a], pi[b]) for col, a, b in entries))
+
+        # how a field is written under sigma and pi; the others are kept as they are
+        relabel = {"slots": slots, "vertex": pi.__getitem__, "pair": verts, "colors": cols}
+
         def con_form(con):
-            kind = con.kind
-            if kind == "no_rainbow":
-                return (kind, con.pattern)
-            if kind == "pair_edge_cap":
-                return (kind, con.value)
-            if kind == "slot_sum":
-                slots = sorted((sigma[col], pi[a], pi[b]) for col, a, b in con.slots)
-                return (kind, con.op, con.value, tuple(slots))
-            if kind == "no_shared_color_link":
-                return (kind, pi[con.vertex], verts(con.pair), cols(con.colors))
-            return (kind,)
+            form = [con.kind]
+            for field in _CONSTRAINT_FIELDS.get(con.kind, ()):
+                value = getattr(con, field)
+                form.append(relabel[field](value) if field in relabel else value)
+            return tuple(form)
 
         return (
             cols(obj.colors),
@@ -489,20 +498,11 @@ def canonical_key(scenario: Scenario) -> tuple:
 
 def _constraint_to_dict(con: Constraint) -> dict:
     out: dict = {"kind": con.kind}
-    if con.pattern:
-        out["pattern"] = con.pattern
-    if con.op:
-        out["op"] = con.op
-    if con.kind in ("pair_edge_cap", "slot_sum"):
-        out["value"] = con.value
-    if con.slots:
-        out["slots"] = [list(s) for s in con.slots]
-    if con.vertex:
-        out["vertex"] = con.vertex
-    if con.pair:
-        out["pair"] = list(con.pair)
-    if con.colors:
-        out["colors"] = list(con.colors)
+    for field in _CONSTRAINT_FIELDS.get(con.kind, ()):
+        value = getattr(con, field)
+        if field == "slots":
+            value = [list(s) for s in value]
+        out[field] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -543,19 +543,28 @@ def _slot_from_list(slot) -> Slot:
     )
 
 
+_FIELD_PARSERS = {
+    "pattern": lambda v: _typed(v, str, "constraint pattern"),
+    "op": lambda v: _typed(v, str, "constraint op"),
+    "value": lambda v: _typed(v, int, "constraint value"),
+    "slots": lambda v: tuple(_slot_from_list(s) for s in _typed(v, list, "slots")),
+    "vertex": lambda v: _typed(v, str, "constraint vertex"),
+    "pair": lambda v: _typed_seq(v, str, "constraint pair"),
+    "colors": lambda v: _typed_seq(v, int, "constraint colors"),
+}
+
+
 def _constraint_from_dict(d: dict) -> Constraint:
-    return Constraint(
-        kind=_typed(d["kind"], str, "constraint kind"),
-        pattern=_typed(d.get("pattern", ""), str, "constraint pattern"),
-        op=_typed(d.get("op", ""), str, "constraint op"),
-        value=_typed(d.get("value", 0), int, "constraint value"),
-        slots=tuple(
-            _slot_from_list(s) for s in _typed(d.get("slots", []), list, "slots")
-        ),
-        vertex=_typed(d.get("vertex", ""), str, "constraint vertex"),
-        pair=_typed_seq(d.get("pair", []), str, "constraint pair"),
-        colors=_typed_seq(d.get("colors", []), int, "constraint colors"),
-    )
+    """A constraint record holds ``kind`` and exactly the fields that kind
+    reads: an unread field would be ignored, and a missing one would take
+    a default such as cap 0."""
+    kind = _typed(_typed(d, dict, "constraints entry")["kind"], str, "constraint kind")
+    fields = _CONSTRAINT_FIELDS.get(kind, ())
+    _record(d, " ".join(("kind", *fields)), f"{kind} constraint")
+    missing = [field for field in fields if field not in d]
+    if missing:
+        raise GraphInputError(f"{kind} constraint needs key {', '.join(map(repr, missing))}")
+    return Constraint(kind=kind, **{field: _FIELD_PARSERS[field](d[field]) for field in fields})
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -589,7 +598,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     kinds, ops, patterns, states and vertex labels must be strings, and
     color counts, colors, values and bound terms integers; anything else
     raises GraphInputError rather than being converted, and so does a key
-    that no record of its kind reads."""
+    that no record of its kind reads, or a constraint record that lacks a
+    field its kind reads."""
     try:
         keys = "id source colors vertices objective bound groups fixed_edges constraints"
         _record(d, keys, "scenario")
@@ -629,9 +639,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             ),
             constraints=tuple(
                 _constraint_from_dict(c)
-                for c in _records(
-                    d, "constraints", "kind pattern op value slots vertex pair colors"
-                )
+                for c in _typed(d.get("constraints", []), list, "constraints")
             ),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

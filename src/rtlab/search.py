@@ -35,7 +35,7 @@ from enum import Enum
 from operator import add
 from typing import Sequence
 
-from .graphs import ColoredDigraph, GraphBuilder, count_color, is_oriented
+from .graphs import ColoredDigraph, GraphBuilder, GraphInputError, count_color, is_oriented
 from .triangles import TrianglePattern, find_rainbow, rainbow_free_check
 
 __all__ = [
@@ -70,11 +70,11 @@ class SearchProblem:
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_SEARCH_VERTICES:
-            raise ValueError(
+            raise GraphInputError(
                 f"n must lie in 0..{MAX_SEARCH_VERTICES} (MAX_SEARCH_VERTICES), got {self.n}"
             )
         if not 1 <= self.c <= 8:
-            raise ValueError("c must be between 1 and 8")
+            raise GraphInputError("c must be between 1 and 8")
 
     @property
     def pair_capacity(self) -> int:
@@ -158,10 +158,10 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     ``budget`` caps the number of pair-state assignments explored; when the
     cap is hit the result carries ``exhaustive=False`` and the best value
     found so far, with its witness (none if no complete graph was reached).
-    A negative budget raises ValueError; budget 0 stops at the first node.
+    A negative budget raises GraphInputError; budget 0 stops at the first node.
     """
     if budget is not None and budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+        raise GraphInputError(f"budget must be non-negative, got {budget}")
     n, c = problem.n, problem.c
     pairs = _pairs_by_max_endpoint(n)
     num_pairs = len(pairs)

@@ -368,6 +368,9 @@ def test_scenario_run_rejects_loosely_typed_fields(tmp_path, capsys, field, valu
         ("group", "color"),
         ("fixed_edge", "colour"),
         ("constraint", "values"),
+        ("constraint", "pattern"),
+        ("no_rainbow", "value"),
+        ("no_rainbow", "colors"),
     ],
 )
 def test_scenario_run_rejects_unknown_keys(tmp_path, capsys, record_of, unknown):
@@ -389,12 +392,25 @@ def test_scenario_run_rejects_unknown_keys(tmp_path, capsys, record_of, unknown)
         "group": record["groups"][0],
         "fixed_edge": record["fixed_edges"][0],
         "constraint": record["constraints"][-1],
+        "no_rainbow": record["constraints"][0],
     }[record_of]
     owner[unknown] = []
     path.write_text(json.dumps([record]))
     code, report, err = run_cli(capsys, "scenario", "run", "--file", str(path))
     assert code == 2 and report is None
     assert "input error" in err and f"unknown key {unknown!r}" in err
+
+
+def test_scenario_run_requires_the_keys_a_constraint_reads(tmp_path, capsys):
+    # a pair_edge_cap with no value loaded as cap 0
+    path = tmp_path / "missing.json"
+    for index, key in ((0, "pattern"), (1, "value")):
+        record = json.loads(dumps_scenarios([scenario_pair(4)]))[0]
+        del record["constraints"][index][key]
+        path.write_text(json.dumps([record]))
+        code, report, err = run_cli(capsys, "scenario", "run", "--file", str(path))
+        assert code == 2 and report is None
+        assert "input error" in err and f"needs key {key!r}" in err
 
 
 def test_verify_all_missing_catalogue(tmp_path, capsys):
@@ -476,7 +492,8 @@ def test_optscan_cli(capsys):
     results = report["results"]
     assert "step" not in results and "iters" not in results
     assert not any(key.startswith("polished") for key in results)
-    assert results["grid_points"] == 106_601_574
+    assert results["grid_points"] == 106_923_921
+    assert results["nonnegative_points"] == 1
     assert results["grid_value"] == 0.0
     assert results["grid_point"] == [1 / 3, 0.0, 0.0, 0.0]
     assert results["optimum_confirmed"] is True
@@ -584,3 +601,14 @@ def test_console_script_installed(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     _check_lemma21_run([str(script)], env=env)
+
+
+def test_library_value_error_exits_3(capsys, monkeypatch):
+    # a ValueError that is not an input error is a crash, not a usage error
+    def broken():
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "scan_constraint_system", broken)
+    code, report, err = run_cli(capsys, "optscan")
+    assert code == 3 and report is None
+    assert "internal error: ValueError" in err

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from rtlab.constructions import (
     two_color_heavy,
     bipartite_double,
 )
+from rtlab.exactmath import SQRT7, threshold_value, thresholds
 from rtlab.graphs import MAX_CELLS, GraphInputError, count_color, is_oriented
 from rtlab.triangles import TrianglePattern, find_rainbow
 
@@ -80,10 +82,10 @@ def test_directed3_contains_rainbow_transitive():
 
 def test_transitive3_small_set_size():
     assert small_set_size(0) == 0
-    assert abs(ALPHA - (4 - math.sqrt(7)) / 9) < 1e-15
-    for n in (10, 100, 1000):
+    assert ALPHA == (4 - SQRT7) / 9
+    for n in (1, 2, 10, 100, 1000, 4729):
         a = small_set_size(n)
-        assert abs(a - ALPHA * n) <= 0.5
+        assert abs(ALPHA * n - a) <= Fraction(1, 2), n
 
 
 def test_transitive3_counts_and_density():
@@ -98,6 +100,29 @@ def test_transitive3_counts_and_density():
     for color in (1, 2, 3):
         ratio = expected_count(ConstructionId.TRANSITIVE3, n, color) / n**2
         assert abs(ratio - target) < 2 / n
+
+
+def test_total_threshold_entries_are_tight():
+    # exactly for n <= 3000: the total over c colors stays at or below
+    # (c/2)n^2 for bipartite_double and (c/3)n^2 for oriented_cyclic, with
+    # equality exactly when the parts are equal
+    table = thresholds()
+    witnesses = [
+        ("directed-total-4plus", ConstructionId.BIPARTITE_DOUBLE, range(4, 7), 2),
+        ("transitive-total-4plus", ConstructionId.BIPARTITE_DOUBLE, range(4, 7), 2),
+        ("transitive-total-oriented", ConstructionId.ORIENTED_CYCLIC, range(3, 6), 3),
+    ]
+    for name, cid, colors, parts in witnesses:
+        entry = table[name]
+        for c in colors:
+            for n in range(3, 3001):
+                total = sum(expected_count(cid, n, color, c) for color in range(1, c + 1))
+                limit = threshold_value(entry, n, c)
+                assert total <= limit and (total == limit) == (n % parts == 0), (name, c, n)
+            for n in range(3, 13):  # the closed form counts the built graph
+                g = build_construction(cid, n, c)
+                built = sum(count_color(g, color) for color in range(1, c + 1))
+                assert built == sum(expected_count(cid, n, color, c) for color in range(1, c + 1))
 
 
 def test_oriented_cyclic_is_oriented_and_counts():

@@ -1,21 +1,21 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import floor
+from math import lcm
 
 import numpy as np
 import pytest
 
+from rtlab import exactmath
 from rtlab.exactmath import (
     SQRT7,
     ConstraintSystem,
     QuadraticRational,
     ScanResult,
-    _feasible,
     _grid_columns,
     _GRID_DENOM,
-    _headroom,
-    _slack_pair,
+    _scaled_system,
     lemma21_bound,
     lemma21_oracle,
     scan_constraint_system,
@@ -187,62 +187,79 @@ def test_constraint_system_sample_points():
     assert not system.feasible(Fraction(1, 10), 0, -1, 0)
 
 
-def test_constraint_system_float_agrees_with_exact():
-    # the scan's float path: one call evaluates every sample, and the float
-    # feasibility mask is the exact one
+def test_scaled_system_agrees_with_the_docstring_quadratics():
+    # the integer evaluator against q1 and q2 written as in the docstring,
+    # in Fraction, at random rational points; on int64 arrays it gives the
+    # same integers up to the documented range
     system = ConstraintSystem()
     rng = random.Random(3)
-    points = [
-        (
-            Fraction(rng.randint(0, 333), 1000),
-            Fraction(rng.randint(0, 1000), 3000),
-            Fraction(rng.randint(0, 333), 1000),
-            Fraction(rng.randint(0, 1000), 1000),
-        )
-        for _ in range(200)
+    for _ in range(300):
+        u, y, z, r = (Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(4))
+        q1 = (u + 7 * y / 12 + z / 2 + 3 * r / 4) ** 2 - (z / 2 + 3 * r / 4) ** 2
+        q2 = 2 * u**2 + (1 - r - y / 2 - 2 * u) ** 2 - y * z / 2 - 3 * z**2 / 2
+        room1, room2 = 1 - (3 * u + y / 2 + r), u - 3 * y / 4 - z
+        m = rng.randint(1, 3) * lcm(u.denominator, y.denominator, z.denominator, r.denominator)
+        nums = [(v * m).numerator for v in (u, y, z, r)]
+        scaled = _scaled_system(*nums, m)
+        expect = (144 * m * m * q1, 144 * m * m * q2, 4 * m * room1, 4 * m * room2)
+        assert scaled == expect, (u, y, z, r)
+        assert system.slacks(u, y, z, r) == (q1 - system.bound1, q2 - system.bound2)
+        feasible = min(u, y, z, r, room1, room2) >= 0
+        assert system.feasible(u, y, z, r) == feasible, (u, y, z, r)
+    m = 1 << 24
+    nums = np.array([[rng.randint(-2 * m, 2 * m) for _ in range(4)] for _ in range(200)], np.int64)
+    nums[0], nums[1] = 2 * m, -2 * m
+    arrays = _scaled_system(*nums.T, m)
+    for row, *values in zip(nums.tolist(), *arrays):
+        assert values == list(_scaled_system(*row, m)), row
+
+
+def test_scan_grades_exactly_the_feasible_grid_points(monkeypatch):
+    # brute force on the grid of step 1/9: the columns cover exactly the
+    # Fraction-feasible points, and the scan finds the best of them
+    system, m = ConstraintSystem(), 9
+    feasible = [
+        point
+        for point in itertools.product(range(m + 1), range(2 * m + 1), range(m + 1), range(m + 1))
+        if system.feasible(*(Fraction(i, m) for i in point))
     ]
-    coords = np.array(points, dtype=float).T
-    s1, s2 = _slack_pair(*coords, float(system.bound1), float(system.bound2))
-    mask = _feasible(*coords)
-    assert s1.shape == s2.shape == mask.shape == (200,)
-    for point, a, b, ok in zip(points, s1, s2, mask):
-        assert ok == system.feasible(*point), point
-        exact1, exact2 = system.slacks(*point)
-        assert abs(float(exact1) - a) < 1e-12 and abs(float(exact2) - b) < 1e-12
-    assert 10 < mask.sum() < 200
-    assert min(_slack_pair(1 / 3, 0.0, 0.0, 0.0, 1 / 9, 1 / 3)) == 0.0
-
-
-def test_scan_grid_stays_inside_the_exact_region():
-    # the float bounds floor(headroom * 498) against the same bounds in
-    # Fraction: never above, so no grid point outside the region is graded
-    m = _GRID_DENOM
-    kept = below = 0
-    for iu, iy, nz, nr in _grid_columns():
-        r_room, z_room = _headroom(Fraction(iu, m), Fraction(iy, m), 0, 0)
-        assert r_room >= 0 and z_room >= 0, (iu, iy)
-        assert nz - 1 <= z_room * m and nr - 1 <= r_room * m, (iu, iy)
-        kept += 1
-        below += (nz - 1 < floor(z_room * m)) + (nr - 1 < floor(r_room * m))
-    assert kept == 15_134
-    # rounding only drops boundary rows or columns whose exact bound is an integer
-    assert below == 3_428
+    visited = [
+        (iu, iy, iz, ir)
+        for iu, iy, nz, nr in _grid_columns(m)
+        for iz in range(nz)
+        for ir in range(nr)
+    ]
+    assert visited == feasible
+    slacks = [system.slacks(*(Fraction(i, m) for i in point)) for point in feasible]
+    best = max(min(pair) for pair in slacks)
+    monkeypatch.setattr(exactmath, "_GRID_DENOM", m)
+    result = scan_constraint_system()
+    assert result.grid_points == len(feasible)
+    assert result.grid_value == best == 0
+    first = next(p for p, pair in zip(feasible, slacks) if min(pair) == best)
+    assert result.grid_point == tuple(Fraction(i, m) for i in first)
+    assert result.nonnegative_points == sum(min(pair) >= 0 for pair in slacks) == 1
+    assert result.optimum_confirmed
 
 
 def test_scan_at_the_fixed_resolution():
     result = scan_constraint_system()
-    assert result.grid_points == 106_601_574
+    assert result.grid_points == 106_923_921
     assert result.grid_point == ConstraintSystem.OPTIMUM
-    assert result.grid_value == 0.0
+    assert result.grid_value == 0
+    assert result.nonnegative_points == 1
     assert result.exact_slacks_at_optimum == (0, 0)
     assert result.optimum_confirmed
 
 
 def test_optimum_is_confirmed_only_at_the_claimed_point():
-    at_optimum = ScanResult(0.0, ConstraintSystem.OPTIMUM, 1, (Fraction(0), Fraction(0)))
+    exact_zero = (Fraction(0), Fraction(0))
+    at_optimum = ScanResult(Fraction(0), ConstraintSystem.OPTIMUM, 1, 1, exact_zero)
     assert at_optimum.optimum_confirmed
     m = _GRID_DENOM
     runner_up = (Fraction(165, m), Fraction(0), Fraction(2, m), Fraction(0))
     assert not replace(at_optimum, grid_point=runner_up).optimum_confirmed
     off = replace(at_optimum, exact_slacks_at_optimum=(Fraction(0), Fraction(1, m)))
     assert not off.optimum_confirmed
+    for count in (0, 2):
+        assert not replace(at_optimum, nonnegative_points=count).optimum_confirmed
