@@ -8,7 +8,6 @@ import numpy as np
 
 from rtlab.graphs import (
     ColoredDigraph,
-    GraphBuilder,
     classify_pair,
     count_between,
     count_color,
@@ -19,14 +18,14 @@ from rtlab.graphs import (
 )
 
 # A colored digraph is c boolean adjacency layers over one vertex set.
-# Colors are 1-based; vertices are 0-based.  The builder accumulates
-# edges and freezes them into an immutable graph.
+# Colors are 1-based; vertices are 0-based.  from_edges checks a list of
+# (color, from, to) entries and freezes them into an immutable graph.
 
-b = GraphBuilder(n=4, c=3)
-b.add(1, 0, 1)            # a single edge 0 -> 1 in color 1
-b.add_double(2, 0, 1)     # edges both ways between 0 and 1 in color 2
-b.add(3, 1, 2).add(3, 2, 3).add(3, 3, 1)
-g = b.build()
+g = ColoredDigraph.from_edges(4, 3, [
+    (1, 0, 1),                        # a single edge 0 -> 1 in color 1
+    (2, 0, 1), (2, 1, 0),             # edges both ways between 0 and 1 in color 2
+    (3, 1, 2), (3, 2, 3), (3, 3, 1),  # a directed 3-cycle in color 3
+])
 
 print(g)
 print("edges:", g.edges())

@@ -5,7 +5,7 @@ Rainbow triangle detection: directed and transitive patterns
 """
 
 from rtlab.constructions import directed3, oriented_cyclic
-from rtlab.graphs import GraphBuilder
+from rtlab.graphs import ColoredDigraph
 from rtlab.triangles import (
     TrianglePattern,
     count_rainbow,
@@ -22,18 +22,14 @@ from rtlab.triangles import (
 # The detector returns None when the graph is pattern-free, otherwise a
 # witness naming the vertices and one valid color assignment.
 
-b = GraphBuilder(n=3, c=3)
-b.add(1, 0, 1).add(2, 1, 2).add(3, 2, 0)
-cycle = b.build()
+cycle = ColoredDigraph.from_edges(3, 3, [(1, 0, 1), (2, 1, 2), (3, 2, 0)])
 
 print("directed witness:", find_rainbow(cycle, TrianglePattern.DIRECTED))
 print("transitive witness:", find_rainbow(cycle, TrianglePattern.TRANSITIVE))
 
 # The same edge set can fail one pattern and satisfy the other.  Adding
 # the chord 0 -> 2 in a fresh color-role creates the transitive shape.
-b = GraphBuilder(n=3, c=3)
-b.add(1, 0, 1).add(2, 1, 2).add(3, 0, 2)
-chordal = b.build()
+chordal = ColoredDigraph.from_edges(3, 3, [(1, 0, 1), (2, 1, 2), (3, 0, 2)])
 w = find_rainbow(chordal, TrianglePattern.TRANSITIVE)
 print("transitive witness now:", w)
 print("witness checks out?", witness_is_valid(chordal, w))
@@ -41,11 +37,11 @@ print("witness checks out?", witness_is_valid(chordal, w))
 # Colors only need to admit SOME system of distinct representatives:
 # each edge may carry several colors, and the detector must find three
 # distinct ones across the triangle.
-b = GraphBuilder(n=3, c=3)
-b.add(1, 0, 1).add(2, 0, 1)      # two color options on the first arc
-b.add(1, 1, 2).add(2, 1, 2)      # and on the second
-b.add(3, 0, 2)
-shared = b.build()
+shared = ColoredDigraph.from_edges(3, 3, [
+    (1, 0, 1), (2, 0, 1),  # two color options on the first arc
+    (1, 1, 2), (2, 1, 2),  # and on the second
+    (3, 0, 2),
+])
 print("witness despite shared colors:", find_rainbow(shared, TrianglePattern.TRANSITIVE))
 
 # The balanced three-part construction is directed-rainbow-free by

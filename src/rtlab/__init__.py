@@ -53,10 +53,8 @@ from .search import (
 from .graphs import (
     ColoredDigraph,
     EdgeRef,
-    GraphBuilder,
     GraphInputError,
     PairProfile,
-    add_edge,
     classify_pair,
     count_between,
     count_color,

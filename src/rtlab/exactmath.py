@@ -391,9 +391,9 @@ def thresholds() -> dict[str, ThresholdEntry]:
 
 
 def threshold_identities(table: dict[str, ThresholdEntry]) -> list[dict]:
-    """Internal consistency of the table: each pair-sum coefficient doubles
-    the matching per-color one, and the weakest coefficient prints as 0.2557.
-    Returns one ``{"check", "holds"}`` record per identity."""
+    """Internal consistency of the n**2 coefficients: pair-sum = 2 * per-color,
+    transitive per-color = 2 * undirected (``transitive3`` is symmetric), and
+    the weakest prints as 0.2557.  One ``{"check", "holds"}`` per identity."""
     identities = [
         {
             "check": f"{pair_name} = 2 * {per_name}",
@@ -403,6 +403,7 @@ def threshold_identities(table: dict[str, ThresholdEntry]) -> list[dict]:
             ("directed-pair-3", "directed-per-color-3"),
             ("transitive-pair-3", "transitive-per-color-3"),
             ("undirected-pair-3", "undirected-per-color-3"),
+            ("transitive-per-color-3", "undirected-per-color-3"),
         )
     ]
     identities.append(

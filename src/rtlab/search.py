@@ -35,7 +35,9 @@ from enum import Enum
 from operator import add
 from typing import Sequence
 
-from .graphs import ColoredDigraph, GraphBuilder, GraphInputError, count_color, is_oriented
+import numpy as np
+
+from .graphs import ColoredDigraph, GraphInputError, count_color, is_oriented
 from .triangles import TrianglePattern, find_rainbow, rainbow_free_check
 
 __all__ = [
@@ -221,13 +223,10 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
 
 
 def _to_graph(problem: SearchProblem, masks: list[list[int]]) -> ColoredDigraph:
-    builder = GraphBuilder(problem.n, problem.c)
-    for u in range(problem.n):
-        for v in range(problem.n):
-            for color in range(1, problem.c + 1):
-                if masks[u][v] >> (color - 1) & 1:
-                    builder.add(color, u, v)
-    return builder.build()
+    """The graph whose color i edges are the set bits i - 1 of the masks."""
+    n, c = problem.n, problem.c
+    bits = np.array(masks, dtype=np.int64).reshape(n, n) >> np.arange(c).reshape(c, 1, 1)
+    return ColoredDigraph(n, c, (bits & 1).astype(bool))
 
 
 def verify_witness(problem: SearchProblem, g: ColoredDigraph, value: int) -> bool:

@@ -26,7 +26,7 @@ triple is searched in Python.
 The products run in float64 and the total is summed in int64.  Under
 ``graphs.MAX_CELLS`` every matrix product entry is at most c**2 * n <= 2**52,
 and with fewer than 2**16 colors every entry of K (at most c**3 * n) stays
-below 2**53, so all counts are exact.
+below 2**53, so all counts are exact; ``count_rainbow`` rejects more colors.
 
 Copy identification for counting: a directed triangle is identified up to
 rotation of (u, v, w) — the cycle (u, v, w) equals (v, w, u) — while a
@@ -42,7 +42,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .graphs import ColoredDigraph
+from .graphs import ColoredDigraph, GraphInputError
 
 __all__ = [
     "TrianglePattern",
@@ -201,6 +201,8 @@ def count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
     """Number of rainbow copies; directed copies counted up to rotation of
     the triple, transitive copies per role-labeled triple, and distinct
     color assignments counted separately in both cases."""
+    if g.c >= 1 << 16:
+        raise GraphInputError(f"count_rainbow is exact only below 2**16 colors, got c={g.c}")
     if g.n < 3 or g.c < 3:
         return 0
     layers, others, close = _slot_layers(g, pattern)

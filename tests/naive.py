@@ -56,15 +56,15 @@ def naive_count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
 
 def random_graph(rng, n, c, p=0.5) -> ColoredDigraph:
     """Independent coin flip per (color, ordered pair) slot."""
-    from rtlab.graphs import GraphBuilder
+    from rtlab.graphs import ColoredDigraph
 
-    b = GraphBuilder(n, c)
+    edges = []
     for color in range(1, c + 1):
         for u in range(n):
             for v in range(n):
                 if u != v and rng.random() < p:
-                    b.add(color, u, v)
-    return b.build()
+                    edges.append((color, u, v))
+    return ColoredDigraph.from_edges(n, c, edges)
 
 
 def _rule_holds(scenario, rule, edges) -> bool:

@@ -172,14 +172,15 @@ def test_criterion_6_scan_confirms_unique_optimum():
 
 def test_criterion_7_exact_constant_identities():
     table = thresholds()
-    failed = [i["check"] for i in threshold_identities(table) if not i["holds"]]
+    identities = threshold_identities(table)
+    failed = [i["check"] for i in identities if not i["holds"]]
     base = QuadraticRational(Fraction(26, 81), Fraction(-2, 81))
     if table["undirected-per-color-3"].quad != base:
         failed.append("per-color base constant is not 26/81 - (2/81) sqrt 7")
     verdict(
         "criterion 7: exact square-root-of-7 constants satisfy their identities",
         not failed,
-        "; ".join(failed) if failed else "all 4 identities hold",
+        "; ".join(failed) if failed else f"all {len(identities)} identities hold",
     )
 
 

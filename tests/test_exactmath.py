@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rtlab import exactmath
+from rtlab.constructions import transitive3
 from rtlab.exactmath import (
     SQRT7,
     ConstraintSystem,
@@ -19,6 +20,7 @@ from rtlab.exactmath import (
     lemma21_bound,
     lemma21_oracle,
     scan_constraint_system,
+    threshold_identities,
     threshold_value,
     thresholds,
 )
@@ -107,6 +109,10 @@ def test_threshold_table_identities():
     # doubling every undirected edge identifies the two settings
     assert table["undirected-pair-3"].quad == table["transitive-per-color-3"].quad
     assert table["undirected-pair-3"].linear == table["transitive-per-color-3"].linear
+    assert table["transitive-per-color-3"].quad == 2 * table["undirected-per-color-3"].quad
+    checks = {i["check"]: i["holds"] for i in threshold_identities(table)}
+    assert checks["transitive-per-color-3 = 2 * undirected-per-color-3"]
+    assert len(checks) == 5 and all(checks.values())
     # three colors are harder than four or more
     assert table["directed-per-color-3"].quad > table["directed-per-color-4plus"].quad
     assert table["transitive-per-color-3"].quad > table["transitive-per-color-4plus"].quad
@@ -115,6 +121,14 @@ def test_threshold_table_identities():
     for entry in table.values():
         assert 0 < entry.quad <= Fraction(10, 9)
         assert entry.linear >= 0
+
+
+def test_transitive3_is_an_undirected_graph_with_doubled_edges():
+    # the reason transitive-per-color-3 doubles undirected-per-color-3: each
+    # layer of the extremal transitive construction is symmetric
+    for n in range(3, 401):
+        layers = transitive3(n).layers
+        assert np.array_equal(layers, layers.transpose(0, 2, 1)), n
 
 
 def test_threshold_values_and_decimals():

@@ -9,9 +9,8 @@ from rtlab.graphs import (
     MAX_CELLS,
     ColoredDigraph,
     EdgeRef,
-    GraphBuilder,
     GraphInputError,
-    add_edge,
+    _ARRAY_CHECK_CUTOFF,
     check_size,
     classify_pair,
     count_between,
@@ -27,47 +26,61 @@ from naive import random_graph
 
 def complete_double(n, c, colors):
     """All ordered pairs present in each listed color."""
-    b = GraphBuilder(n, c)
-    for color in colors:
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    b.add(color, u, v)
-    return b.build()
+    return ColoredDigraph.from_edges(
+        n, c, [(color, u, v) for color in colors for u in range(n) for v in range(n) if u != v]
+    )
 
 
-def test_builder_and_idempotent_add():
-    g = GraphBuilder(3, 2).add(1, 0, 1).add(1, 0, 1).build()
+def long_edges(n):
+    """Every ordered pair of n vertices in color 1, as plain-int lists: more
+    entries than the cut-off above which from_edges checks one array."""
+    edges = [[1, u, v] for u in range(n) for v in range(n) if u != v]
+    assert len(edges) > _ARRAY_CHECK_CUTOFF
+    return edges
+
+
+def test_from_edges_sets_a_repeated_edge_once():
+    g = ColoredDigraph.from_edges(3, 2, [(1, 0, 1), (1, 0, 1)])
     assert g.total_edges() == 1
-    g2 = add_edge(g, EdgeRef(2, 1, 2))
-    assert g2.total_edges() == 2
-    assert g.total_edges() == 1  # original untouched
-    assert add_edge(g2, (2, 1, 2)) == g2  # idempotent
+    assert g == ColoredDigraph.from_edges(3, 2, [[1, 0, 1]])
+    edges = long_edges(10)
+    assert ColoredDigraph.from_edges(10, 1, edges + edges[:7]) == complete_double(10, 1, [1])
+
+
+def test_from_edges_walks_entries_the_array_check_does_not_take():
+    # EdgeRefs, numpy ints and iterators skip the array check at any length
+    g = complete_double(10, 2, [1, 2])
+    assert ColoredDigraph.from_edges(g.n, g.c, g.edges()) == g
+    assert ColoredDigraph.from_edges(g.n, g.c, iter(g.edges())) == g
+    rows = np.argwhere(g.layers)
+    rows[:, 0] += 1
+    with pytest.raises(GraphInputError, match="must be \\[color, from, to\\]"):
+        ColoredDigraph.from_edges(g.n, g.c, list(rows))  # an array row is not an entry
+    numpy_ints = [tuple(row) for row in rows]
+    assert type(numpy_ints[0][0]) is not int
+    assert ColoredDigraph.from_edges(g.n, g.c, numpy_ints) == g
+    assert ColoredDigraph.from_edges(3, 2, [EdgeRef(2, 1, 2), (np.int8(1), np.int64(0), 1)]) == (
+        ColoredDigraph.from_edges(3, 2, [(2, 1, 2), (1, 0, 1)])
+    )
 
 
 def test_rejects_bad_input():
-    b = GraphBuilder(3, 2)
-    with pytest.raises(GraphInputError):
-        b.add(1, 0, 0)  # loop
-    with pytest.raises(GraphInputError):
-        b.add(0, 0, 1)  # color out of range
-    with pytest.raises(GraphInputError):
-        b.add(3, 0, 1)
-    with pytest.raises(GraphInputError):
-        b.add(1, 0, 3)  # vertex out of range
-    with pytest.raises(GraphInputError):
-        b.add(1, -1, 0)
+    for edge in ((1, 0, 0), (0, 0, 1), (3, 0, 1), (1, 0, 3), (1, -1, 0)):
+        with pytest.raises(GraphInputError):
+            ColoredDigraph.from_edges(3, 2, [edge])
 
 
 def test_count_color_additivity():
     rng = random.Random(7)
-    g = ColoredDigraph.empty(5, 3)
+    edges = []
+    g = ColoredDigraph.from_edges(5, 3, edges)
     seen = set()
     for _ in range(40):
         color = rng.randrange(1, 4)
         u, v = rng.sample(range(5), 2)
         before = [count_color(g, i) for i in (1, 2, 3)]
-        g = add_edge(g, (color, u, v))
+        edges.append((color, u, v))
+        g = ColoredDigraph.from_edges(5, 3, edges)
         after = [count_color(g, i) for i in (1, 2, 3)]
         bump = 0 if (color, u, v) in seen else 1
         seen.add((color, u, v))
@@ -84,7 +97,7 @@ def test_count_between_complete_layer():
 
 
 def test_count_between_single_pair_multiplicity():
-    g = GraphBuilder(4, 2).add(1, 0, 1).add(1, 1, 0).add(2, 0, 1).build()
+    g = ColoredDigraph.from_edges(4, 2, [(1, 0, 1), (1, 1, 0), (2, 0, 1)])
     assert count_between(g, 1, [0], [1]) == 2
     assert count_between(g, 2, [0], [1]) == 1
     assert count_between(g, 2, [1], [0]) == 1
@@ -93,19 +106,15 @@ def test_count_between_single_pair_multiplicity():
 
 def test_count_between_bipartite_double():
     # doubled complete bipartite on 4 vertices, one color per layer
-    b = GraphBuilder(4, 4)
     U, V = [0, 1], [2, 3]
-    for color in range(1, 5):
-        for u in U:
-            for v in V:
-                b.add_double(color, u, v)
-    g = b.build()
+    edges = [(color, u, v) for color in range(1, 5) for u in U for v in V]
+    g = ColoredDigraph.from_edges(4, 4, edges + [(color, v, u) for color, u, v in edges])
     for color in range(1, 5):
         assert count_between(g, color, U, V) == 2 * len(U) * len(V)
 
 
 def test_count_between_overlap_counts_ordered_pairs_once():
-    g = GraphBuilder(3, 1).add(1, 0, 1).add(1, 1, 0).add(1, 1, 2).build()
+    g = ColoredDigraph.from_edges(3, 1, [(1, 0, 1), (1, 1, 0), (1, 1, 2)])
     # U and V overlap in {0, 1}: the pair inside the overlap is counted once
     # per direction, not once per (U, V) role assignment.
     assert count_between(g, 1, [0, 1], [1, 2]) == 3
@@ -141,9 +150,10 @@ def test_classify_pair_matches_count_between():
 
 
 def test_is_oriented():
-    g = GraphBuilder(3, 2).add(1, 0, 1).add(2, 1, 0).build()
+    edges = [(1, 0, 1), (2, 1, 0)]
+    g = ColoredDigraph.from_edges(3, 2, edges)
     assert is_oriented(g)  # opposite directions in different colors is fine
-    g2 = add_edge(g, (1, 1, 0))
+    g2 = ColoredDigraph.from_edges(3, 2, edges + [(1, 1, 0)])
     assert not is_oriented(g2)
     rng = random.Random(17)
     for _ in range(10):
@@ -158,7 +168,7 @@ def test_is_oriented():
 
 
 def test_json_round_trip_and_canonical_order():
-    g = GraphBuilder(4, 3).add(3, 2, 1).add(1, 3, 0).add(2, 0, 1).build()
+    g = ColoredDigraph.from_edges(4, 3, [(3, 2, 1), (1, 3, 0), (2, 0, 1)])
     text = dumps_graph(g)
     assert text == '{"n":4,"c":3,"edges":[[1,3,0],[2,0,1],[3,2,1]]}'
     payload = json.loads(text)
@@ -189,7 +199,10 @@ def test_loads_rejects_malformed():
     with pytest.raises(GraphInputError, match="n and c must be integers"):
         loads_graph('{"n": 3, "c": false, "edges": []}')
     # each bad entry is named exactly as the per-edge checks name it, and
-    # with several bad entries the first one in input order is reported
+    # with several bad entries the first one in input order is reported;
+    # from_edges names it the same way, from lists or tuples, on a short list
+    # and late in a list past the cut-off of its array check
+    filler = [[1, 0, 1]] * (_ARRAY_CHECK_CUTOFF + 1)
     for edges, message in (
         ("[[true, 0, 1]]", "color must be an integer, got True"),
         ("[[1, 0.0, 1]]", "vertex must be an integer, got 0.0"),
@@ -209,23 +222,48 @@ def test_loads_rejects_malformed():
         with pytest.raises(GraphInputError) as info:
             loads_graph(f'{{"n": 3, "c": 3, "edges": {edges}}}')
         assert str(info.value) == message, edges
+        with pytest.raises(GraphInputError) as info:
+            loads_graph(json.dumps({"n": 3, "c": 3, "edges": filler + json.loads(edges)}))
+        assert str(info.value) == message, edges
+        lists = json.loads(edges)
+        tuples = [tuple(e) if type(e) is list else e for e in lists]
+        tuple_message = message.replace("[1, 0, 1, 2]", "(1, 0, 1, 2)")
+        for entries, pad, want in (
+            (lists, filler, message),
+            (tuples, [tuple(e) for e in filler], tuple_message),
+        ):
+            for padded in (entries, pad + entries):
+                with pytest.raises(GraphInputError) as info:
+                    ColoredDigraph.from_edges(3, 3, padded)
+                assert str(info.value) == want, padded[-3:]
+
+
+def test_sizes_must_be_plain_integers():
+    # a float c would dump as "c":3.0, which the loader does not read back
+    with pytest.raises(GraphInputError) as info:
+        ColoredDigraph(3, 3.0, np.zeros((3, 3, 3), dtype=bool))
+    assert str(info.value) == "n and c must be integers, got n=3, c=3.0"
+    with pytest.raises(GraphInputError) as info:
+        ColoredDigraph.from_edges(True, 3, [])
+    assert str(info.value) == "n and c must be integers, got n=True, c=3"
 
 
 def test_size_limit_is_checked_before_allocation():
     with pytest.raises(GraphInputError, match="MAX_CELLS"):
         loads_graph('{"n": 1000000, "c": 3, "edges": []}')
     with pytest.raises(GraphInputError, match="MAX_CELLS"):
-        GraphBuilder(2, MAX_CELLS // 4 + 1)
+        ColoredDigraph.from_edges(2, MAX_CELLS // 4 + 1, [])
     with pytest.raises(GraphInputError, match="MAX_CELLS"):
-        ColoredDigraph.empty(1 << 13, 2)
+        ColoredDigraph.from_edges(1 << 13, 2, [])
     check_size(1 << 12, 4)  # exactly at the cap
 
 
 def test_digest_is_stable():
-    g1 = GraphBuilder(3, 2).add(1, 0, 1).add(2, 1, 2).build()
-    g2 = GraphBuilder(3, 2).add(2, 1, 2).add(1, 0, 1).build()
+    g1 = ColoredDigraph.from_edges(3, 2, [(1, 0, 1), (2, 1, 2)])
+    g2 = ColoredDigraph.from_edges(3, 2, [(2, 1, 2), (1, 0, 1)])
     assert graph_digest(g1) == graph_digest(g2)
-    assert graph_digest(add_edge(g1, (1, 2, 0))) != graph_digest(g1)
+    g3 = ColoredDigraph.from_edges(3, 2, [(1, 0, 1), (2, 1, 2), (1, 2, 0)])
+    assert graph_digest(g3) != graph_digest(g1)
 
 
 def test_graph_checks_do_not_loop_over_colors():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from rtlab.graphs import GraphBuilder
+from rtlab.graphs import ColoredDigraph
 from rtlab.search import (
     SearchObjective,
     SearchProblem,
@@ -189,9 +189,8 @@ def test_verify_witness_rejects_bad_certificates():
     assert not verify_witness(problem, good, result.value + 1)
     assert not verify_witness(SearchProblem(4, 3, D), good, result.value)
     assert not verify_witness(SearchProblem(3, 3, D, oriented=True), good, 1)
-    bad = GraphBuilder(3, 3)
-    bad.add(1, 0, 1).add(2, 1, 2).add(3, 2, 0)  # a rainbow directed triangle
-    assert not verify_witness(problem, bad.build(), 0)
+    bad = ColoredDigraph.from_edges(3, 3, [(1, 0, 1), (2, 1, 2), (3, 2, 0)])  # a rainbow cycle
+    assert not verify_witness(problem, bad, 0)
 
 
 def test_problem_validation():

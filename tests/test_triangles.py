@@ -1,7 +1,10 @@
 import random
 from itertools import permutations, product
 
-from rtlab.graphs import ColoredDigraph, GraphBuilder
+import numpy as np
+import pytest
+
+from rtlab.graphs import ColoredDigraph, GraphInputError
 from rtlab.triangles import (
     TrianglePattern,
     count_rainbow,
@@ -23,8 +26,11 @@ def _witness_key(witness):
     return witness.vertices, tuple(color for color, _, _ in witness.edges)
 
 
+CYCLE = [(1, 0, 1), (2, 1, 2), (3, 2, 0)]  # a rainbow directed triangle
+
+
 def test_directed_example():
-    g = GraphBuilder(3, 3).add(1, 0, 1).add(2, 1, 2).add(3, 2, 0).build()
+    g = ColoredDigraph.from_edges(3, 3, CYCLE)
     w = find_rainbow(g, D)
     assert w is not None
     assert w.vertices == (0, 1, 2)
@@ -33,7 +39,7 @@ def test_directed_example():
 
 
 def test_transitive_example():
-    g = GraphBuilder(3, 3).add(2, 0, 1).add(3, 1, 2).add(1, 0, 2).build()
+    g = ColoredDigraph.from_edges(3, 3, [(2, 0, 1), (3, 1, 2), (1, 0, 2)])
     w = find_rainbow(g, T)
     assert w is not None
     assert w.vertices == (0, 1, 2)
@@ -61,13 +67,13 @@ def test_witness_is_lex_least():
 def test_monochromatic_blindness():
     rng = random.Random(29)
     for _ in range(20):
-        b = GraphBuilder(5, 3)
+        edges = []
         for color in (1, 3):  # only two nonempty layers
             for u in range(5):
                 for v in range(5):
                     if u != v and rng.random() < 0.7:
-                        b.add(color, u, v)
-        g = b.build()
+                        edges.append((color, u, v))
+        g = ColoredDigraph.from_edges(5, 3, edges)
         assert find_rainbow(g, D) is None
         assert find_rainbow(g, T) is None
         assert count_rainbow(g, D) == 0
@@ -84,7 +90,7 @@ def test_witness_soundness_random():
 
 
 def test_witness_validator_rejects_garbage():
-    g = GraphBuilder(3, 3).add(1, 0, 1).add(2, 1, 2).add(3, 2, 0).build()
+    g = ColoredDigraph.from_edges(3, 3, CYCLE)
     w = find_rainbow(g, D)
     from rtlab.triangles import RainbowWitness
 
@@ -113,8 +119,6 @@ def test_full_enumeration_n3_agrees_with_oracle():
 
     # c = 3: exhaustive over all 2^18 graphs is done pair-profile-wise
     pair_slots = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
-    import numpy as np
-
     checked = 0
     mismatches = 0
     for p01, p12, p02 in product(range(64), repeat=3):
@@ -154,10 +158,10 @@ def test_count_matches_oracle():
 def test_colors_beyond_64_are_seen():
     # a color index past the width of a machine word still counts
     for colors in ((1, 2, 70), (65, 66, 70)):
-        b = GraphBuilder(4, 70)
+        edges = []
         for color, (u, v) in zip(colors, ((0, 1), (1, 2), (2, 0))):
-            b.add(color, u, v).add(color, u + 1, v + 1 if v < 3 else 0)
-        g = b.build()
+            edges += [(color, u, v), (color, u + 1, v + 1 if v < 3 else 0)]
+        g = ColoredDigraph.from_edges(4, 70, edges)
         for pattern in (D, T):
             assert _witness_key(find_rainbow(g, pattern)) == naive_find_rainbow(g, pattern)
             assert count_rainbow(g, pattern) == naive_count_rainbow(g, pattern)
@@ -165,16 +169,11 @@ def test_colors_beyond_64_are_seen():
 
 
 def test_count_identifies_directed_copies_up_to_rotation():
-    g = GraphBuilder(3, 3).add(1, 0, 1).add(2, 1, 2).add(3, 2, 0).build()
+    g = ColoredDigraph.from_edges(3, 3, CYCLE)
     # one cyclic triangle, one color assignment
     assert count_rainbow(g, D) == 1
     # the reverse cycle would be a separate copy
-    g2 = (
-        GraphBuilder(3, 3)
-        .add(1, 0, 1).add(2, 1, 2).add(3, 2, 0)
-        .add(1, 1, 0).add(2, 0, 2).add(3, 2, 1)
-        .build()
-    )
+    g2 = ColoredDigraph.from_edges(3, 3, CYCLE + [(1, 1, 0), (2, 0, 2), (3, 2, 1)])
     assert count_rainbow(g2, D) == 2
 
 
@@ -182,13 +181,35 @@ def test_transitive_on_doubles_implies_directed_witness():
     # three pairwise double edges in three distinct colors: any transitive
     # rainbow triangle on them can be re-oriented into a directed one
     for c1, c2, c3 in permutations((1, 2, 3)):
-        b = GraphBuilder(3, 3)
-        b.add_double(c1, 0, 1).add_double(c2, 1, 2).add_double(c3, 0, 2)
-        g = b.build()
+        pairs = ((c1, 0, 1), (c2, 1, 2), (c3, 0, 2))
+        doubles = [(c, u, v) for c, a, b in pairs for u, v in ((a, b), (b, a))]
+        g = ColoredDigraph.from_edges(3, 3, doubles)
         wt = find_rainbow(g, T)
         wd = find_rainbow(g, D)
         assert wt is not None and wd is not None
         assert sorted(wd.vertices) == sorted(wt.vertices) == [0, 1, 2]
+
+
+def _complete(n, c):
+    layers = np.ones((c, n, n), dtype=bool)
+    layers[:, range(n), range(n)] = False
+    return ColoredDigraph(n, c, layers)
+
+
+def test_counts_are_exact_just_below_the_color_limit():
+    c = (1 << 16) - 1
+    g = _complete(3, c)
+    assert count_rainbow(g, D) == 2 * c * (c - 1) * (c - 2)
+    assert count_rainbow(g, T) == 6 * c * (c - 1) * (c - 2)
+
+
+def test_count_rejects_colors_past_the_limit():
+    # at c = 1,000,003 the float64 kernel would overcount the complete graph
+    # by 50,285,684 directed and 150,857,052 transitive copies
+    g = _complete(3, 1_000_003)
+    for pattern in (D, T):
+        with pytest.raises(GraphInputError, match=r"2\*\*16 colors"):
+            count_rainbow(g, pattern)
 
 
 def test_pattern_edges_shapes():
