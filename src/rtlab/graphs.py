@@ -24,10 +24,23 @@ Interchange format (JSON)::
     {"n": 5, "c": 3, "edges": [[color, from, to], ...]}
 
 with edges deduplicated and sorted lexicographically by (color, from, to),
-so serializing the same graph always yields byte-identical output.  Dumping
-lists ``np.argwhere`` of the layer array; loading checks the JSON object and
-hands its edge list to ``from_edges``, which checks a long list as one array
-and names the first bad entry of any list that fails.
+so serializing the same graph always yields byte-identical output: the
+text of ``json.dumps(..., separators=(",", ":"))``.  Dumping writes that
+text straight from the edge array, with no Python object per edge: each
+edge is three fixed-width byte cells (``[color,``, ``from,`` and ``to],``,
+taken from token tables of the vertices and of the colors in use) padded
+with zero bytes, which are dropped before the bytes are joined.
+
+Loading first reads every run of ASCII digits in the text as a number (n,
+c, then three per edge), range-checks the numbers as one array, builds the
+graph and dumps it again.  It returns that graph only if the dump equals
+the text byte for byte, or the text is the dump and one newline, as
+``save_graph`` writes it.  Such text is JSON, and ``json.loads`` would
+have read exactly these edges from it.  Any other text goes to
+``json.loads``, which checks the object, and its edge list to
+``from_edges``, which checks a long list as one array and names the first
+bad entry of any list that fails; that route is the only source of error
+messages.
 
 Every graph has at most ``MAX_CELLS`` layer cells (c * n**2); larger sizes
 are rejected before anything is allocated.
@@ -143,9 +156,16 @@ def _set_plain_int_edges(layers: np.ndarray, edges: list) -> bool:
     ):
         return False
     try:
-        color, src, dst = np.array(edges, dtype=np.int64).T
+        rows = np.array(edges, dtype=np.int64)
     except OverflowError:  # beyond int64, so out of range anyway
         return False
+    return _set_edge_rows(layers, rows)
+
+
+def _set_edge_rows(layers: np.ndarray, rows: np.ndarray) -> bool:
+    """Set the edges of an int64 array of [color, from, to] rows at once;
+    False, with nothing set, if any row is out of range or a loop."""
+    color, src, dst = rows.T
     c, n, _ = layers.shape
     in_range = (color >= 1) & (color <= c) & (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
     if not (in_range & (src != dst)).all():
@@ -188,7 +208,16 @@ class ColoredDigraph:
                 if u == v:
                     raise GraphInputError(f"loop at vertex {u} rejected")
                 layers[color - 1, u, v] = True
-        return cls(n, c, layers)
+        return cls._adopt(n, c, layers)
+
+    @classmethod
+    def _adopt(cls, n: int, c: int, layers: np.ndarray) -> "ColoredDigraph":
+        """The graph on a layer array that the caller has just built for it
+        and checked: frozen in place, with no second check or copy."""
+        layers.setflags(write=False)
+        g = object.__new__(cls)
+        g.n, g.c, g._layers = n, c, layers
+        return g
 
     # -- queries ------------------------------------------------------
 
@@ -208,7 +237,9 @@ class ColoredDigraph:
 
     def edges(self) -> list[EdgeRef]:
         """All edges, sorted lexicographically by (color, src, dst)."""
-        return [EdgeRef(color, u, v) for color, u, v in _edge_rows(self)]
+        rows = np.argwhere(self._layers)
+        rows[:, 0] += 1
+        return [EdgeRef(color, u, v) for color, u, v in rows.tolist()]
 
     def total_edges(self) -> int:
         return int(self._layers.sum())
@@ -270,20 +301,65 @@ def is_oriented(g: ColoredDigraph) -> bool:
 # -- interchange -------------------------------------------------------
 
 
-def _edge_rows(g: ColoredDigraph) -> list[list[int]]:
-    """[color, src, dst] rows in (color, src, dst) order; colors 1-based."""
-    rows = np.argwhere(g.layers)
-    rows[:, 0] += 1
-    return rows.tolist()
+def _tokens(prefix: bytes, values: np.ndarray, suffix: bytes) -> np.ndarray:
+    """The byte strings prefix + decimal value + suffix."""
+    return np.char.add(np.char.add(prefix, values.astype("S")), suffix)
+
+
+def _canonical_bytes(layers: np.ndarray) -> bytes:
+    """The canonical JSON of the graph with this layer array, as ASCII bytes."""
+    c, n, _ = layers.shape
+    head = b'{"n":%d,"c":%d,"edges":[' % (n, c)
+    per_color = np.count_nonzero(layers.reshape(c, n * n), axis=1)
+    colors = np.flatnonzero(per_color)
+    if not colors.size:
+        return head + b"]}"
+    _, src, dst = np.nonzero(layers)  # edges in (color, src, dst) order
+    vertices = np.arange(n)
+    cells = np.empty((src.size, 3), dtype=f"S{len(str(max(n, c))) + 2}")
+    cells[:, 0] = np.repeat(_tokens(b"[", colors + 1, b","), per_color[colors])
+    cells[:, 1] = _tokens(b"", vertices, b",")[src]
+    cells[:, 2] = _tokens(b"", vertices, b"],")[dst]
+    text = cells.view(np.uint8)
+    return head + text[text != 0].tobytes()[:-1] + b"]}"  # no comma after the last edge
+
+
+# Every byte but the ASCII digits read as a space, so that the text parses
+# as the whitespace-separated numbers it holds.
+_DIGITS_ONLY = bytes(b if 0x30 <= b <= 0x39 else 0x20 for b in range(256))
+
+
+def _load_canonical(text) -> ColoredDigraph | None:
+    """The graph whose canonical JSON is ``text``, alone or followed by one
+    newline; None for any other text."""
+    if not (isinstance(text, str) and text.isascii()):
+        return None
+    data = text.encode()
+    numbers = np.fromstring(data.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+    if numbers.size % 3 != 2:
+        return None
+    n, c = numbers[:2].tolist()
+    # an empty graph with a huge n or c is left to the checked route
+    if c * n * n > MAX_CELLS or max(n, c) > MAX_CELLS:
+        return None
+    layers = np.zeros((c, n, n), dtype=bool)
+    if not _set_edge_rows(layers, numbers[2:].reshape(-1, 3)):
+        return None
+    if _canonical_bytes(layers) != data.removesuffix(b"\n"):
+        return None
+    return ColoredDigraph._adopt(n, c, layers)
 
 
 def dumps_graph(g: ColoredDigraph) -> str:
     """Canonical JSON serialization (sorted, compact, byte-reproducible)."""
-    payload = {"n": g.n, "c": g.c, "edges": _edge_rows(g)}
-    return json.dumps(payload, separators=(",", ":"))
+    return _canonical_bytes(g.layers).decode("ascii")
 
 
 def loads_graph(text: str) -> ColoredDigraph:
+    """The graph a graph JSON text describes; GraphInputError if it is not one."""
+    g = _load_canonical(text)
+    if g is not None:
+        return g
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

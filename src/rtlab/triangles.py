@@ -21,7 +21,9 @@ sums K.  Finding takes the first row u of K with a nonzero entry, which is
 the witness's u, and evaluates the same formula for that row alone, with
 outer products in place of matrix products, which gives the
 lexicographically first (v, w); only the color assignment of that one
-triple is searched in Python.
+triple is searched in Python.  With more than 3n(n-1) colors, finding
+runs the kernel only on the three lowest colors of each ordered pair,
+which decide the same triples (see ``_first_three_colors``).
 
 The products run in float64 and the total is summed in int64.  Under
 ``graphs.MAX_CELLS`` every matrix product entry is at most c**2 * n <= 2**52,
@@ -128,19 +130,26 @@ def rainbow_free_check(m, pattern: TrianglePattern, a: int, b: int, c: int):
     return check
 
 
-def _lex_least_assignment(m1: int, m2: int, m3: int, c: int):
+def _set_bits(m: int):
+    """The 1-based positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length()
+        m ^= low
+
+
+def _lex_least_assignment(m1: int, m2: int, m3: int):
     """Lexicographically least (c1, c2, c3), pairwise distinct, with bit
-    c_k - 1 set in m_k; None if no such assignment exists."""
-    for c1 in range(1, c + 1):
-        if not m1 >> (c1 - 1) & 1:
-            continue
-        for c2 in range(1, c + 1):
-            if c2 == c1 or not m2 >> (c2 - 1) & 1:
-                continue
+    c_k - 1 set in m_k; None if no such assignment exists.
+
+    When an assignment exists, Hall's condition lets at most two choices of
+    c1, and then one of c2, fail, so the loops take a handful of steps
+    however many colors the masks hold."""
+    for c1 in _set_bits(m1):
+        for c2 in _set_bits(m2 & ~(1 << (c1 - 1))):
             rest = m3 & ~(1 << (c1 - 1)) & ~(1 << (c2 - 1))
             if rest:
-                c3 = (rest & -rest).bit_length()  # lowest set bit, 1-based
-                return (c1, c2, c3)
+                return (c1, c2, (rest & -rest).bit_length())
     return None
 
 
@@ -167,13 +176,33 @@ def _outer(first, mid):
     return first[..., None] * mid
 
 
-def _slot_layers(g: ColoredDigraph, pattern: TrianglePattern):
+def _slot_layers(layers: np.ndarray, pattern: TrianglePattern):
     """Float64 layers, the sum of the other layers for each color, and the
     layers of the closing slot."""
-    layers = g.layers.astype(np.float64)
+    layers = layers.astype(np.float64)
     others = np.add.reduce(layers) - layers
     close = layers.transpose(0, 2, 1) if pattern is TrianglePattern.DIRECTED else layers
     return layers, others, close
+
+
+def _first_three_colors(layers: np.ndarray) -> np.ndarray:
+    """Indices, in increasing order, of the layers that hold one of the three
+    lowest colors of some ordered pair.
+
+    Three slots have a rainbow assignment from their color sets exactly when
+    they have one from these colors alone: by Hall's condition, a slot with
+    three colors left can always take the last free one, and a slot with
+    fewer keeps all of them.  So these layers hold a rainbow copy on the same
+    triples as the whole graph, in at most 3n(n-1) layers."""
+    rest = layers.copy()
+    u, v = np.indices(layers.shape[1:])
+    kept = []
+    for _ in range(3):
+        lowest = rest.argmax(axis=0)  # the lowest color left on each pair, or 0
+        present = rest[lowest, u, v]
+        kept.append(lowest[present])
+        rest[lowest, u, v] = False
+    return np.unique(np.concatenate(kept))
 
 
 def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness | None:
@@ -181,7 +210,10 @@ def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness 
     order, or None when the graph is pattern-free."""
     if g.n < 3 or g.c < 3:
         return None
-    layers, others, close = _slot_layers(g, pattern)
+    layers = g.layers
+    if g.c > 3 * g.n * (g.n - 1):
+        layers = layers[_first_three_colors(layers)]
+    layers, others, close = _slot_layers(layers, pattern)
     rows, _ = _rainbow_counts(layers, others, layers, others, close, np.matmul).nonzero()
     if not rows.size:
         return None
@@ -190,9 +222,10 @@ def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness 
     vs, ws = row.nonzero()  # in row-major order, so the first is the least (v, w)
     v, w = int(vs[0]), int(ws[0])
     slots = pattern_edges(pattern, u, v, w)
-    slot_colors = g.layers[:, [a for a, _ in slots], [b for _, b in slots]].T.tolist()
-    masks = [sum(1 << i for i, on in enumerate(bits) if on) for bits in slot_colors]
-    colors = _lex_least_assignment(*masks, g.c)
+    slot_colors = g.layers[:, [a for a, _ in slots], [b for _, b in slots]]
+    packed = np.packbits(slot_colors, axis=0, bitorder="little")  # bit i: color i + 1
+    masks = [int.from_bytes(packed[:, k].tobytes(), "little") for k in range(3)]
+    colors = _lex_least_assignment(*masks)
     edges = tuple((colors[k], slots[k][0], slots[k][1]) for k in range(3))
     return RainbowWitness(pattern, (u, v, w), edges)
 
@@ -205,7 +238,7 @@ def count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
         raise GraphInputError(f"count_rainbow is exact only below 2**16 colors, got c={g.c}")
     if g.n < 3 or g.c < 3:
         return 0
-    layers, others, close = _slot_layers(g, pattern)
+    layers, others, close = _slot_layers(g.layers, pattern)
     counts = _rainbow_counts(layers, others, layers, others, close, np.matmul)
     total = int(counts.sum(dtype=np.int64))
     # the kernel sees a directed cycle once from each of its three vertices

@@ -18,8 +18,12 @@ from rtlab.graphs import (
     dumps_graph,
     graph_digest,
     is_oriented,
+    load_graph,
     loads_graph,
+    save_graph,
 )
+from rtlab import graphs
+from rtlab.constructions import ConstructionId, build_construction
 
 from naive import random_graph
 
@@ -182,6 +186,129 @@ def test_json_round_trip_and_canonical_order():
     # deduplication on load
     payload["edges"].append(payload["edges"][0])
     assert loads_graph(json.dumps(payload)) == g
+
+
+def _json_dumps(g):
+    """The canonical text as json.dumps writes it from a list of edge lists."""
+    edges = [list(e) for e in g.edges()]
+    return json.dumps({"n": g.n, "c": g.c, "edges": edges}, separators=(",", ":"))
+
+
+def _json_loads(text):
+    """The graph json.loads and from_edges read from text, or the message
+    of the error they raise."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"malformed graph JSON: {exc}"
+    try:
+        return ColoredDigraph.from_edges(payload["n"], payload["c"], payload["edges"])
+    except GraphInputError as exc:
+        return str(exc)
+
+
+def _loads_or_message(text):
+    try:
+        return loads_graph(text)
+    except GraphInputError as exc:
+        return str(exc)
+
+
+def test_dumps_graph_writes_the_json_dumps_text():
+    for cid in ConstructionId:
+        for n in (0, 1, 2, 9, 10, 11, 99, 100, 101, 300):
+            g = build_construction(cid, n)
+            assert dumps_graph(g) == _json_dumps(g), (cid, n)
+    # color digits wider than vertex digits, vertex digits wider than color
+    # digits, and graphs with no edges or no vertices
+    rng = random.Random(23)
+    for n, c in ((3, 10), (3, 12), (3, 100), (11, 3), (0, 0), (0, 7), (4, 0), (5, 5)):
+        for p in (0.0, 0.3, 1.0):
+            g = random_graph(rng, n, c, p=p)
+            assert dumps_graph(g) == _json_dumps(g), (n, c, p)
+
+
+def test_loads_graph_agrees_with_json_loads_and_from_edges():
+    g = ColoredDigraph.from_edges(3, 3, [(1, 0, 1), (2, 1, 2), (3, 2, 0), (3, 0, 2)])
+    text = dumps_graph(g)
+    assert text == '{"n":3,"c":3,"edges":[[1,0,1],[2,1,2],[3,0,2],[3,2,0]]}'
+    same_graph = [
+        text,
+        text + "\n",
+        text + "\n\n",
+        " " + text,
+        text.replace(",", ", "),
+        json.dumps(json.loads(text), indent=1),
+        '{"n":3,"c":3,"edges":[[2,1,2],[1,0,1],[3,0,2],[3,2,0]]}',  # reordered
+        '{"n":3,"c":3,"edges":[[1,0,1],[1,0,1],[2,1,2],[3,0,2],[3,2,0]]}',  # duplicate
+        '{"c":3,"n":3,"edges":[[1,0,1],[2,1,2],[3,0,2],[3,2,0]]}',
+    ]
+    for variant in same_graph:
+        assert _loads_or_message(variant) == _json_loads(variant) == g, variant
+    rejected = {
+        '{"n":03,"c":3,"edges":[[1,0,1]]}': "malformed graph JSON: Expecting ',' delimiter: "
+        "line 1 column 7 (char 6)",
+        '{"n":3,"c":3,"edges":[[1,0,1],[2,1,-2]]}': "vertex -2 out of range for n=3",
+        '{"n":3,"c":3,"edges":[[1,0,99999999999999999999]]}':
+            "vertex 99999999999999999999 out of range for n=3",
+        '{"n":3,"c":3,"edges":[[1,0,9223372036854775807]]}':
+            "vertex 9223372036854775807 out of range for n=3",
+        '{"n":3,"c":3,"edges":[[1,0,1.5]]}': "vertex must be an integer, got 1.5",
+        '{"n":3,"c":3,"edges":[[1,0,1],[2,1.5,2]]}': "vertex must be an integer, got 1.5",
+        '{"n":3,"c":3,"edges":[[true,0,1]]}': "color must be an integer, got True",
+        '{"n":3,"c":3,"edges":[[1,0,1],[1,1,1]]}': "loop at vertex 1 rejected",
+        '{"n":3,"c":3,"edges":[[1,0,1],[4,1,2]]}': "color 4 out of range for c=3",
+        '{"n":2,"c":3,"edges":[[1,0,1],[2,1,2]]}': "vertex 2 out of range for n=2",
+    }
+    for variant, message in rejected.items():
+        assert _loads_or_message(variant) == _json_loads(variant) == message, variant
+
+
+def test_only_the_canonical_text_skips_json_loads(monkeypatch, tmp_path):
+    texts = {}
+    for cid in ConstructionId:
+        for n in (0, 3, 10, 300):
+            g = build_construction(cid, n)
+            texts[dumps_graph(g)] = g
+            save_graph(g, tmp_path / f"{cid.value}-{n}.json")
+    g = ColoredDigraph.from_edges(3, 12, [(12, 0, 1), (10, 2, 1), (1, 1, 0)])
+    texts[dumps_graph(g)] = g
+    small = [text for text, g in texts.items() if g.n <= 10]
+    other = [text + "\n\n" for text in small] + [text.replace(":", ": ") for text in small]
+    other += ['{"n":3,"c":12,"edges":[[1,1,0],[12,0,1],[10,2,1]]}', "not json", ""]
+    calls = []
+    real_loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        calls.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.json, "loads", counting_loads)
+    for text, g in texts.items():
+        assert loads_graph(text) == g
+        assert loads_graph(text + "\n") == g
+    for path in tmp_path.iterdir():
+        assert load_graph(path) == texts[path.read_text()[:-1]]
+    assert calls == []
+    for text in other:
+        _loads_or_message(text)
+        assert calls[-1] == text
+
+
+def test_graphs_are_frozen_and_the_constructor_checks_and_copies():
+    for bad in (np.zeros((2, 3, 4), dtype=bool), np.zeros((2, 3, 3), dtype=np.uint8)):
+        with pytest.raises(GraphInputError, match="bool with shape"):
+            ColoredDigraph(3, 2, bad)
+    layers = np.zeros((2, 3, 3), dtype=bool)
+    layers[1, 0, 2] = True
+    g = ColoredDigraph(3, 2, layers)
+    layers[0, 1, 2] = True  # the caller's array stays the caller's
+    assert g.total_edges() == 1 and layers.flags.writeable
+    built = ColoredDigraph.from_edges(3, 2, [(2, 0, 2)])
+    for h in (g, built, loads_graph(dumps_graph(g)), loads_graph(dumps_graph(g) + " ")):
+        assert h == built and not h.layers.flags.writeable
+        with pytest.raises(ValueError):
+            h.layers[0, 0, 1] = True
 
 
 def test_loads_rejects_malformed():

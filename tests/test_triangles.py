@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations, product
 
 import numpy as np
@@ -210,6 +211,36 @@ def test_count_rejects_colors_past_the_limit():
     for pattern in (D, T):
         with pytest.raises(GraphInputError, match=r"2\*\*16 colors"):
             count_rainbow(g, pattern)
+        # finding needs no exact count: it runs on the lowest colors of each pair
+        start = time.perf_counter()
+        witness = find_rainbow(g, pattern)
+        assert time.perf_counter() - start < 5.0
+        assert witness_is_valid(g, witness)
+        assert _witness_key(witness) == ((0, 1, 2), (1, 2, 3))
+
+
+def test_find_with_more_colors_than_pair_slots_agrees_with_oracle():
+    # c > 3n(n-1): find_rainbow keeps only the three lowest colors of each
+    # ordered pair, and must still find the oracle's witness.  Each graph
+    # draws its edges from four colors spread over 1..c, so that slots share
+    # colors and the kept ones decide whether a triple is rainbow.
+    rng = random.Random(37)
+    found = 0
+    for trial in range(80):
+        n = rng.randint(3, 5)
+        c = 3 * n * (n - 1) + rng.randint(1, 12)
+        palette = rng.sample(range(1, c + 1), 4)
+        edges = [
+            (color, u, v)
+            for u, v in permutations(range(n), 2)
+            for color in rng.sample(palette, rng.choice((0, 1, 1, 3)))
+        ]
+        g = ColoredDigraph.from_edges(n, c, edges)
+        for pattern in (D, T):
+            want = naive_find_rainbow(g, pattern)
+            assert _witness_key(find_rainbow(g, pattern)) == want, (trial, pattern)
+            found += want is not None
+    assert 20 < found < 150  # both outcomes are covered
 
 
 def test_pattern_edges_shapes():
