@@ -105,8 +105,8 @@ def _emit(echo, digest, results, passed, started) -> int:
     return 0 if passed else 1
 
 
-def _resolve_jobs(jobs: int | None) -> int | None:
-    if jobs is not None and jobs < 1:
+def _resolve_jobs(jobs: int) -> int:
+    if jobs < 1:
         raise GraphInputError("worker count must be at least 1")
     return jobs
 
@@ -290,7 +290,7 @@ def _random_small_graph(rng: random.Random) -> ColoredDigraph:
     return ColoredDigraph.from_edges(n, c, edges)
 
 
-def check_catalogue(which: str, scenarios, jobs: int | None):
+def check_catalogue(which: str, scenarios, jobs: int = 1):
     """Grade a scenario list and print each violated or infeasible entry,
     prefixed by ``which``, to stderr; it passes when there are none.
     Returns (segment, digest of the scenarios, entries)."""
@@ -424,7 +424,7 @@ def _add_jobs(parser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         help="worker processes for scenario evaluation (default: 1)",
     )
 

@@ -42,8 +42,8 @@ have read exactly these edges from it.  Any other text goes to
 bad entry of any list that fails; that route is the only source of error
 messages.
 
-Every graph has at most ``MAX_CELLS`` layer cells (c * n**2); larger sizes
-are rejected before anything is allocated.
+A graph's n, c and layer cells (c * n**2) are each at most ``MAX_CELLS``;
+larger sizes are rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -86,15 +86,17 @@ class GraphInputError(ValueError):
 
 
 def check_size(n: int, c: int) -> None:
-    """Reject sizes that are not ints or are negative, and more than MAX_CELLS cells."""
+    """Reject sizes that are not ints or are negative, and sizes where n, c
+    or the c * n**2 layer cells exceed MAX_CELLS: with n or c zero there are
+    no cells, but the other size alone can still be too large for numpy."""
     if type(n) is not int or type(c) is not int:  # a bool is not a size
         raise GraphInputError(f"n and c must be integers, got n={n!r}, c={c!r}")
     if n < 0 or c < 0:
         raise GraphInputError("n and c must be non-negative")
-    if c * n * n > MAX_CELLS:
+    if n > MAX_CELLS or c > MAX_CELLS or c * n * n > MAX_CELLS:
         raise GraphInputError(
-            f"n={n}, c={c} needs c*n^2 = {c * n * n} layer cells, "
-            f"above the limit MAX_CELLS = {MAX_CELLS}"
+            f"n={n}, c={c} breaks the limit MAX_CELLS = {MAX_CELLS} "
+            "on each of n, c and the c*n^2 layer cells"
         )
 
 
@@ -339,8 +341,9 @@ def _load_canonical(text) -> ColoredDigraph | None:
     if numbers.size % 3 != 2:
         return None
     n, c = numbers[:2].tolist()
-    # an empty graph with a huge n or c is left to the checked route
-    if c * n * n > MAX_CELLS or max(n, c) > MAX_CELLS:
+    try:
+        check_size(n, c)
+    except GraphInputError:  # left to the checked route, which names the limit
         return None
     layers = np.zeros((c, n, n), dtype=bool)
     if not _set_edge_rows(layers, numbers[2:].reshape(-1, 3)):

@@ -2,72 +2,8 @@
 vertex configurations: declarative scenarios, an exact enumerator, and the
 bound catalogues."""
 
-from .catalogues import (
-    CATALOGUE_IDS,
-    BoundEntry,
-    evaluate_scenario,
-    evaluate_scenarios,
-    load_catalogue,
-    run_catalogue,
-    write_data_files,
-)
-from .scenarios import (
-    CONSTRAINT_KINDS,
-    MAX_FREE_SLOTS,
-    MAX_KEY_RELABELLINGS,
-    MAX_VERTICES,
-    SLOT_STATES,
-    Constraint,
-    EnumerationResult,
-    Group,
-    Objective,
-    Scenario,
-    canonical_key,
-    dumps_scenarios,
-    enumerate_max,
-    fixture_constraints,
-    load_scenarios,
-    loads_scenarios,
-    objective_slots,
-    pair_sum,
-    save_scenarios,
-    scenario_from_dict,
-    scenario_slot_states,
-    scenario_to_dict,
-    slots_between,
-    validate_scenario,
-)
+from . import catalogues, scenarios
+from .catalogues import *  # noqa: F401,F403
+from .scenarios import *  # noqa: F401,F403
 
-__all__ = [
-    "CATALOGUE_IDS",
-    "CONSTRAINT_KINDS",
-    "MAX_FREE_SLOTS",
-    "MAX_KEY_RELABELLINGS",
-    "MAX_VERTICES",
-    "SLOT_STATES",
-    "BoundEntry",
-    "Constraint",
-    "EnumerationResult",
-    "Group",
-    "Objective",
-    "Scenario",
-    "canonical_key",
-    "dumps_scenarios",
-    "enumerate_max",
-    "evaluate_scenario",
-    "evaluate_scenarios",
-    "fixture_constraints",
-    "load_catalogue",
-    "load_scenarios",
-    "loads_scenarios",
-    "objective_slots",
-    "pair_sum",
-    "run_catalogue",
-    "save_scenarios",
-    "scenario_from_dict",
-    "scenario_slot_states",
-    "scenario_to_dict",
-    "slots_between",
-    "validate_scenario",
-    "write_data_files",
-]
+__all__ = catalogues.__all__ + scenarios.__all__

@@ -150,7 +150,7 @@ def evaluate_scenario(scenario: Scenario) -> BoundEntry:
     return _grade(scenario, computed, result.nodes, scenario.id)
 
 
-def evaluate_scenarios(scenarios, jobs: int | None = None) -> list[BoundEntry]:
+def evaluate_scenarios(scenarios, jobs: int = 1) -> list[BoundEntry]:
     """Evaluate many scenarios, one enumeration per isomorphism class.
 
     Scenarios are grouped by ``canonical_key``; the first of each group, in
@@ -164,7 +164,7 @@ def evaluate_scenarios(scenarios, jobs: int | None = None) -> list[BoundEntry]:
     for i, key in enumerate(keys):
         firsts.setdefault(key, i)
     reps = [scenarios[i] for i in firsts.values()]
-    if jobs is not None and jobs > 1 and len(reps) > 1:
+    if jobs > 1 and len(reps) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
             evaluated = list(pool.map(evaluate_scenario, reps))
     else:
@@ -567,7 +567,7 @@ def load_catalogue(which: str) -> list[Scenario]:
     return builder()
 
 
-def run_catalogue(which: str, jobs: int | None = None) -> list[BoundEntry]:
+def run_catalogue(which: str, jobs: int = 1) -> list[BoundEntry]:
     """Build and evaluate the named catalogue."""
     return evaluate_scenarios(load_catalogue(which), jobs=jobs)
 

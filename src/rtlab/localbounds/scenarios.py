@@ -46,6 +46,24 @@ premise edges included):
                               no listed color has edges both on the pair
                               {x, u} and on the pair {x, v}
 
+Each JSON record is described once, by a table of its keys in output order
+with the field kind of each value: ``_SCENARIO``, which nests ``_GROUP``,
+``_FIXED_EDGE``, ``_OBJECTIVE``, ``_BOUND`` and ``_CONSTRAINTS`` (a table
+per constraint kind, of the fields that kind reads).  The field kinds are
+
+    text     a string               int      an integer
+    label    a vertex label         labels   a list of vertex labels
+    color    a color in 1..c        colors   a list of colors
+    slots    a list of [color, from label, to label]
+    sides    the objective's ``between``: a list of two label lists
+
+(``_ENTRIES`` spells each list kind as the kinds of its entries.)  The JSON
+reader checks each value's type by its kind and rejects unknown and missing
+keys, the writer emits the keys in table order, ``validate_scenario`` checks
+that each label is a vertex and each color lies in 1..c, and
+``canonical_key`` maps labels to positions and colors to permuted colors
+and sorts every list: the engine reads each as a set.
+
 Free slots not reachable by the objective or by an ``==`` / ``>=`` slot sum
 stay absent by default: every rule above is preserved under edge deletion,
 so the maximum over such reduced configurations equals the maximum over all
@@ -68,6 +86,7 @@ import itertools
 import json
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -106,34 +125,6 @@ MAX_VERTICES = 6
 MAX_FREE_SLOTS = 36
 SLOT_STATES = ("present", "absent", "free")
 GROUP_KINDS = ("X", "Y", "Z", "R")
-
-CONSTRAINT_KINDS = frozenset(
-    {
-        "no_rainbow",
-        "oriented",
-        "pair_edge_cap",
-        "slot_sum",
-        "x_maximality",
-        "y_maximality",
-        "z_maximality",
-        "x_trimmed",
-        "y_trimmed",
-        "z_trimmed",
-        "no_double_double",
-        "no_thick_path",
-        "no_shared_color_link",
-    }
-)
-
-# The fields of a constraint that each kind reads; every other kind reads
-# none.  JSON records carry exactly these keys besides ``kind``, and
-# ``canonical_key`` keeps exactly these.
-_CONSTRAINT_FIELDS = {
-    "no_rainbow": ("pattern",),
-    "pair_edge_cap": ("value",),
-    "slot_sum": ("op", "value", "slots"),
-    "no_shared_color_link": ("vertex", "pair", "colors"),
-}
 
 Slot = tuple[int, str, str]  # (color, from label, to label)
 
@@ -218,6 +209,118 @@ def pair_sum(colors, a: str, b: str, op: str, value: int) -> Constraint:
     )
 
 
+# ---------------------------------------------------------------------------
+# Record tables
+
+
+@dataclass(frozen=True)
+class _Record:
+    """A record's table: its name in messages, its keys in output order with
+    their field kinds, and the conversions from its Python value to the field
+    values in key order (``fields``) and back (``build``).  A field kind may
+    also be a table, ``_CONSTRAINTS``, or a one-entry list of either."""
+
+    name: str
+    keys: dict
+    fields: Callable
+    build: Callable
+
+
+def _dataclass_record(name: str, cls: type, **keys) -> _Record:
+    """The table of a dataclass whose fields are named as its JSON keys."""
+    return _Record(
+        name, keys, lambda obj: tuple(getattr(obj, key) for key in keys),
+        lambda values: cls(**dict(zip(keys, values))),
+    )
+
+
+_GROUP = _dataclass_record("group", Group, kind="text", colors="colors", members="labels")
+_FIXED_EDGE = _Record(  # the tuple (color, from, to, state)
+    "fixed edge", {"color": "color", "from": "label", "to": "label", "state": "text"}, tuple, tuple
+)
+_OBJECTIVE = _Record(
+    "objective", {"colors": "colors", "between": "sides"},
+    lambda obj: (obj.colors, (obj.side_a, obj.side_b)),
+    lambda fields: Objective(fields[0], *fields[1]),
+)
+_BOUND = _Record(
+    "bound", {"num": "int", "den": "int"},
+    lambda bound: (bound.numerator, bound.denominator),
+    lambda fields: Fraction(*fields),
+)
+# one table per constraint kind, holding the fields that kind reads
+_CONSTRAINTS = {
+    kind: _dataclass_record(f"{kind} constraint", Constraint, kind="text", **fields)
+    for kind, fields in {
+        "no_rainbow": {"pattern": "text"},
+        "pair_edge_cap": {"value": "int"},
+        "slot_sum": {"op": "text", "value": "int", "slots": "slots"},
+        "no_shared_color_link": {"vertex": "label", "pair": "labels", "colors": "colors"},
+        **{kind: {} for kind in (
+            "oriented x_maximality y_maximality z_maximality x_trimmed y_trimmed z_trimmed"
+            " no_double_double no_thick_path"
+        ).split()},
+    }.items()
+}
+CONSTRAINT_KINDS = frozenset(_CONSTRAINTS)
+_SCENARIO = _dataclass_record(
+    "scenario", Scenario, id="text", source="text", colors="int", vertices="labels",
+    groups=[_GROUP], fixed_edges=[_FIXED_EDGE], constraints=[_CONSTRAINTS],
+    objective=_OBJECTIVE, bound=_BOUND,
+)
+# the scenario keys a file may leave out, with the JSON value they then take
+_OPTIONAL = {"source": "", "groups": [], "fixed_edges": [], "constraints": []}
+# the scenario keys no rule reads, which canonical_key leaves out
+_UNREAD = ("id", "source", "bound")
+# the JSON type of each scalar kind
+_JSON_TYPES = {"text": str, "int": int, "label": str, "color": int}
+# each list kind as the kinds of its entries: a one-entry list stands for a
+# JSON array of that kind, a tuple for an array of one entry of each kind
+_ENTRIES = {"labels": ["label"], "colors": ["color"], "sides": ("labels", "labels"),
+            "slots": [("color", "label", "label")]}
+
+
+def _pick(spec, obj) -> _Record:
+    """``spec`` if it is one table; of ``_CONSTRAINTS``, the table of the
+    kind of ``obj``, a Constraint or its JSON record."""
+    if isinstance(spec, _Record):
+        return spec
+    kind = _typed(obj.get("kind"), str, "constraint kind") if isinstance(obj, dict) else obj.kind
+    if kind not in spec:
+        raise GraphInputError(f"unknown constraint kind {kind!r}")
+    return spec[kind]
+
+
+def _entries(value, kind, what: str = "array"):
+    """(entry, its kind) for each entry of ``value``, of an array kind."""
+    kind = _ENTRIES.get(kind, kind) if isinstance(kind, str) else kind
+    if isinstance(kind, list):
+        return zip(value, itertools.repeat(kind[0]))
+    if len(value) != len(kind):
+        raise GraphInputError(f"{what} must have {len(kind)} entries, got {value!r}")
+    return zip(value, kind)
+
+
+def _is_array(kind) -> bool:
+    return kind in _ENTRIES if isinstance(kind, str) else isinstance(kind, (list, tuple))
+
+
+def _check_ranges(value, kind, colors: int, labels: set[str], what: str) -> None:
+    """Raise GraphInputError unless every label in ``value``, of field kind
+    ``kind``, is in ``labels`` and every color lies in 1..colors."""
+    if kind == "label" and value not in labels:
+        raise GraphInputError(f"{what}: {value!r} is not a vertex")
+    if kind == "color" and not 1 <= value <= colors:
+        raise GraphInputError(f"{what}: color {value} out of range 1..{colors}")
+    if _is_array(kind):
+        for entry, entry_kind in _entries(value, kind, what):
+            _check_ranges(entry, entry_kind, colors, labels, what)
+    elif not isinstance(kind, str):
+        spec = _pick(kind, value)
+        for (key, field_kind), field in zip(spec.keys.items(), spec.fields(value)):
+            _check_ranges(field, field_kind, colors, labels, f"{spec.name} {key}")
+
+
 def _group_vertex_sets(scenario: Scenario) -> dict[str, set[str]]:
     """For each group kind X, Y, Z: the vertex labels in a group of that kind
     or of an earlier one (so "Y" maps to the vertices in X or Y groups)."""
@@ -231,7 +334,9 @@ def _group_vertex_sets(scenario: Scenario) -> dict[str, set[str]]:
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    """Raise GraphInputError when the scenario is malformed."""
+    """Raise GraphInputError when the scenario is malformed: the range
+    checks of the record tables fail, or a record breaks a rule of its own
+    or of the scenario as a whole."""
     s = scenario
     if not s.id:
         raise GraphInputError("scenario id must be nonempty")
@@ -243,7 +348,7 @@ def validate_scenario(scenario: Scenario) -> None:
         )
     if len(set(s.vertices)) != len(s.vertices):
         raise GraphInputError("vertex labels must be distinct")
-    labels = set(s.vertices)
+    _check_ranges(s, _SCENARIO, s.colors, set(s.vertices), "scenario")
 
     grouped: set[str] = set()
     for g in s.groups:
@@ -252,25 +357,19 @@ def validate_scenario(scenario: Scenario) -> None:
         want = 1 if g.kind == "R" else 2
         if len(g.members) != want or len(set(g.members)) != want:
             raise GraphInputError(f"{g.kind} group needs {want} distinct member(s)")
-        if not set(g.members) <= labels:
-            raise GraphInputError(f"group members {g.members} not all vertices")
         if grouped & set(g.members):
             raise GraphInputError("groups must not share vertices")
         grouped.update(g.members)
         ncol = {"X": 2, "Y": 1, "Z": 1, "R": 0}[g.kind]
         if len(g.colors) != ncol or len(set(g.colors)) != ncol:
             raise GraphInputError(f"{g.kind} group needs {ncol} distinct color(s)")
-        if any(not 1 <= col <= s.colors for col in g.colors):
-            raise GraphInputError(f"group color out of range in {g.colors}")
 
     fixture_pairs = {
         frozenset(g.members) for g in s.groups if g.kind in ("X", "Y", "Z")
     }
     seen_fixed: set[Slot] = set()
     for color, src, dst, state in s.fixed_edges:
-        if not 1 <= color <= s.colors:
-            raise GraphInputError(f"fixed edge color {color} out of range")
-        if src not in labels or dst not in labels or src == dst:
+        if src == dst:
             raise GraphInputError(f"bad fixed edge endpoints ({src}, {dst})")
         if state not in SLOT_STATES:
             raise GraphInputError(f"bad slot state {state!r}")
@@ -283,17 +382,13 @@ def validate_scenario(scenario: Scenario) -> None:
             )
 
     for con in s.constraints:
-        _validate_constraint(s, con, labels)
+        _validate_constraint(con)
 
     obj = s.objective
     if not obj.colors or len(set(obj.colors)) != len(obj.colors):
         raise GraphInputError("objective colors must be nonempty and distinct")
-    if any(not 1 <= col <= s.colors for col in obj.colors):
-        raise GraphInputError("objective color out of range")
     if not obj.side_a or not obj.side_b:
         raise GraphInputError("objective sides must be nonempty")
-    if not (set(obj.side_a) <= labels and set(obj.side_b) <= labels):
-        raise GraphInputError("objective sides must consist of scenario vertices")
     if set(obj.side_a) & set(obj.side_b):
         raise GraphInputError("objective sides must be disjoint")
 
@@ -308,9 +403,8 @@ def validate_scenario(scenario: Scenario) -> None:
         )
 
 
-def _validate_constraint(s: Scenario, con: Constraint, labels: set[str]) -> None:
-    if con.kind not in CONSTRAINT_KINDS:
-        raise GraphInputError(f"unknown constraint kind {con.kind!r}")
+def _validate_constraint(con: Constraint) -> None:
+    """The checks of one constraint beyond the range checks."""
     if con.kind == "no_rainbow":
         if con.pattern not in ("directed", "transitive"):
             raise GraphInputError(f"bad triangle pattern {con.pattern!r}")
@@ -324,20 +418,15 @@ def _validate_constraint(s: Scenario, con: Constraint, labels: set[str]) -> None
             raise GraphInputError("slot_sum needs slots and value >= 0")
         if len(set(con.slots)) != len(con.slots):
             raise GraphInputError("slot_sum slots must be distinct")
-        for color, src, dst in con.slots:
-            if not 1 <= color <= s.colors or src not in labels or dst not in labels:
-                raise GraphInputError(f"bad slot {(color, src, dst)} in slot_sum")
-            if src == dst:
-                raise GraphInputError("slot endpoints must differ")
+        if any(src == dst for _, src, dst in con.slots):
+            raise GraphInputError("slot endpoints must differ")
     elif con.kind == "no_shared_color_link":
-        if con.vertex not in labels:
-            raise GraphInputError(f"unknown vertex {con.vertex!r}")
-        if len(con.pair) != 2 or not set(con.pair) <= labels:
+        if len(con.pair) != 2:
             raise GraphInputError(f"bad pair {con.pair}")
         if con.vertex in con.pair or con.pair[0] == con.pair[1]:
             raise GraphInputError("link vertex and pair must be three vertices")
-        if not con.colors or any(not 1 <= col <= s.colors for col in con.colors):
-            raise GraphInputError("no_shared_color_link needs valid colors")
+        if not con.colors:
+            raise GraphInputError("no_shared_color_link needs colors")
 
 
 def fixture_constraints(scenario: Scenario) -> tuple[Constraint, ...]:
@@ -414,32 +503,23 @@ def canonical_key(scenario: Scenario) -> tuple:
 
     The key is the lexicographically least *normal form* of the scenario
     over every color permutation sigma of 1..c and every vertex relabelling
-    pi of 0..n-1.  A normal form writes each vertex as its relabelled
-    position and each color as its permuted value, and leaves out ``id``,
-    ``source``, ``bound`` and the label strings, which no rule reads.  Every
-    rule, fixture and the objective is unchanged when colors are permuted or
-    vertices relabelled, so two scenarios with one normal form in common are
-    the same instance up to names.  Of a constraint the form keeps only the
-    fields its kind reads (``_CONSTRAINT_FIELDS``); the engine ignores the
-    rest.
+    pi of 0..n-1.  Every rule, fixture and the objective is unchanged when
+    colors are permuted or vertices relabelled, so two scenarios with one
+    normal form in common are the same instance up to names.  The normal
+    form walks the record tables and writes each field by its kind:
 
-    A normal form sorts only what the engine treats as unordered:
+    * a ``label`` as its position under pi, a ``color`` as its image under
+      sigma, ``text`` and ``int`` fields as they are;
+    * ``labels``, ``colors`` and ``slots`` lists sorted, because the engine
+      reads each as a set: a group's members and colors, a ``slot_sum``'s
+      slots, and ``no_shared_color_link``'s pair and colors;
+    * the objective's ``sides`` sorted, each side and then the pair, as the
+      objective counts both directions between them;
+    * lists of records sorted: every rule must hold, each group adds one
+      fixture and its vertices, and fixed edges are distinct slots.
 
-    * groups and constraints: every rule must hold, so the rules are a
-      conjunction, and the groups enter only as a union of vertex sets and
-      as one fixture and trimming rule each;
-    * a group's members and colors: each fixture fills, frees or sums both
-      directions of its pair alike, tests colors by membership, and the
-      trimming rules test both members alike;
-    * a ``slot_sum``'s slots: they are summed;
-    * ``no_shared_color_link``'s pair and colors: the rule is symmetric in
-      the two pair vertices and reads the colors as one mask;
-    * the two objective sides: the objective counts both directions
-      between them, so swapping them counts the same slots.
-
-    Fixed edges are a set (validation rejects a repeated slot), so they are
-    sorted too.  Duplicates are kept wherever they can occur, and an
-    unused field is left out only because no code reads it.
+    Duplicates are kept.  The form leaves out ``id``, ``source``, ``bound``
+    and the label strings, which no rule reads.
 
     When c! * n! exceeds ``MAX_KEY_RELABELLINGS`` (up to 8! * 6!, about 29M,
     passes validation) the key is the identity normal form: it merges fewer
@@ -447,64 +527,59 @@ def canonical_key(scenario: Scenario) -> tuple:
     malformed scenario.
     """
     validate_scenario(scenario)
-    s, obj = scenario, scenario.objective
-    n, c = len(s.vertices), s.colors
-
-    def form(sigma, pi):
-        """The normal form under sigma (color -> color, index 0 unused) and
-        pi (vertex label -> position)."""
-
-        def cols(colors):
-            return tuple(sorted(sigma[col] for col in colors))
-
-        def verts(labels):
-            return tuple(sorted(pi[v] for v in labels))
-
-        def slots(entries):
-            return tuple(sorted((sigma[col], pi[a], pi[b]) for col, a, b in entries))
-
-        # how a field is written under sigma and pi; the others are kept as they are
-        relabel = {"slots": slots, "vertex": pi.__getitem__, "pair": verts, "colors": cols}
-
-        def con_form(con):
-            form = [con.kind]
-            for field in _CONSTRAINT_FIELDS.get(con.kind, ()):
-                value = getattr(con, field)
-                form.append(relabel[field](value) if field in relabel else value)
-            return tuple(form)
-
-        return (
-            cols(obj.colors),
-            tuple(sorted((verts(obj.side_a), verts(obj.side_b)))),
-            tuple(sorted((g.kind, cols(g.colors), verts(g.members)) for g in s.groups)),
-            tuple(
-                sorted((sigma[col], pi[a], pi[b], st) for col, a, b, st in s.fixed_edges)
-            ),
-            tuple(sorted(con_form(con) for con in s.constraints)),
-        )
-
+    n, c = len(scenario.vertices), scenario.colors
+    form = _normal_form(scenario, _SCENARIO)
     if math.factorial(c) * math.factorial(n) > MAX_KEY_RELABELLINGS:
         sigmas, positions = [tuple(range(c + 1))], [tuple(range(n))]
     else:
         sigmas = [(0,) + p for p in itertools.permutations(range(1, c + 1))]
         positions = itertools.permutations(range(n))
-    relabellings = [dict(zip(s.vertices, p)) for p in positions]
-    return (c, n, min(form(sigma, pi) for sigma in sigmas for pi in relabellings))
+    relabellings = [dict(zip(scenario.vertices, p)) for p in positions]
+    return min(form(sigma, pi) for sigma in sigmas for pi in relabellings)
+
+
+def _normal_form(value, kind):
+    """The normal form of ``value``, of field kind ``kind``: a function of
+    sigma (color -> color, index 0 unused) and pi (label -> position), or
+    the form itself when it names no label or color."""
+    if kind == "label":
+        return lambda sigma, pi: pi[value]
+    if kind == "color":
+        return lambda sigma, pi: sigma[value]
+    # written out for speed: labels, colors and slots as the route below would
+    # form them, and the two sides sorted, as the objective reads both ways
+    if kind == "labels":
+        return lambda sigma, pi: tuple(sorted(map(pi.__getitem__, value)))
+    if kind == "colors":
+        return lambda sigma, pi: tuple(sorted(map(sigma.__getitem__, value)))
+    if kind == "slots":
+        return lambda sigma, pi: tuple(
+            sorted([(sigma[col], pi[src], pi[dst]) for col, src, dst in value])
+        )
+    if kind == "sides":
+        return lambda sigma, pi: tuple(
+            sorted([tuple(sorted(map(pi.__getitem__, side))) for side in value])
+        )
+    if isinstance(kind, str):
+        return value  # text and int
+    if isinstance(kind, (list, tuple)):
+        parts = [_normal_form(entry, entry_kind) for entry, entry_kind in _entries(value, kind)]
+    else:
+        spec = _pick(kind, value)
+        parts = [
+            _normal_form(field, field_kind)
+            for (key, field_kind), field in zip(spec.keys.items(), spec.fields(value))
+            if key not in _UNREAD
+        ]
+    if not any(map(callable, parts)):
+        return tuple(sorted(parts) if isinstance(kind, list) else parts)
+    if isinstance(kind, list):  # read as a set
+        return lambda sigma, pi: tuple(sorted([p(sigma, pi) if callable(p) else p for p in parts]))
+    return lambda sigma, pi: tuple([p(sigma, pi) if callable(p) else p for p in parts])
 
 
 # ---------------------------------------------------------------------------
 # JSON round trip
-
-
-def _constraint_to_dict(con: Constraint) -> dict:
-    out: dict = {"kind": con.kind}
-    for field in _CONSTRAINT_FIELDS.get(con.kind, ()):
-        value = getattr(con, field)
-        if field == "slots":
-            value = [list(s) for s in value]
-        out[field] = list(value) if isinstance(value, tuple) else value
-    return out
-
 
 def _typed(value, kind: type, what: str):
     """``value`` if it is a ``kind`` (a bool is not an int here), else raise
@@ -515,134 +590,57 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _typed_seq(values, kind: type, what: str) -> tuple:
-    """A JSON array whose entries are all of type ``kind``, as a tuple."""
-    return tuple(_typed(v, kind, f"{what} entry") for v in _typed(values, list, what))
-
-
-def _record(d, keys: str, what: str) -> dict:
-    """``d`` if it is a JSON object with no key outside ``keys``; an unread
-    key, a misspelled one say, would silently change what a record checks."""
-    unknown = sorted(set(_typed(d, dict, what)) - set(keys.split()))
+def _read(value, kind, what: str):
+    """The Python value of the JSON ``value`` of field kind ``kind``.  In a
+    record, a key outside its table, a misspelled one say, would silently
+    change what the record checks, and so would a default for a missing
+    one, such as cap 0: both raise GraphInputError, apart from the keys in
+    ``_OPTIONAL``."""
+    if isinstance(kind, str) and kind not in _ENTRIES:
+        return _typed(value, _JSON_TYPES[kind], what)
+    if _is_array(kind):
+        entries = _entries(_typed(value, list, what), kind, what)
+        return tuple(_read(entry, entry_kind, what) for entry, entry_kind in entries)
+    kind = _pick(kind, _typed(value, dict, what))
+    unknown = sorted(value.keys() - kind.keys.keys())
     if unknown:
-        raise GraphInputError(f"{what} has unknown key {', '.join(map(repr, unknown))}")
-    return d
-
-
-def _records(d: dict, field: str, keys: str) -> list[dict]:
-    """The optional JSON array ``d[field]`` of records, each as ``_record``."""
-    return [_record(e, keys, f"{field} entry") for e in _typed(d.get(field, []), list, field)]
-
-
-def _slot_from_list(slot) -> Slot:
-    color, src, dst = _typed(slot, list, "slot")
-    return (
-        _typed(color, int, "slot color"),
-        _typed(src, str, "slot label"),
-        _typed(dst, str, "slot label"),
+        raise GraphInputError(f"{kind.name} has unknown key {', '.join(map(repr, unknown))}")
+    missing = [key for key in kind.keys if key not in value and key not in _OPTIONAL]
+    if missing:
+        raise GraphInputError(f"{kind.name} needs key {', '.join(map(repr, missing))}")
+    return kind.build(
+        tuple(
+            _read(value.get(key, _OPTIONAL.get(key)), field_kind, f"{kind.name} {key}")
+            for key, field_kind in kind.keys.items()
+        )
     )
 
 
-_FIELD_PARSERS = {
-    "pattern": lambda v: _typed(v, str, "constraint pattern"),
-    "op": lambda v: _typed(v, str, "constraint op"),
-    "value": lambda v: _typed(v, int, "constraint value"),
-    "slots": lambda v: tuple(_slot_from_list(s) for s in _typed(v, list, "slots")),
-    "vertex": lambda v: _typed(v, str, "constraint vertex"),
-    "pair": lambda v: _typed_seq(v, str, "constraint pair"),
-    "colors": lambda v: _typed_seq(v, int, "constraint colors"),
-}
-
-
-def _constraint_from_dict(d: dict) -> Constraint:
-    """A constraint record holds ``kind`` and exactly the fields that kind
-    reads: an unread field would be ignored, and a missing one would take
-    a default such as cap 0."""
-    kind = _typed(_typed(d, dict, "constraints entry")["kind"], str, "constraint kind")
-    fields = _CONSTRAINT_FIELDS.get(kind, ())
-    _record(d, " ".join(("kind", *fields)), f"{kind} constraint")
-    missing = [field for field in fields if field not in d]
-    if missing:
-        raise GraphInputError(f"{kind} constraint needs key {', '.join(map(repr, missing))}")
-    return Constraint(kind=kind, **{field: _FIELD_PARSERS[field](d[field]) for field in fields})
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
+def _write(value, kind):
+    """The JSON form of ``value``, of field kind ``kind``; a record's keys
+    come in table order."""
+    if _is_array(kind):
+        return [_write(entry, entry_kind) for entry, entry_kind in _entries(value, kind)]
+    if isinstance(kind, str):
+        return value
+    spec = _pick(kind, value)
     return {
-        "id": scenario.id,
-        "source": scenario.source,
-        "colors": scenario.colors,
-        "vertices": list(scenario.vertices),
-        "groups": [
-            {"kind": g.kind, "colors": list(g.colors), "members": list(g.members)}
-            for g in scenario.groups
-        ],
-        "fixed_edges": [
-            {"color": c, "from": src, "to": dst, "state": state}
-            for c, src, dst, state in scenario.fixed_edges
-        ],
-        "constraints": [_constraint_to_dict(con) for con in scenario.constraints],
-        "objective": {
-            "colors": list(scenario.objective.colors),
-            "between": [list(scenario.objective.side_a), list(scenario.objective.side_b)],
-        },
-        "bound": {
-            "num": scenario.bound.numerator,
-            "den": scenario.bound.denominator,
-        },
+        key: _write(field, field_kind)
+        for (key, field_kind), field in zip(spec.keys.items(), spec.fields(value))
     }
 
 
+def scenario_to_dict(scenario: Scenario) -> dict:
+    return _write(scenario, _SCENARIO)
+
+
 def scenario_from_dict(d: dict) -> Scenario:
-    """Parse one JSON scenario record and validate it.  Ids, sources,
-    kinds, ops, patterns, states and vertex labels must be strings, and
-    color counts, colors, values and bound terms integers; anything else
-    raises GraphInputError rather than being converted, and so does a key
-    that no record of its kind reads, or a constraint record that lacks a
-    field its kind reads."""
+    """Parse one JSON scenario record and validate it.  A value that is not
+    of its field kind's JSON type, a key its record does not read and a
+    missing key raise GraphInputError; nothing is converted."""
     try:
-        keys = "id source colors vertices objective bound groups fixed_edges constraints"
-        _record(d, keys, "scenario")
-        obj = _record(d["objective"], "colors between", "objective")
-        bound = _record(d["bound"], "num den", "bound")
-        side_a, side_b = _typed(obj["between"], list, "objective between")
-        scenario = Scenario(
-            id=_typed(d["id"], str, "scenario id"),
-            source=_typed(d.get("source", ""), str, "scenario source"),
-            colors=_typed(d["colors"], int, "color count"),
-            vertices=_typed_seq(d["vertices"], str, "vertices"),
-            objective=Objective(
-                colors=_typed_seq(obj["colors"], int, "objective colors"),
-                side_a=_typed_seq(side_a, str, "objective side"),
-                side_b=_typed_seq(side_b, str, "objective side"),
-            ),
-            bound=Fraction(
-                _typed(bound["num"], int, "bound num"),
-                _typed(bound["den"], int, "bound den"),
-            ),
-            groups=tuple(
-                Group(
-                    kind=_typed(g["kind"], str, "group kind"),
-                    colors=_typed_seq(g["colors"], int, "group colors"),
-                    members=_typed_seq(g["members"], str, "group members"),
-                )
-                for g in _records(d, "groups", "kind colors members")
-            ),
-            fixed_edges=tuple(
-                (
-                    _typed(e["color"], int, "fixed edge color"),
-                    _typed(e["from"], str, "fixed edge label"),
-                    _typed(e["to"], str, "fixed edge label"),
-                    _typed(e["state"], str, "fixed edge state"),
-                )
-                for e in _records(d, "fixed_edges", "color from to state")
-            ),
-            constraints=tuple(
-                _constraint_from_dict(c)
-                for c in _typed(d.get("constraints", []), list, "constraints")
-            ),
-        )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        scenario = _read(d, _SCENARIO, "scenario")
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise GraphInputError(f"malformed scenario record: {exc}") from exc
     validate_scenario(scenario)
     return scenario

@@ -170,7 +170,7 @@ def test_orbit_members_agree_when_enumerated_alone(graded_catalogue):
 
 def test_parallel_evaluation_matches_sequential():
     scenarios = load_catalogue("claims_local")
-    seq = evaluate_scenarios(scenarios, jobs=None)
+    seq = evaluate_scenarios(scenarios, jobs=1)
     par = evaluate_scenarios(scenarios, jobs=2)
     assert seq == par
 

@@ -100,6 +100,31 @@ def test_detect_input_errors(tmp_path, capsys):
     assert code == 2 and report is None and "MAX_CELLS" in err
 
 
+@pytest.mark.parametrize(
+    "n, c, message",
+    [
+        (0, 2**40, "MAX_CELLS"),
+        (2**40, 0, "MAX_CELLS"),
+        (0, 10**20, "MAX_CELLS"),
+        (10**20, 0, "MAX_CELLS"),
+        (True, 3, "n and c must be integers"),
+        (3, True, "n and c must be integers"),
+        (1.5, 3, "n and c must be integers"),
+        (3, 1.5, "n and c must be integers"),
+        (-1, 3, "non-negative"),
+        (3, -1, "non-negative"),
+    ],
+)
+def test_detect_rejects_bad_sizes(tmp_path, capsys, n, c, message):
+    # with n or c zero a graph has no cells, so only a bound on each size
+    # keeps the other from reaching numpy, which raised a bare ValueError
+    path = tmp_path / "size.json"
+    path.write_text(json.dumps({"n": n, "c": c, "edges": []}))
+    code, report, err = run_cli(capsys, "detect", "--graph", str(path), "--pattern", "directed")
+    assert code == 2 and report is None
+    assert "input error" in err and message in err
+
+
 def test_construct_examples(tmp_path, capsys):
     code, report, _ = run_cli(
         capsys,

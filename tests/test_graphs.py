@@ -383,6 +383,14 @@ def test_size_limit_is_checked_before_allocation():
     with pytest.raises(GraphInputError, match="MAX_CELLS"):
         ColoredDigraph.from_edges(1 << 13, 2, [])
     check_size(1 << 12, 4)  # exactly at the cap
+    # a zero size leaves no cells, so each size is bounded on its own
+    for n, c in ((2**40, 0), (0, 2**40), (MAX_CELLS + 1, 0)):
+        with pytest.raises(GraphInputError, match="MAX_CELLS"):
+            ColoredDigraph.from_edges(n, c, [])
+        with pytest.raises(GraphInputError, match="MAX_CELLS"):
+            loads_graph(f'{{"n":{n},"c":{c},"edges":[]}}')
+    check_size(MAX_CELLS, 0)
+    check_size(0, MAX_CELLS)
 
 
 def test_digest_is_stable():

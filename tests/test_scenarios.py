@@ -17,6 +17,8 @@ from naive import naive_scenario_max, naive_scenario_rules_hold
 from rtlab.graphs import GraphInputError
 from rtlab.localbounds import (
     CATALOGUE_IDS,
+    CONSTRAINT_KINDS,
+    SLOT_STATES,
     Constraint,
     Group,
     Objective,
@@ -27,10 +29,13 @@ from rtlab.localbounds import (
     load_catalogue,
     loads_scenarios,
     objective_slots,
+    scenario_from_dict,
     scenario_slot_states,
+    scenario_to_dict,
     slots_between,
 )
 from rtlab.localbounds.catalogues import CLASS_NAMES, TABLE_BOUNDS
+from rtlab.localbounds.scenarios import _CONSTRAINTS, _ENTRIES, _SCENARIO, _UNREAD, _Record
 
 
 def make(vertices=("u", "v", "w"), colors=3, obj_colors=(1, 2),
@@ -401,38 +406,128 @@ def test_canonical_key_is_invariant_under_relabelling():
         assert canonical_key(copy) == canonical_key(s), s.id
 
 
-def _edit_constraint(s: Scenario, kind: str, **changes) -> Scenario:
-    k = next(i for i, c in enumerate(s.constraints) if c.kind == kind)
-    rules = list(s.constraints)
-    rules[k] = replace(rules[k], **changes)
-    return replace(s, constraints=tuple(rules))
+# One scenario with a record of every table: an X, a Y and a free vertex,
+# fixed edges, one constraint of every kind and an objective.
+SINK = Scenario(
+    id="sink",
+    source="test",
+    colors=3,
+    vertices=("v1", "v2", "v3", "v4", "v5"),
+    objective=Objective((1, 2), ("v5",), ("v1", "v3")),
+    bound=Fraction(99),
+    groups=(Group("X", (1, 2), ("v1", "v2")), Group("Y", (1,), ("v3", "v4"))),
+    fixed_edges=((3, "v5", "v2", "present"), (1, "v2", "v4", "absent")),
+    constraints=(
+        rainbow(),
+        Constraint("pair_edge_cap", value=5),
+        Constraint("slot_sum", op=">=", value=1, slots=((2, "v2", "v4"), (3, "v4", "v5"))),
+        Constraint("no_shared_color_link", vertex="v5", pair=("v2", "v4"), colors=(1, 3)),
+        *(Constraint(kind) for kind in sorted(CONSTRAINT_KINDS) if len(_CONSTRAINTS[kind].keys) == 1),
+    ),
+)
+# every text a field holds somewhere, to swap one for another
+TEXTS = (*SLOT_STATES, *"XYZR", "directed", "transitive", "==", "<=", ">=",
+         *sorted(CONSTRAINT_KINDS))
+
+
+def _tables(kind):
+    """Every record table reachable from field kind ``kind``."""
+    if isinstance(kind, list):
+        yield from _tables(kind[0])
+    elif isinstance(kind, dict):
+        for table in kind.values():
+            yield from _tables(table)
+    elif isinstance(kind, _Record):
+        yield kind
+        for field_kind in kind.keys.values():
+            yield from _tables(field_kind)
+
+
+def _records(value, kind, path=()):
+    """(path, table) for every record in the JSON ``value`` of kind ``kind``."""
+    if isinstance(kind, list):
+        for i, entry in enumerate(value):
+            yield from _records(entry, kind[0], path + (i,))
+    elif isinstance(kind, dict):
+        yield from _records(value, kind[value["kind"]], path)
+    elif isinstance(kind, _Record):
+        yield path, kind
+        for key, field_kind in kind.keys.items():
+            yield from _records(value[key], field_kind, path + (key,))
+
+
+def _alternatives(value, kind, labels, colors):
+    """JSON values of kind ``kind`` to put in place of ``value``: each differs
+    from it in one entry, or by one entry more or less."""
+    kind = _ENTRIES.get(kind, kind) if isinstance(kind, str) else kind
+    if kind == "text":
+        return [t for t in (*TEXTS, value + "+") if t != value]
+    if kind == "int":
+        return [value + 1, value - 1]
+    if kind in ("label", "color"):
+        return [v for v in (labels + ["new"] if kind == "label" else colors) if v != value]
+    if not isinstance(kind, (list, tuple)):
+        return []  # a record: its own keys are edited
+    entry_kinds = [kind[0]] * len(value) if isinstance(kind, list) else kind
+    out = [
+        value[:i] + [alt] + value[i + 1:]
+        for i, (entry, entry_kind) in enumerate(zip(value, entry_kinds))
+        for alt in _alternatives(entry, entry_kind, labels, colors)
+    ]
+    if isinstance(kind, list):
+        out += [value[:i] + value[i + 1:] for i in range(len(value))]
+        out += [value + [alt] for alt in _alternatives(value[0], kind[0], labels, colors)]
+    return out
+
+
+def _at(record, path):
+    for step in path:
+        record = record[step]
+    return record
+
+
+def _rename(value, names):
+    if isinstance(value, list):
+        return [_rename(v, names) for v in value]
+    if isinstance(value, dict):
+        return {k: _rename(v, names) for k, v in value.items()}
+    return names.get(value, value)
 
 
 def test_canonical_key_sees_every_field():
-    table = {s.id: s for s in load_catalogue("table10x10")}
-    claims = {s.id: s for s in load_catalogue("claims_local")}
-    cell = table["table:X12-Y1"]
-    fan = claims["heavy-fan:third-pair:c4"]
-    single = claims["single-edge:other-colors:c3"]
-    link = claims["one-double:no-shared-link:c4"]
-    edits = [
-        (cell, _edit_constraint(cell, "pair_edge_cap", value=4)),
-        (cell, _edit_constraint(cell, "no_rainbow", pattern="transitive")),
-        (fan, _edit_constraint(fan, "slot_sum", op="<=")),
-        (single, replace(single, fixed_edges=((3, "u", "v", "absent"),))),
-        (single, replace(single, objective=replace(single.objective, colors=(1, 3)))),
-        (cell, replace(cell, groups=(cell.groups[0], Group("Y", (3,), ("b1", "b2"))))),
-        (link, _edit_constraint(link, "no_shared_color_link", colors=(2, 3))),
-    ]
-    # move one slot of a one-way sum to the other direction
-    ge = next(c for c in fan.constraints if c.op == ">=")
-    color, a, b = ge.slots[0]
-    moved = replace(ge, slots=((color, b, a),) + ge.slots[1:])
-    rules = tuple(moved if c is ge else c for c in fan.constraints)
-    edits.append((fan, replace(fan, constraints=rules)))
-    for before, after in edits:
-        assert after != before
-        assert canonical_key(after) != canonical_key(before), after.id
+    # an edit to any one key of any record changes the key, except for the
+    # keys no rule reads (id, source and the bound), which leave it alone
+    record = scenario_to_dict(SINK)
+    labels, colors = record["vertices"], list(range(1, SINK.colors + 1))
+    base = canonical_key(SINK)
+    covered = set()
+    for path, table in _records(record, _SCENARIO):
+        for key, kind in table.keys.items():
+            unread = (path + (key,))[0] in _UNREAD
+            for alt in _alternatives(_at(record, path)[key], kind, labels, colors):
+                edited = json.loads(json.dumps(record))
+                _at(edited, path)[key] = alt
+                try:
+                    scenario = scenario_from_dict(edited)
+                except GraphInputError:
+                    continue  # not a valid scenario
+                changed = canonical_key(scenario) != base
+                assert changed != unread, (path, key, alt)
+                covered.add((table.name, key))
+                break
+    # a constraint kind that reads fields cannot change alone: the reader
+    # rejects the fields the new kind does not read
+    expected = {
+        (table.name, key)
+        for table in _tables(_SCENARIO)
+        for key, kind in table.keys.items()
+        if not isinstance(kind, _Record)
+        and not (key == "kind" and table in _CONSTRAINTS.values() and len(table.keys) > 1)
+    }
+    assert expected - covered == set()
+    # nor do the label strings matter
+    renamed = _rename(record, {v: v.upper() + "'" for v in labels})
+    assert canonical_key(scenario_from_dict(renamed)) == base
 
 
 def test_table_cells_fall_into_sixteen_orbits_of_equal_bound():
