@@ -47,22 +47,16 @@ premise edges included):
                               {x, u} and on the pair {x, v}
 
 Each JSON record is described once, by a table of its keys in output order
-with the field kind of each value: ``_SCENARIO``, which nests ``_GROUP``,
-``_FIXED_EDGE``, ``_OBJECTIVE``, ``_BOUND`` and ``_CONSTRAINTS`` (a table
-per constraint kind, of the fields that kind reads).  The field kinds are
-
-    text     a string               int      an integer
-    label    a vertex label         labels   a list of vertex labels
-    color    a color in 1..c        colors   a list of colors
-    slots    a list of [color, from label, to label]
-    sides    the objective's ``between``: a list of two label lists
-
-(``_ENTRIES`` spells each list kind as the kinds of its entries.)  The JSON
-reader checks each value's type by its kind and rejects unknown and missing
-keys, the writer emits the keys in table order, ``validate_scenario`` checks
-that each label is a vertex and each color lies in 1..c, and
-``canonical_key`` maps labels to positions and colors to permuted colors
-and sorts every list: the engine reads each as a set.
+with the field kind of each value (``_RECORDS``, and ``_CONSTRAINTS`` with one
+table per constraint kind).  A field kind is a name: of a scalar (text, int,
+label or color; ``_SCALARS``), of an array (``_ARRAYS``: a slot [color, from,
+to], the objective's two ``sides``, or a list of labels, colors, slots,
+groups, fixed_edges or constraints) or of a record.  The JSON reader checks
+each value's type by its kind and rejects unknown and missing keys, the writer
+emits the keys in table order, ``validate_scenario`` checks that each label is
+a vertex and each color lies in 1..c, and ``canonical_key`` maps labels to
+positions and colors to permuted colors and sorts every array but a slot, as
+the engine reads each as a set.
 
 Free slots not reachable by the objective or by an ``==`` / ``>=`` slot sum
 stay absent by default: every rule above is preserved under edge deletion,
@@ -87,7 +81,7 @@ import json
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,41 +210,67 @@ def pair_sum(colors, a: str, b: str, op: str, value: int) -> Constraint:
 @dataclass(frozen=True)
 class _Record:
     """A record's table: its name in messages, its keys in output order with
-    their field kinds, and the conversions from its Python value to the field
-    values in key order (``fields``) and back (``build``).  A field kind may
-    also be a table, ``_CONSTRAINTS``, or a one-entry list of either."""
+    the field kind of each, and the conversions from its Python value to the
+    field values in key order (``fields``) and back (``build``).
+    ``optional`` holds the keys a file may leave out, with the JSON value
+    they then take, and ``unread`` the keys no rule reads."""
 
     name: str
-    keys: dict
+    keys: dict[str, str]
     fields: Callable
     build: Callable
+    optional: dict = field(default_factory=dict)
+    unread: tuple[str, ...] = ()
 
 
-def _dataclass_record(name: str, cls: type, **keys) -> _Record:
+def _dataclass_record(name: str, cls: type, keys: dict[str, str], **options) -> _Record:
     """The table of a dataclass whose fields are named as its JSON keys."""
     return _Record(
-        name, keys, lambda obj: tuple(getattr(obj, key) for key in keys),
-        lambda values: cls(**dict(zip(keys, values))),
+        name, keys, lambda obj: tuple([getattr(obj, key) for key in keys]),
+        lambda values: cls(**dict(zip(keys, values))), **options,
     )
 
 
-_GROUP = _dataclass_record("group", Group, kind="text", colors="colors", members="labels")
-_FIXED_EDGE = _Record(  # the tuple (color, from, to, state)
-    "fixed edge", {"color": "color", "from": "label", "to": "label", "state": "text"}, tuple, tuple
-)
-_OBJECTIVE = _Record(
-    "objective", {"colors": "colors", "between": "sides"},
-    lambda obj: (obj.colors, (obj.side_a, obj.side_b)),
-    lambda fields: Objective(fields[0], *fields[1]),
-)
-_BOUND = _Record(
-    "bound", {"num": "int", "den": "int"},
-    lambda bound: (bound.numerator, bound.denominator),
-    lambda fields: Fraction(*fields),
-)
-# one table per constraint kind, holding the fields that kind reads
+# the JSON type of each scalar field kind
+_SCALARS = {"text": str, "int": int, "label": str, "color": int}
+# each array field kind as the kinds of its entries: one kind for an array
+# of any length, a tuple of kinds for an array of one entry of each
+_ARRAYS = {
+    "labels": "label", "colors": "color", "slots": "slot", "slot": ("color", "label", "label"),
+    "sides": ("labels", "labels"), "groups": "group", "fixed_edges": "fixed_edge",
+    "constraints": "constraint",
+}
+# every other field kind names a record table, and "constraint" the table of
+# the constraint's kind
+_RECORDS = {
+    "scenario": _dataclass_record(
+        "scenario", Scenario,
+        {"id": "text", "source": "text", "colors": "int", "vertices": "labels",
+         "groups": "groups", "fixed_edges": "fixed_edges", "constraints": "constraints",
+         "objective": "objective", "bound": "bound"},
+        optional={"source": "", "groups": [], "fixed_edges": [], "constraints": []},
+        unread=("id", "source", "bound"),
+    ),
+    "group": _dataclass_record(
+        "group", Group, {"kind": "text", "colors": "colors", "members": "labels"}
+    ),
+    "fixed_edge": _Record(  # the tuple (color, from, to, state)
+        "fixed edge", {"color": "color", "from": "label", "to": "label", "state": "text"},
+        tuple, tuple,
+    ),
+    "objective": _Record(
+        "objective", {"colors": "colors", "between": "sides"},
+        lambda obj: (obj.colors, (obj.side_a, obj.side_b)),
+        lambda fields: Objective(fields[0], *fields[1]),
+    ),
+    "bound": _Record(
+        "bound", {"num": "int", "den": "int"},
+        lambda bound: (bound.numerator, bound.denominator),
+        lambda fields: Fraction(*fields),
+    ),
+}
 _CONSTRAINTS = {
-    kind: _dataclass_record(f"{kind} constraint", Constraint, kind="text", **fields)
+    kind: _dataclass_record(f"{kind} constraint", Constraint, {"kind": "text", **fields})
     for kind, fields in {
         "no_rainbow": {"pattern": "text"},
         "pair_edge_cap": {"value": "int"},
@@ -263,62 +283,45 @@ _CONSTRAINTS = {
     }.items()
 }
 CONSTRAINT_KINDS = frozenset(_CONSTRAINTS)
-_SCENARIO = _dataclass_record(
-    "scenario", Scenario, id="text", source="text", colors="int", vertices="labels",
-    groups=[_GROUP], fixed_edges=[_FIXED_EDGE], constraints=[_CONSTRAINTS],
-    objective=_OBJECTIVE, bound=_BOUND,
-)
-# the scenario keys a file may leave out, with the JSON value they then take
-_OPTIONAL = {"source": "", "groups": [], "fixed_edges": [], "constraints": []}
-# the scenario keys no rule reads, which canonical_key leaves out
-_UNREAD = ("id", "source", "bound")
-# the JSON type of each scalar kind
-_JSON_TYPES = {"text": str, "int": int, "label": str, "color": int}
-# each list kind as the kinds of its entries: a one-entry list stands for a
-# JSON array of that kind, a tuple for an array of one entry of each kind
-_ENTRIES = {"labels": ["label"], "colors": ["color"], "sides": ("labels", "labels"),
-            "slots": [("color", "label", "label")]}
 
 
-def _pick(spec, obj) -> _Record:
-    """``spec`` if it is one table; of ``_CONSTRAINTS``, the table of the
-    kind of ``obj``, a Constraint or its JSON record."""
-    if isinstance(spec, _Record):
-        return spec
-    kind = _typed(obj.get("kind"), str, "constraint kind") if isinstance(obj, dict) else obj.kind
-    if kind not in spec:
+def _constraint_table(kind: str) -> _Record:
+    if kind not in _CONSTRAINTS:
         raise GraphInputError(f"unknown constraint kind {kind!r}")
-    return spec[kind]
+    return _CONSTRAINTS[kind]
 
 
-def _entries(value, kind, what: str = "array"):
-    """(entry, its kind) for each entry of ``value``, of an array kind."""
-    kind = _ENTRIES.get(kind, kind) if isinstance(kind, str) else kind
-    if isinstance(kind, list):
-        return zip(value, itertools.repeat(kind[0]))
-    if len(value) != len(kind):
-        raise GraphInputError(f"{what} must have {len(kind)} entries, got {value!r}")
-    return zip(value, kind)
+def _table(kind: str, value) -> _Record:
+    """The table of ``value``, a Python value of record kind ``kind``."""
+    return _constraint_table(value.kind) if kind == "constraint" else _RECORDS[kind]
 
 
-def _is_array(kind) -> bool:
-    return kind in _ENTRIES if isinstance(kind, str) else isinstance(kind, (list, tuple))
+def _entries(value, kind: str, what: str = "array"):
+    """(entry, its kind) for each entry of ``value``, of array kind ``kind``."""
+    entry_kinds = _ARRAYS[kind]
+    if isinstance(entry_kinds, str):
+        return zip(value, itertools.repeat(entry_kinds))
+    if len(value) != len(entry_kinds):
+        raise GraphInputError(f"{what} must have {len(entry_kinds)} entries, got {value!r}")
+    return zip(value, entry_kinds)
 
 
-def _check_ranges(value, kind, colors: int, labels: set[str], what: str) -> None:
+def _check_ranges(value, kind: str, colors: int, labels: set[str], what: str) -> None:
     """Raise GraphInputError unless every label in ``value``, of field kind
     ``kind``, is in ``labels`` and every color lies in 1..colors."""
-    if kind == "label" and value not in labels:
-        raise GraphInputError(f"{what}: {value!r} is not a vertex")
-    if kind == "color" and not 1 <= value <= colors:
-        raise GraphInputError(f"{what}: color {value} out of range 1..{colors}")
-    if _is_array(kind):
+    if kind == "label":
+        if value not in labels:
+            raise GraphInputError(f"{what}: {value!r} is not a vertex")
+    elif kind == "color":
+        if not 1 <= value <= colors:
+            raise GraphInputError(f"{what}: color {value} out of range 1..{colors}")
+    elif kind in _ARRAYS:
         for entry, entry_kind in _entries(value, kind, what):
             _check_ranges(entry, entry_kind, colors, labels, what)
-    elif not isinstance(kind, str):
-        spec = _pick(kind, value)
-        for (key, field_kind), field in zip(spec.keys.items(), spec.fields(value)):
-            _check_ranges(field, field_kind, colors, labels, f"{spec.name} {key}")
+    elif kind not in _SCALARS:
+        table = _table(kind, value)
+        for (key, field_kind), val in zip(table.keys.items(), table.fields(value)):
+            _check_ranges(val, field_kind, colors, labels, f"{table.name} {key}")
 
 
 def _group_vertex_sets(scenario: Scenario) -> dict[str, set[str]]:
@@ -348,7 +351,7 @@ def validate_scenario(scenario: Scenario) -> None:
         )
     if len(set(s.vertices)) != len(s.vertices):
         raise GraphInputError("vertex labels must be distinct")
-    _check_ranges(s, _SCENARIO, s.colors, set(s.vertices), "scenario")
+    _check_ranges(s, "scenario", s.colors, set(s.vertices), "scenario")
 
     grouped: set[str] = set()
     for g in s.groups:
@@ -510,16 +513,16 @@ def canonical_key(scenario: Scenario) -> tuple:
 
     * a ``label`` as its position under pi, a ``color`` as its image under
       sigma, ``text`` and ``int`` fields as they are;
-    * ``labels``, ``colors`` and ``slots`` lists sorted, because the engine
-      reads each as a set: a group's members and colors, a ``slot_sum``'s
-      slots, and ``no_shared_color_link``'s pair and colors;
-    * the objective's ``sides`` sorted, each side and then the pair, as the
-      objective counts both directions between them;
-    * lists of records sorted: every rule must hold, each group adds one
-      fixture and its vertices, and fixed edges are distinct slots.
+    * every array but a ``slot`` sorted, because the engine reads each as a
+      set: a group's members and colors, a ``slot_sum``'s slots,
+      ``no_shared_color_link``'s pair and colors, the objective's colors and
+      its two sides (it counts both directions between them), and the
+      lists of groups, fixed edges and constraints (every rule must hold);
+    * a slot's color and ends, and a record's fields, in order.
 
-    Duplicates are kept.  The form leaves out ``id``, ``source``, ``bound``
-    and the label strings, which no rule reads.
+    Duplicates are kept.  The form leaves out the keys of a table's
+    ``unread`` (``id``, ``source`` and ``bound``) and the label strings,
+    which no rule reads.
 
     When c! * n! exceeds ``MAX_KEY_RELABELLINGS`` (up to 8! * 6!, about 29M,
     passes validation) the key is the identity normal form: it merges fewer
@@ -528,54 +531,49 @@ def canonical_key(scenario: Scenario) -> tuple:
     """
     validate_scenario(scenario)
     n, c = len(scenario.vertices), scenario.colors
-    form = _normal_form(scenario, _SCENARIO)
+    form = _normal_form(scenario, "scenario")
     if math.factorial(c) * math.factorial(n) > MAX_KEY_RELABELLINGS:
-        sigmas, positions = [tuple(range(c + 1))], [tuple(range(n))]
+        sigmas, positions = [range(1, c + 1)], [range(n)]
     else:
-        sigmas = [(0,) + p for p in itertools.permutations(range(1, c + 1))]
+        sigmas = itertools.permutations(range(1, c + 1))
         positions = itertools.permutations(range(n))
-    relabellings = [dict(zip(scenario.vertices, p)) for p in positions]
-    return min(form(sigma, pi) for sigma in sigmas for pi in relabellings)
+    colors = [dict(zip(range(1, c + 1), sigma)) for sigma in sigmas]
+    labels = [dict(zip(scenario.vertices, pi)) for pi in positions]
+    return min(form(sigma | pi) for sigma in colors for pi in labels)
 
 
-def _normal_form(value, kind):
+def _normal_form(value, kind: str):
     """The normal form of ``value``, of field kind ``kind``: a function of
-    sigma (color -> color, index 0 unused) and pi (label -> position), or
-    the form itself when it names no label or color."""
-    if kind == "label":
-        return lambda sigma, pi: pi[value]
-    if kind == "color":
-        return lambda sigma, pi: sigma[value]
-    # written out for speed: labels, colors and slots as the route below would
-    # form them, and the two sides sorted, as the objective reads both ways
-    if kind == "labels":
-        return lambda sigma, pi: tuple(sorted(map(pi.__getitem__, value)))
-    if kind == "colors":
-        return lambda sigma, pi: tuple(sorted(map(sigma.__getitem__, value)))
-    if kind == "slots":
-        return lambda sigma, pi: tuple(
-            sorted([(sigma[col], pi[src], pi[dst]) for col, src, dst in value])
-        )
-    if kind == "sides":
-        return lambda sigma, pi: tuple(
-            sorted([tuple(sorted(map(pi.__getitem__, side))) for side in value])
-        )
-    if isinstance(kind, str):
-        return value  # text and int
-    if isinstance(kind, (list, tuple)):
-        parts = [_normal_form(entry, entry_kind) for entry, entry_kind in _entries(value, kind)]
+    the map ``m`` that sends each label to its position and each color to
+    its permuted color, or the form itself when it names no label or color."""
+    if kind in ("label", "color"):
+        return operator.itemgetter(value)
+    if kind in _SCALARS:
+        return value
+    read_as_set = kind in _ARRAYS and kind != "slot"
+    if kind in _ARRAYS:
+        entries = list(_entries(value, kind))
+        # labels and colors in one pass, as the route below would form them
+        # at about a fifth more time for canonical_key
+        if entries and all(entry_kind in ("label", "color") for _, entry_kind in entries):
+            if read_as_set:
+                return lambda m: tuple(sorted(map(m.__getitem__, value)))
+            return lambda m: tuple(map(m.__getitem__, value))
+        parts = [_normal_form(entry, entry_kind) for entry, entry_kind in entries]
     else:
-        spec = _pick(kind, value)
+        table = _table(kind, value)
         parts = [
-            _normal_form(field, field_kind)
-            for (key, field_kind), field in zip(spec.keys.items(), spec.fields(value))
-            if key not in _UNREAD
+            _normal_form(val, field_kind)
+            for (key, field_kind), val in zip(table.keys.items(), table.fields(value))
+            if key not in table.unread
         ]
     if not any(map(callable, parts)):
-        return tuple(sorted(parts) if isinstance(kind, list) else parts)
-    if isinstance(kind, list):  # read as a set
-        return lambda sigma, pi: tuple(sorted([p(sigma, pi) if callable(p) else p for p in parts]))
-    return lambda sigma, pi: tuple([p(sigma, pi) if callable(p) else p for p in parts])
+        return tuple(sorted(parts) if read_as_set else parts)
+    if read_as_set:  # the fixed parts once, and the others under each map
+        fixed, calls = [p for p in parts if not callable(p)], [p for p in parts if callable(p)]
+        return lambda m: tuple(sorted(fixed + [part(m) for part in calls]))
+    parts = [part if callable(part) else lambda m, part=part: part for part in parts]
+    return lambda m: tuple([part(m) for part in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -590,48 +588,49 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _read(value, kind, what: str):
+def _read(value, kind: str, what: str):
     """The Python value of the JSON ``value`` of field kind ``kind``.  In a
     record, a key outside its table, a misspelled one say, would silently
-    change what the record checks, and so would a default for a missing
-    one, such as cap 0: both raise GraphInputError, apart from the keys in
-    ``_OPTIONAL``."""
-    if isinstance(kind, str) and kind not in _ENTRIES:
-        return _typed(value, _JSON_TYPES[kind], what)
-    if _is_array(kind):
+    change what the record checks, and so would a default for a missing one,
+    such as cap 0: both raise GraphInputError, bar the table's optional keys."""
+    if kind in _SCALARS:
+        return _typed(value, _SCALARS[kind], what)
+    if kind in _ARRAYS:
         entries = _entries(_typed(value, list, what), kind, what)
-        return tuple(_read(entry, entry_kind, what) for entry, entry_kind in entries)
-    kind = _pick(kind, _typed(value, dict, what))
-    unknown = sorted(value.keys() - kind.keys.keys())
+        return tuple([_read(entry, entry_kind, what) for entry, entry_kind in entries])
+    _typed(value, dict, what)
+    if kind == "constraint":
+        table = _constraint_table(_typed(value.get("kind"), str, "constraint kind"))
+    else:
+        table = _RECORDS[kind]
+    unknown = sorted(value.keys() - table.keys.keys())
     if unknown:
-        raise GraphInputError(f"{kind.name} has unknown key {', '.join(map(repr, unknown))}")
-    missing = [key for key in kind.keys if key not in value and key not in _OPTIONAL]
+        raise GraphInputError(f"{table.name} has unknown key {', '.join(map(repr, unknown))}")
+    missing = [key for key in table.keys if key not in value and key not in table.optional]
     if missing:
-        raise GraphInputError(f"{kind.name} needs key {', '.join(map(repr, missing))}")
-    return kind.build(
-        tuple(
-            _read(value.get(key, _OPTIONAL.get(key)), field_kind, f"{kind.name} {key}")
-            for key, field_kind in kind.keys.items()
-        )
-    )
+        raise GraphInputError(f"{table.name} needs key {', '.join(map(repr, missing))}")
+    return table.build(tuple([
+        _read(value.get(key, table.optional.get(key)), field_kind, f"{table.name} {key}")
+        for key, field_kind in table.keys.items()
+    ]))
 
 
-def _write(value, kind):
+def _write(value, kind: str):
     """The JSON form of ``value``, of field kind ``kind``; a record's keys
     come in table order."""
-    if _is_array(kind):
-        return [_write(entry, entry_kind) for entry, entry_kind in _entries(value, kind)]
-    if isinstance(kind, str):
+    if kind in _SCALARS:
         return value
-    spec = _pick(kind, value)
+    if kind in _ARRAYS:
+        return [_write(entry, entry_kind) for entry, entry_kind in _entries(value, kind)]
+    table = _table(kind, value)
     return {
-        key: _write(field, field_kind)
-        for (key, field_kind), field in zip(spec.keys.items(), spec.fields(value))
+        key: _write(val, field_kind)
+        for (key, field_kind), val in zip(table.keys.items(), table.fields(value))
     }
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return _write(scenario, _SCENARIO)
+    return _write(scenario, "scenario")
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -639,7 +638,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     of its field kind's JSON type, a key its record does not read and a
     missing key raise GraphInputError; nothing is converted."""
     try:
-        scenario = _read(d, _SCENARIO, "scenario")
+        scenario = _read(d, "scenario", "scenario")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise GraphInputError(f"malformed scenario record: {exc}") from exc
     validate_scenario(scenario)

@@ -35,7 +35,7 @@ from rtlab.localbounds import (
     slots_between,
 )
 from rtlab.localbounds.catalogues import CLASS_NAMES, TABLE_BOUNDS
-from rtlab.localbounds.scenarios import _CONSTRAINTS, _ENTRIES, _SCENARIO, _UNREAD, _Record
+from rtlab.localbounds.scenarios import _ARRAYS, _CONSTRAINTS, _RECORDS, _SCALARS, _entries
 
 
 def make(vertices=("u", "v", "w"), colors=3, obj_colors=(1, 2),
@@ -430,53 +430,40 @@ TEXTS = (*SLOT_STATES, *"XYZR", "directed", "transitive", "==", "<=", ">=",
          *sorted(CONSTRAINT_KINDS))
 
 
-def _tables(kind):
-    """Every record table reachable from field kind ``kind``."""
-    if isinstance(kind, list):
-        yield from _tables(kind[0])
-    elif isinstance(kind, dict):
-        for table in kind.values():
-            yield from _tables(table)
-    elif isinstance(kind, _Record):
-        yield kind
-        for field_kind in kind.keys.values():
-            yield from _tables(field_kind)
-
-
-def _records(value, kind, path=()):
-    """(path, table) for every record in the JSON ``value`` of kind ``kind``."""
-    if isinstance(kind, list):
-        for i, entry in enumerate(value):
-            yield from _records(entry, kind[0], path + (i,))
-    elif isinstance(kind, dict):
-        yield from _records(value, kind[value["kind"]], path)
-    elif isinstance(kind, _Record):
-        yield path, kind
-        for key, field_kind in kind.keys.items():
-            yield from _records(value[key], field_kind, path + (key,))
+def _containers(value, kind, path=()):
+    """(path, kind, table, {key: field kind}) for every record and every
+    array (table None) in the JSON ``value`` of field kind ``kind``."""
+    if kind in _SCALARS:
+        return
+    if kind in _ARRAYS:
+        table, fields = None, {i: k for i, (_, k) in enumerate(_entries(value, kind))}
+    else:
+        table = _CONSTRAINTS[value["kind"]] if kind == "constraint" else _RECORDS[kind]
+        fields = table.keys
+    yield path, kind, table, fields
+    for key, field_kind in fields.items():
+        yield from _containers(value[key], field_kind, path + (key,))
 
 
 def _alternatives(value, kind, labels, colors):
     """JSON values of kind ``kind`` to put in place of ``value``: each differs
     from it in one entry, or by one entry more or less."""
-    kind = _ENTRIES.get(kind, kind) if isinstance(kind, str) else kind
     if kind == "text":
         return [t for t in (*TEXTS, value + "+") if t != value]
     if kind == "int":
         return [value + 1, value - 1]
     if kind in ("label", "color"):
         return [v for v in (labels + ["new"] if kind == "label" else colors) if v != value]
-    if not isinstance(kind, (list, tuple)):
+    if kind not in _ARRAYS:
         return []  # a record: its own keys are edited
-    entry_kinds = [kind[0]] * len(value) if isinstance(kind, list) else kind
     out = [
         value[:i] + [alt] + value[i + 1:]
-        for i, (entry, entry_kind) in enumerate(zip(value, entry_kinds))
+        for i, (entry, entry_kind) in enumerate(_entries(value, kind))
         for alt in _alternatives(entry, entry_kind, labels, colors)
     ]
-    if isinstance(kind, list):
+    if isinstance(_ARRAYS[kind], str):  # an array of any length
         out += [value[:i] + value[i + 1:] for i in range(len(value))]
-        out += [value + [alt] for alt in _alternatives(value[0], kind[0], labels, colors)]
+        out += [value + [alt] for alt in _alternatives(value[0], _ARRAYS[kind], labels, colors)]
     return out
 
 
@@ -484,6 +471,22 @@ def _at(record, path):
     for step in path:
         record = record[step]
     return record
+
+
+def _edited(record, path, values):
+    """A copy of the JSON ``record`` with ``_at(record, path)`` updated by
+    the dict ``values``."""
+    out = json.loads(json.dumps(record))
+    for key, value in values.items():
+        _at(out, path)[key] = value
+    return out
+
+
+def _key_or_none(record):
+    try:
+        return canonical_key(scenario_from_dict(record))
+    except GraphInputError:
+        return None  # not a valid scenario
 
 
 def _rename(value, names):
@@ -501,30 +504,35 @@ def test_canonical_key_sees_every_field():
     labels, colors = record["vertices"], list(range(1, SINK.colors + 1))
     base = canonical_key(SINK)
     covered = set()
-    for path, table in _records(record, _SCENARIO):
-        for key, kind in table.keys.items():
-            unread = (path + (key,))[0] in _UNREAD
+    for path, _, table, fields in _containers(record, "scenario"):
+        for key, kind in fields.items() if table else ():
+            unread = (path + (key,))[0] in _RECORDS["scenario"].unread
             for alt in _alternatives(_at(record, path)[key], kind, labels, colors):
-                edited = json.loads(json.dumps(record))
-                _at(edited, path)[key] = alt
-                try:
-                    scenario = scenario_from_dict(edited)
-                except GraphInputError:
-                    continue  # not a valid scenario
-                changed = canonical_key(scenario) != base
-                assert changed != unread, (path, key, alt)
-                covered.add((table.name, key))
-                break
+                after = _key_or_none(_edited(record, path, {key: alt}))
+                if after is not None:
+                    assert (after != base) != unread, (path, key, alt)
+                    covered.add((table.name, key))
     # a constraint kind that reads fields cannot change alone: the reader
     # rejects the fields the new kind does not read
     expected = {
         (table.name, key)
-        for table in _tables(_SCENARIO)
+        for table in (*_RECORDS.values(), *_CONSTRAINTS.values())
         for key, kind in table.keys.items()
-        if not isinstance(kind, _Record)
+        if kind not in _RECORDS
         and not (key == "kind" and table in _CONSTRAINTS.values() and len(table.keys) > 1)
     }
     assert expected - covered == set()
+    # swapping the two ends of an edge, in a slot or a fixed edge, changes
+    # the key; swapping the two labels of a set of labels does not
+    changed = {}
+    for path, kind, _, fields in _containers(record, "scenario"):
+        ends = [key for key, field_kind in fields.items() if field_kind == "label"]
+        if len(ends) == 2:
+            a, b = (_at(record, path)[end] for end in ends)
+            after = _key_or_none(_edited(record, path, {ends[0]: b, ends[1]: a}))
+            assert after is not None, path
+            changed.setdefault(kind, set()).add(after != base)
+    assert changed == {"fixed_edge": {True}, "slot": {True}, "labels": {False}}
     # nor do the label strings matter
     renamed = _rename(record, {v: v.upper() + "'" for v in labels})
     assert canonical_key(scenario_from_dict(renamed)) == base
