@@ -27,7 +27,7 @@ n = 12
 for cid, c, patterns in FAMILIES:
     g = build_construction(cid, n, c)
     counts = [count_color(g, color) for color in range(1, g.c + 1)]
-    formula = [expected_count(cid, n, color, c) for color in range(1, g.c + 1)]
+    formula = [expected_count(cid, n, color) for color in range(1, g.c + 1)]
     free = all(find_rainbow(g, p) is None for p in patterns)
     print(f"{cid.value:18s} n={n} per-color {counts} formula {formula} "
           f"free of {'/'.join(p.value for p in patterns)}: {free}")

@@ -153,7 +153,7 @@ def cmd_construct(args, echo, started) -> int:
     save_graph(graph, args.out)
     per_color = {str(color): count_color(graph, color) for color in range(1, graph.c + 1)}
     expected = {
-        str(color): expected_count(cid, args.n, color, args.c)
+        str(color): expected_count(cid, args.n, color)
         for color in range(1, graph.c + 1)
     }
     agree = per_color == expected

@@ -206,7 +206,7 @@ def _reject_c(cid: ConstructionId, c: int | None) -> None:
         raise GraphInputError(f"{cid.value} is defined for c = 3 only")
 
 
-def expected_count(cid: ConstructionId | str, n: int, color: int, c: int | None = None) -> int:
+def expected_count(cid: ConstructionId | str, n: int, color: int) -> int:
     """Exact per-color edge count the generator realizes, from part sizes."""
     cid = ConstructionId(cid)
     if cid is ConstructionId.BIPARTITE_DOUBLE:

@@ -45,7 +45,7 @@ from .scenarios import (
     canonical_key,
     dumps_scenarios,
     enumerate_max,
-    slots_between,
+    pair_sum,
 )
 
 __all__ = [
@@ -294,30 +294,13 @@ def _build_eq3_bullets() -> list[Scenario]:
     return _bullet_scenarios("eq3_bullets", (1, 2, 3), "all colors", entries)
 
 
-def _claim_scenario(
-    sid,
-    source,
-    colors,
-    vertices,
-    obj,
-    bound,
-    fixed=(),
-    rules=(),
-) -> Scenario:
-    return Scenario(
-        id=sid,
-        source=source,
-        colors=colors,
-        vertices=vertices,
-        objective=obj,
-        bound=bound,
-        fixed_edges=tuple(fixed),
-        constraints=tuple(rules),
-    )
-
-
 def _double(color: int, a: str, b: str):
-    return [(color, a, b, "present"), (color, b, a, "present")]
+    return ((color, a, b, "present"), (color, b, a, "present"))
+
+
+def _one_way_sum(colors, a: str, b: str, value: int) -> Constraint:
+    """A slot_sum ``>= value`` over the a -> b slots of the given colors."""
+    return Constraint("slot_sum", op=">=", value=value, slots=tuple((c, a, b) for c in colors))
 
 
 def _build_claims_local() -> list[Scenario]:
@@ -325,25 +308,12 @@ def _build_claims_local() -> list[Scenario]:
     rainbow_t = Constraint("no_rainbow", pattern="transitive")
     oriented = Constraint("oriented")
 
-    def ge(colors, a, b, value, fwd_only=False):
-        slots = (
-            tuple((c, a, b) for c in colors)
-            if fwd_only
-            else slots_between(colors, (a,), (b,))
-        )
-        return Constraint("slot_sum", op=">=", value=value, slots=slots)
-
-    def eq(colors, a, b, value):
-        return Constraint(
-            "slot_sum", op="==", value=value, slots=slots_between(colors, (a,), (b,))
-        )
-
     out = []
 
     # a pair with double edges in two colors caps every adjacent color pair
     # at a third vertex
     out.append(
-        _claim_scenario(
+        Scenario(
             "double-double:adjacent-colors:c4",
             "claims_local: two double colors on a pair, adjacent-color count"
             " at a third vertex (c=4)",
@@ -351,12 +321,12 @@ def _build_claims_local() -> list[Scenario]:
             ("u", "v", "x"),
             Objective(colors=(1, 2), side_a=("x",), side_b=("u", "v")),
             Fraction(4),
-            fixed=_double(1, "u", "v") + _double(3, "u", "v"),
-            rules=(rainbow_d,),
+            fixed_edges=_double(1, "u", "v") + _double(3, "u", "v"),
+            constraints=(rainbow_d,),
         )
     )
     out.append(
-        _claim_scenario(
+        Scenario(
             "double-double:adjacent-colors-wrap:c5",
             "claims_local: two double colors on a pair, wrap-around color"
             " pair at a third vertex (c=5)",
@@ -364,15 +334,15 @@ def _build_claims_local() -> list[Scenario]:
             ("u", "v", "x"),
             Objective(colors=(5, 1), side_a=("x",), side_b=("u", "v")),
             Fraction(4),
-            fixed=_double(1, "u", "v") + _double(3, "u", "v"),
-            rules=(rainbow_d,),
+            fixed_edges=_double(1, "u", "v") + _double(3, "u", "v"),
+            constraints=(rainbow_d,),
         )
     )
 
     # two heavy pairs out of one vertex force the third pair to stay sparse
     all4 = (1, 2, 3, 4)
     out.append(
-        _claim_scenario(
+        Scenario(
             "heavy-fan:third-pair:c4",
             "claims_local: two heavy pairs from one vertex, edges on the"
             " opposite pair (c=4)",
@@ -380,19 +350,19 @@ def _build_claims_local() -> list[Scenario]:
             ("u", "v", "w"),
             Objective(colors=all4, side_a=("v",), side_b=("w",)),
             Fraction(2),
-            rules=(
+            constraints=(
                 rainbow_d,
-                eq(all4, "u", "v", 5),
-                ge(all4, "u", "v", 3, fwd_only=True),
-                eq(all4, "u", "w", 5),
-                ge(all4, "u", "w", 3, fwd_only=True),
+                pair_sum(all4, "u", "v", "==", 5),
+                _one_way_sum(all4, "u", "v", 3),
+                pair_sum(all4, "u", "w", "==", 5),
+                _one_way_sum(all4, "u", "w", 3),
             ),
         )
     )
 
     # a fully occupied pair seen from a third vertex in two colors
     out.append(
-        _claim_scenario(
+        Scenario(
             "full-pair:two-colors:c3",
             "claims_local: all six edges on a pair, two-color count at a"
             " third vertex (c=3)",
@@ -400,18 +370,18 @@ def _build_claims_local() -> list[Scenario]:
             ("u", "v", "w"),
             Objective(colors=(1, 2), side_a=("w",), side_b=("u", "v")),
             Fraction(4),
-            fixed=[
+            fixed_edges=tuple(
                 (c, a, b, "present")
                 for c in (1, 2, 3)
                 for a, b in (("u", "v"), ("v", "u"))
-            ],
-            rules=(rainbow_d,),
+            ),
+            constraints=(rainbow_d,),
         )
     )
 
     # a double edge in the remaining color seen from a third vertex
     out.append(
-        _claim_scenario(
+        Scenario(
             "double-pair:other-colors:c3",
             "claims_local: double edge in one color, other-color count at a"
             " third vertex (c=3)",
@@ -419,14 +389,14 @@ def _build_claims_local() -> list[Scenario]:
             ("u", "v", "w"),
             Objective(colors=(1, 2), side_a=("w",), side_b=("u", "v")),
             Fraction(4),
-            fixed=_double(3, "u", "v"),
-            rules=(rainbow_d,),
+            fixed_edges=_double(3, "u", "v"),
+            constraints=(rainbow_d,),
         )
     )
 
     # a single edge in the remaining color seen from a third vertex
     out.append(
-        _claim_scenario(
+        Scenario(
             "single-edge:other-colors:c3",
             "claims_local: single edge in one color, other-color count at a"
             " third vertex (c=3)",
@@ -434,15 +404,15 @@ def _build_claims_local() -> list[Scenario]:
             ("u", "v", "w"),
             Objective(colors=(1, 2), side_a=("w",), side_b=("u", "v")),
             Fraction(6),
-            fixed=[(3, "u", "v", "present")],
-            rules=(rainbow_d,),
+            fixed_edges=((3, "u", "v", "present"),),
+            constraints=(rainbow_d,),
         )
     )
 
     # transitive pattern: a pair with two double colors, a vertex touching
     # both endpoints
     out.append(
-        _claim_scenario(
+        Scenario(
             "two-doubles:touched-both:c4",
             "claims_local: two double colors on a pair, all edges at a vertex"
             " touching both endpoints (c=4, transitive)",
@@ -450,11 +420,11 @@ def _build_claims_local() -> list[Scenario]:
             ("u", "v", "x"),
             Objective(colors=all4, side_a=("x",), side_b=("u", "v")),
             Fraction(8),
-            fixed=_double(1, "u", "v") + _double(2, "u", "v"),
-            rules=(
+            fixed_edges=_double(1, "u", "v") + _double(2, "u", "v"),
+            constraints=(
                 rainbow_t,
-                ge(all4, "x", "u", 1),
-                ge(all4, "x", "v", 1),
+                pair_sum(all4, "x", "u", ">=", 1),
+                pair_sum(all4, "x", "v", ">=", 1),
             ),
         )
     )
@@ -462,7 +432,7 @@ def _build_claims_local() -> list[Scenario]:
     # transitive pattern: one double color, no pair anywhere with two double
     # colors, a color shared by both links
     out.append(
-        _claim_scenario(
+        Scenario(
             "one-double:shared-link:c4",
             "claims_local: one double color, a second color on both links"
             " (c=4, transitive)",
@@ -470,17 +440,17 @@ def _build_claims_local() -> list[Scenario]:
             ("u", "v", "x"),
             Objective(colors=all4, side_a=("x",), side_b=("u", "v")),
             Fraction(6),
-            fixed=_double(1, "u", "v"),
-            rules=(
+            fixed_edges=_double(1, "u", "v"),
+            constraints=(
                 rainbow_t,
                 Constraint("no_double_double"),
-                ge((2,), "x", "u", 1),
-                ge((2,), "x", "v", 1),
+                pair_sum((2,), "x", "u", ">=", 1),
+                pair_sum((2,), "x", "v", ">=", 1),
             ),
         )
     )
     out.append(
-        _claim_scenario(
+        Scenario(
             "one-double:no-shared-link:c4",
             "claims_local: one double color, no color on both links"
             " (c=4, transitive)",
@@ -488,8 +458,8 @@ def _build_claims_local() -> list[Scenario]:
             ("u", "v", "x"),
             Objective(colors=all4, side_a=("x",), side_b=("u", "v")),
             Fraction(7),
-            fixed=_double(1, "u", "v"),
-            rules=(
+            fixed_edges=_double(1, "u", "v"),
+            constraints=(
                 rainbow_t,
                 Constraint("no_double_double"),
                 Constraint(
@@ -507,7 +477,7 @@ def _build_claims_local() -> list[Scenario]:
     for c in (3, 4):
         cols = tuple(range(1, c + 1))
         out.append(
-            _claim_scenario(
+            Scenario(
                 f"thick-path:fan:c{c}",
                 "claims_local: two consecutive thick arcs, all edges at a"
                 f" fourth vertex (c={c}, single-direction)",
@@ -515,11 +485,11 @@ def _build_claims_local() -> list[Scenario]:
                 ("u", "v", "w", "x"),
                 Objective(colors=cols, side_a=("x",), side_b=("u", "v", "w")),
                 Fraction(2 * c),
-                rules=(
+                constraints=(
                     rainbow_t,
                     oriented,
-                    ge(cols, "u", "v", 3, fwd_only=True),
-                    ge(cols, "v", "w", 3, fwd_only=True),
+                    _one_way_sum(cols, "u", "v", 3),
+                    _one_way_sum(cols, "v", "w", 3),
                 ),
             )
         )
@@ -528,7 +498,7 @@ def _build_claims_local() -> list[Scenario]:
     for c in (3, 4):
         cols = tuple(range(1, c + 1))
         out.append(
-            _claim_scenario(
+            Scenario(
                 f"thick-pair:no-path:c{c}",
                 "claims_local: three edges on a pair, no two consecutive"
                 f" thick arcs, edges at a third vertex (c={c},"
@@ -537,11 +507,11 @@ def _build_claims_local() -> list[Scenario]:
                 ("u", "v", "x"),
                 Objective(colors=cols, side_a=("x",), side_b=("u", "v")),
                 Fraction(c + 1),
-                rules=(
+                constraints=(
                     rainbow_t,
                     oriented,
                     Constraint("no_thick_path"),
-                    ge(cols, "u", "v", 3),
+                    pair_sum(cols, "u", "v", ">=", 3),
                 ),
             )
         )

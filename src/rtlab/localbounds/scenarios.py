@@ -231,6 +231,14 @@ def _dataclass_record(name: str, cls: type, keys: dict[str, str], **options) -> 
     )
 
 
+def _bound(fields: tuple[int, int]) -> Fraction:
+    """The bound num/den; a zero den is an input error, not a crash."""
+    num, den = fields
+    if den == 0:
+        raise GraphInputError(f"bound den must be nonzero, got {den}")
+    return Fraction(num, den)
+
+
 # the JSON type of each scalar field kind
 _SCALARS = {"text": str, "int": int, "label": str, "color": int}
 # each array field kind as the kinds of its entries: one kind for an array
@@ -266,7 +274,7 @@ _RECORDS = {
     "bound": _Record(
         "bound", {"num": "int", "den": "int"},
         lambda bound: (bound.numerator, bound.denominator),
-        lambda fields: Fraction(*fields),
+        _bound,
     ),
 }
 _CONSTRAINTS = {
@@ -552,14 +560,7 @@ def _normal_form(value, kind: str):
         return value
     read_as_set = kind in _ARRAYS and kind != "slot"
     if kind in _ARRAYS:
-        entries = list(_entries(value, kind))
-        # labels and colors in one pass, as the route below would form them
-        # at about a fifth more time for canonical_key
-        if entries and all(entry_kind in ("label", "color") for _, entry_kind in entries):
-            if read_as_set:
-                return lambda m: tuple(sorted(map(m.__getitem__, value)))
-            return lambda m: tuple(map(m.__getitem__, value))
-        parts = [_normal_form(entry, entry_kind) for entry, entry_kind in entries]
+        parts = [_normal_form(entry, entry_kind) for entry, entry_kind in _entries(value, kind)]
     else:
         table = _table(kind, value)
         parts = [
@@ -639,7 +640,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     missing key raise GraphInputError; nothing is converted."""
     try:
         scenario = _read(d, "scenario", "scenario")
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise GraphInputError(f"malformed scenario record: {exc}") from exc
     validate_scenario(scenario)
     return scenario

@@ -137,23 +137,6 @@ def _first_pair_profiles(profiles: Sequence[_PairState]) -> list[_PairState]:
     return keep
 
 
-class _Budget:
-    __slots__ = ("limit", "nodes", "hit")
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.nodes = 0
-        self.hit = False
-
-    def tick(self) -> bool:
-        if self.hit:
-            return True
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            self.hit = True
-        return self.hit
-
-
 def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     """Solve the extremal question exactly (or report a budget-limited try).
 
@@ -178,14 +161,13 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
         score([(num_pairs - idx) * problem.color_pair_capacity] * c)
         for idx in range(num_pairs + 1)
     ]
-    tracker = _Budget(budget)
+    limit = float("inf") if budget is None else budget
+    nodes = 0
     best = -1
     best_graph: ColoredDigraph | None = None
 
     def rec(idx: int, counts: tuple[int, ...]) -> None:
-        nonlocal best, best_graph
-        if tracker.hit:
-            return
+        nonlocal nodes, best, best_graph
         value = score(counts)
         if idx == num_pairs:
             if value > best:
@@ -201,7 +183,8 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
         triple_checks = checks[idx]
         optimistic = sum(counts) + (num_pairs - idx - 1) * problem.pair_capacity
         for count, f, b, gain in first if idx == 0 else profiles:
-            if tracker.tick():
+            nodes += 1
+            if nodes > limit:
                 break
             if (optimistic + count) // divisor <= best:
                 break  # states are sorted densest first
@@ -211,14 +194,16 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
                     break
             else:
                 rec(idx + 1, tuple(map(add, counts, gain)))
+                if nodes > limit:
+                    break
         masks[a][m] = masks[m][a] = 0
 
     rec(0, (0,) * c)
     return SearchResult(
         value=max(best, 0),
         witness=best_graph,
-        nodes=tracker.nodes,
-        exhaustive=not tracker.hit,
+        nodes=nodes,
+        exhaustive=nodes <= limit,
     )
 
 

@@ -116,13 +116,13 @@ def test_total_threshold_entries_are_tight():
         entry = table[name]
         for c in colors:
             for n in range(3, 3001):
-                total = sum(expected_count(cid, n, color, c) for color in range(1, c + 1))
+                total = sum(expected_count(cid, n, color) for color in range(1, c + 1))
                 limit = threshold_value(entry, n, c)
                 assert total <= limit and (total == limit) == (n % parts == 0), (name, c, n)
             for n in range(3, 13):  # the closed form counts the built graph
                 g = build_construction(cid, n, c)
                 built = sum(count_color(g, color) for color in range(1, c + 1))
-                assert built == sum(expected_count(cid, n, color, c) for color in range(1, c + 1))
+                assert built == sum(expected_count(cid, n, color) for color in range(1, c + 1))
 
 
 def test_oriented_cyclic_is_oriented_and_counts():

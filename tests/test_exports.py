@@ -32,3 +32,12 @@ def test_every_exported_name_resolves(name):
 
 def test_localbounds_exports_both_submodules():
     assert set(localbounds.__all__) == set(catalogues.__all__) | set(scenarios.__all__)
+
+
+def test_package_exports_every_module_list():
+    exported = set()
+    for name in MODULES:
+        exported.update(getattr(importlib.import_module(name), "__all__", []))
+    assert "SearchObjective" in exported
+    assert exported <= set(vars(rtlab))
+    assert set(rtlab.__all__) == exported

@@ -10,7 +10,6 @@ from rtlab.graphs import (
     ColoredDigraph,
     EdgeRef,
     GraphInputError,
-    _ARRAY_CHECK_CUTOFF,
     check_size,
     classify_pair,
     count_between,
@@ -36,10 +35,10 @@ def complete_double(n, c, colors):
 
 
 def long_edges(n):
-    """Every ordered pair of n vertices in color 1, as plain-int lists: more
-    entries than the cut-off above which from_edges checks one array."""
+    """Every ordered pair of n vertices in color 1, as more than 64 plain-int
+    lists."""
     edges = [[1, u, v] for u in range(n) for v in range(n) if u != v]
-    assert len(edges) > _ARRAY_CHECK_CUTOFF
+    assert len(edges) > 64
     return edges
 
 
@@ -52,7 +51,7 @@ def test_from_edges_sets_a_repeated_edge_once():
 
 
 def test_from_edges_walks_entries_the_array_check_does_not_take():
-    # EdgeRefs, numpy ints and iterators skip the array check at any length
+    # EdgeRefs, numpy ints and iterators are walked like lists, at any length
     g = complete_double(10, 2, [1, 2])
     assert ColoredDigraph.from_edges(g.n, g.c, g.edges()) == g
     assert ColoredDigraph.from_edges(g.n, g.c, iter(g.edges())) == g
@@ -328,8 +327,8 @@ def test_loads_rejects_malformed():
     # each bad entry is named exactly as the per-edge checks name it, and
     # with several bad entries the first one in input order is reported;
     # from_edges names it the same way, from lists or tuples, on a short list
-    # and late in a list past the cut-off of its array check
-    filler = [[1, 0, 1]] * (_ARRAY_CHECK_CUTOFF + 1)
+    # and late in a list of more than 64 entries
+    filler = [[1, 0, 1]] * (64 + 1)
     for edges, message in (
         ("[[true, 0, 1]]", "color must be an integer, got True"),
         ("[[1, 0.0, 1]]", "vertex must be an integer, got 0.0"),

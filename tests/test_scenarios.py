@@ -624,6 +624,11 @@ def test_malformed_records_are_rejected():
     records[0]["constraint"] = records[0].pop("constraints")
     with pytest.raises(GraphInputError, match="unknown key 'constraint'"):
         loads_scenarios(json.dumps(records))
+    # a zero denominator names the bound record and its key
+    records = json.loads(dumps_scenarios(load_catalogue("claims_local")))
+    records[0]["bound"] = {"num": 40, "den": 0}
+    with pytest.raises(GraphInputError, match="bound den must be nonzero, got 0"):
+        loads_scenarios(json.dumps(records))
 
 
 @pytest.mark.parametrize(

@@ -142,18 +142,43 @@ def test_budget_reports_non_exhaustive():
         problem = SearchProblem(4, 3, D, objective=objective)
         capped = solve(problem, budget=2000)
         assert not capped.exhaustive, objective
-        assert capped.nodes <= 2001
+        assert capped.nodes == 2001
         assert capped.value <= golden
         if capped.witness is not None:
             assert verify_witness(problem, capped.witness, capped.value)
     # the budget bounds the work at the largest color count too
     wide = solve(SearchProblem(4, 8, D), budget=1000)
     assert not wide.exhaustive
-    assert wide.nodes <= 1001
+    assert wide.nodes == 1001
     # budget 0 is a valid, immediately exhausted budget; a negative one is not
-    assert not solve(SearchProblem(3, 3, D), budget=0).exhaustive
+    at_zero = solve(SearchProblem(3, 3, D), budget=0)
+    assert not at_zero.exhaustive and at_zero.nodes == 1
     with pytest.raises(ValueError, match="non-negative"):
         solve(SearchProblem(3, 3, D), budget=-1)
+
+
+def test_budget_counts_nodes_exactly():
+    # a capped run counts the node that broke the cap, and a budget equal to
+    # the unbudgeted node count is exactly enough
+    problems = [
+        SearchProblem(3, 3, pattern, oriented=oriented, objective=objective)
+        for oriented, pattern in GOLDEN_N3
+        for objective in (TOTAL, MINC)
+    ] + [
+        SearchProblem(4, 3, D, objective=MINC),
+        SearchProblem(4, 3, T, oriented=True),
+        SearchProblem(4, 3, T, oriented=True, objective=MINC),
+    ]
+    for problem in problems:
+        full = solve(problem)
+        for budget in (0, 1, 5):
+            capped = solve(problem, budget=budget)
+            assert capped.nodes == budget + 1 and not capped.exhaustive, (problem, budget)
+        at_count = solve(problem, budget=full.nodes)
+        assert at_count.exhaustive, problem
+        assert (at_count.value, at_count.nodes) == (full.value, full.nodes), problem
+        assert at_count.witness == full.witness, problem
+        assert not solve(problem, budget=full.nodes - 1).exhaustive, problem
 
 
 def _permuted(mask, perm):
