@@ -13,9 +13,9 @@ from rtlab.localbounds import (
     Scenario,
     enumerate_max,
     evaluate_scenario,
+    evaluate_scenarios,
     load_catalogue,
     pair_sum,
-    run_catalogue,
 )
 
 # A scenario fixes a handful of labeled vertices, declares which edge
@@ -92,13 +92,14 @@ print("a '>= 3 edges between u and v' constraint:", pair_sum((1, 2, 3), "u", "v"
 
 # Shipped catalogues bundle such scenarios with their claimed bounds.
 # The 10x10 class-pair table is the big one; here is one row's worth.
-entries = [e for e in run_catalogue("table10x10", jobs=4) if e.scenario_id.startswith("table:R-")]
+table = evaluate_scenarios(load_catalogue("table10x10"), jobs=4)
+entries = [e for e in table if e.scenario_id.startswith("table:R-")]
 print()
 for e in entries:
     print(f"{e.scenario_id:18s} computed {e.computed_max:2d}  bound {e.bound}  {e.status}")
 
-# The catalogues exist only as code; write_data_files(DIR) writes their
-# JSON form for --catalogue-dir runs.
+# The catalogues exist only as code.  To grade an edited one, write it
+# with save_scenarios, edit the file, and run `rtlab scenario run --file`.
 print()
 print("catalogue sizes:", {w: len(load_catalogue(w)) for w in
                            ("table10x10", "eq1_bullets", "eq3_bullets", "claims_local")})

@@ -17,11 +17,10 @@ For file inputs the digest hashes the parsed content in canonical form
 subcommands it hashes the parameter record.
 
 Exit status: 0 when the verdict is pass, 1 when a check fails (for the
-detector: a witness was found), 2 on input errors -- malformed files,
-out-of-range parameters, unknown names, missing catalogue data -- and 3
-on an internal error: any other exception, reported as ``internal error:``
-plus its traceback on stderr, so that a crash is never read as a failed
-check.
+detector: a witness was found), 2 on input errors -- malformed or missing
+files, out-of-range parameters, unknown names -- and 3 on an internal
+error: any other exception, reported as ``internal error:`` plus its
+traceback on stderr, so that a crash is never read as a failed check.
 
 Worker counts for the scenario evaluators come from --jobs (default 1).
 
@@ -39,7 +38,6 @@ import sys
 import time
 import traceback
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -109,16 +107,6 @@ def _resolve_jobs(jobs: int) -> int:
     if jobs < 1:
         raise GraphInputError("worker count must be at least 1")
     return jobs
-
-
-def _catalogue_scenarios(which: str, directory: str | None):
-    """Build a catalogue, or load the same file from an override directory."""
-    if directory is None:
-        return load_catalogue(which)
-    path = Path(directory) / f"{which}.json"
-    if not path.is_file():
-        raise GraphInputError(f"missing catalogue file: {path}")
-    return load_scenarios(path)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +202,7 @@ def cmd_catalogue(args, echo, started) -> int:
     if args.scenario_command == "run":
         key, label, scenarios = "file", str(args.file), load_scenarios(args.file)
     else:
-        key, label = "catalogue", "table10x10"
-        scenarios = _catalogue_scenarios(label, args.catalogue_dir)
+        key, label, scenarios = "catalogue", "table10x10", load_catalogue("table10x10")
     segment, digest, entries = check_catalogue(label, scenarios, _resolve_jobs(args.jobs))
     summary = {k: v for k, v in segment.items() if k not in ("name", "pass")}
     results = {key: label, **summary, "entries": [e.to_dict() for e in entries]}
@@ -398,9 +385,7 @@ def cmd_verify_all(args, echo, started) -> int:
     segments = []
     digest_parts: dict = {"seed": args.seed}
     for which in CATALOGUE_IDS:
-        segment, digest_parts[which], _ = check_catalogue(
-            which, _catalogue_scenarios(which, args.catalogue_dir), jobs
-        )
+        segment, digest_parts[which], _ = check_catalogue(which, load_catalogue(which), jobs)
         segments.append(segment)
     segments.append(check_two_set_edge_bound())
     segments.append(check_constraint_scan())
@@ -488,11 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute the 10x10 class-pair table and compare with the shipped bounds",
     )
     _add_jobs(q)
-    q.add_argument(
-        "--catalogue-dir",
-        default=None,
-        help="read catalogue JSON from this directory instead of the built-in catalogues",
-    )
     q.set_defaults(handler=cmd_catalogue)
 
     p = sub.add_parser(
@@ -517,11 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every shipped check: catalogues, edge-bound grid, scan, constructions, detectors",
     )
     _add_jobs(p)
-    p.add_argument(
-        "--catalogue-dir",
-        default=None,
-        help="read catalogue JSON from this directory instead of the built-in catalogues",
-    )
     p.add_argument(
         "--seed",
         type=int,

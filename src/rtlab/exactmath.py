@@ -260,10 +260,10 @@ SQRT7 = QuadraticRational(Fraction(0), Fraction(1))
 class ThresholdEntry:
     """One edge-count threshold that forces a rainbow triangle.
 
-    The threshold reads ``quad * n**2 + linear * n`` (with ``quad`` scaled by
-    the number of colors when ``scales_with_colors`` is set, for thresholds
-    on the total over all color classes).  ``strict`` records whether the
-    count must exceed the threshold or merely reach it.
+    The threshold reads ``quad * n**2 + linear * n``, with ``quad`` scaled by
+    the number of colors for thresholds on the total over all color classes
+    (``scales_with_colors``).  ``strict`` records whether the count must
+    exceed the threshold or merely reach it.
     """
 
     name: str
@@ -274,8 +274,11 @@ class ThresholdEntry:
     linear: Fraction = Fraction(0)
     strict: bool = True
     oriented_only: bool = False
-    scales_with_colors: bool = False
     note: str = ""
+
+    @property
+    def scales_with_colors(self) -> bool:
+        return self.quantity == "total"
 
 
 def _q(num: int, den: int = 1) -> QuadraticRational:
@@ -307,7 +310,6 @@ def thresholds() -> dict[str, ThresholdEntry]:
             ">=4",
             "total",
             _q(1, 2),
-            scales_with_colors=True,
             note="threshold (c/2)*n^2; two full color classes alone stay rainbow-free",
         ),
         ThresholdEntry(
@@ -316,7 +318,6 @@ def thresholds() -> dict[str, ThresholdEntry]:
             ">=4",
             "total",
             _q(1, 2),
-            scales_with_colors=True,
         ),
         ThresholdEntry(
             "directed-per-color-3",
@@ -367,7 +368,6 @@ def thresholds() -> dict[str, ThresholdEntry]:
             "total",
             _q(1, 3),
             oriented_only=True,
-            scales_with_colors=True,
             note="threshold (c/3)*n^2 for layers with no two-way pair",
         ),
         ThresholdEntry(
@@ -536,9 +536,6 @@ class ConstraintSystem:
         q1, q2, _, _ = _scaled_system(*nums, m)
         scale = 144 * m * m
         return Fraction(q1, scale) - self.bound1, Fraction(q2, scale) - self.bound2
-
-    def min_slack(self, u, y, z, r) -> Fraction:
-        return min(self.slacks(u, y, z, r))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,13 @@ Each entry reports one of:
     infeasible   the premises admit no configuration at all
 
 ``load_catalogue`` returns a catalogue's scenarios straight from its
-builder; the test suite pins the SHA-256 of each catalogue's JSON form, and
-``write_data_files`` writes those JSON files for tools that edit them (the
-CLI's ``--catalogue-dir``).  Where a catalogue line covers a whole family of
-class pairs, the shipped entry is the family member with the largest
-computed maximum, so the check is the strongest single-scenario instance of
-that line.
+builder, the only source of the shipped catalogues; the test suite pins the
+SHA-256 of each catalogue's JSON form.  To grade an edited catalogue, save
+it with ``save_scenarios``, edit the file and run ``rtlab scenario run
+--file`` on it.  Where a catalogue line covers a whole family of class
+pairs, the shipped entry is the family member with the largest computed
+maximum, so the check is the strongest single-scenario instance of that
+line.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from ..graphs import GraphInputError
 from .scenarios import (
@@ -43,7 +43,6 @@ from .scenarios import (
     Objective,
     Scenario,
     canonical_key,
-    dumps_scenarios,
     enumerate_max,
     pair_sum,
 )
@@ -54,8 +53,6 @@ __all__ = [
     "evaluate_scenario",
     "evaluate_scenarios",
     "load_catalogue",
-    "run_catalogue",
-    "write_data_files",
 ]
 
 CATALOGUE_IDS = ("table10x10", "eq1_bullets", "eq3_bullets", "claims_local")
@@ -535,21 +532,3 @@ def load_catalogue(which: str) -> list[Scenario]:
             f"unknown catalogue {which!r}; expected one of {CATALOGUE_IDS}"
         ) from None
     return builder()
-
-
-def run_catalogue(which: str, jobs: int = 1) -> list[BoundEntry]:
-    """Build and evaluate the named catalogue."""
-    return evaluate_scenarios(load_catalogue(which), jobs=jobs)
-
-
-def write_data_files(directory) -> list[Path]:
-    """Write every catalogue as ``<id>.json`` into ``directory``, the layout
-    ``--catalogue-dir`` reads; returns the paths written."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for which in CATALOGUE_IDS:
-        path = directory / f"{which}.json"
-        path.write_text(dumps_scenarios(load_catalogue(which)), encoding="utf-8")
-        paths.append(path)
-    return paths

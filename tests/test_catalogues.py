@@ -22,7 +22,6 @@ from rtlab.localbounds import (
     evaluate_scenario,
     evaluate_scenarios,
     load_catalogue,
-    run_catalogue,
 )
 from rtlab.localbounds import catalogues
 
@@ -110,9 +109,8 @@ def test_catalogue_digests_are_pinned():
 
 
 def test_unknown_catalogue_is_rejected():
-    for fn in (load_catalogue, run_catalogue):
-        with pytest.raises(GraphInputError):
-            fn("no_such_catalogue")
+    with pytest.raises(GraphInputError):
+        load_catalogue("no_such_catalogue")
 
 
 def test_table_runs_clean_and_matches_frozen_values(graded_catalogue):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,8 +21,8 @@ from rtlab.localbounds import (
     Objective,
     Scenario,
     dumps_scenarios,
+    load_catalogue,
     save_scenarios,
-    write_data_files,
 )
 
 
@@ -290,25 +291,22 @@ def test_verify_table_clean(capsys):
 
 
 def test_verify_table_names_lowered_cell(tmp_path, capsys):
-    workdir = tmp_path / "catalogues"
-    write_data_files(workdir)
-    cells = json.loads((workdir / "table10x10.json").read_text())
+    path = tmp_path / "table10x10.json"
+    save_scenarios(path, load_catalogue("table10x10"))
+    cells = json.loads(path.read_text())
     victim = cells[41]
     victim["bound"]["num"] -= victim["bound"]["den"]
-    (workdir / "table10x10.json").write_text(json.dumps(cells))
+    path.write_text(json.dumps(cells))
 
-    code, report, err = run_cli(
-        capsys, "scenario", "verify-table", "--jobs", "4", "--catalogue-dir", str(workdir)
-    )
+    code, report, err = run_cli(capsys, "scenario", "run", "--file", str(path), "--jobs", "4")
     assert code == 1
     assert report["results"]["violated"] == [victim["id"]]
     assert victim["id"] in err
 
 
 def test_verify_table_grades_every_cell_against_its_own_bound(tmp_path, capsys):
-    workdir = tmp_path / "catalogues"
-    write_data_files(workdir)
-    path = workdir / "table10x10.json"
+    path = tmp_path / "table10x10.json"
+    save_scenarios(path, load_catalogue("table10x10"))
     cells = {c["id"]: c for c in json.loads(path.read_text())}
     # lower the bound of the first cell of its orbit: X(i, j) against Y(k)
     # with k in {i, j}, in either order, 12 cells
@@ -330,9 +328,7 @@ def test_verify_table_grades_every_cell_against_its_own_bound(tmp_path, capsys):
     ]
     path.write_text(json.dumps(list(cells.values())))
 
-    code, report, err = run_cli(
-        capsys, "scenario", "verify-table", "--jobs", "4", "--catalogue-dir", str(workdir)
-    )
+    code, report, err = run_cli(capsys, "scenario", "run", "--file", str(path), "--jobs", "4")
     assert code == 1
     assert report["results"]["violated"] == ["table:X12-Y1"]
     assert "table:X12-Y1" in err
@@ -438,12 +434,21 @@ def test_scenario_run_requires_the_keys_a_constraint_reads(tmp_path, capsys):
         assert "input error" in err and f"needs key {key!r}" in err
 
 
-def test_verify_all_missing_catalogue(tmp_path, capsys):
-    empty = tmp_path / "nothing"
-    empty.mkdir()
-    code, report, err = run_cli(capsys, "verify-all", "--catalogue-dir", str(empty))
+def test_scenario_run_missing_file(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    code, report, err = run_cli(capsys, "scenario", "run", "--file", str(absent))
     assert code == 2 and report is None
-    assert "missing catalogue file" in err
+    assert "input error" in err and str(absent) in err
+
+
+def test_verify_commands_read_only_the_builders(capsys):
+    # the shipped catalogues have one source, their builders: an edited
+    # catalogue is graded with `scenario run --file`
+    for argv in (["verify-all"], ["scenario", "verify-table"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--catalogue-dir", "."])
+        assert info.value.code == 2
+    capsys.readouterr()
 
 
 def test_verify_all_passes(capsys):
@@ -464,6 +469,27 @@ def test_verify_all_passes(capsys):
     assert segments["two-set-edge-bound"]["cases"] == 36
     assert segments["constructions"]["cases"] == 140
     assert report["results"]["failed_segments"] == []
+
+
+def test_verify_all_names_a_failing_catalogue(capsys, monkeypatch):
+    def lowered(which):
+        scenarios = load_catalogue(which)
+        if which == "table10x10":
+            scenarios = [
+                replace(s, bound=s.bound - 1) if s.id == "table:Y2-X13" else s
+                for s in scenarios
+            ]
+        return scenarios
+
+    monkeypatch.setattr(cli, "load_catalogue", lowered)
+    code, report, err = run_cli(capsys, "verify-all", "--jobs", "4")
+    assert code == 1 and report["pass"] is False
+    assert report["results"]["failed_segments"] == ["catalogue:table10x10"]
+    assert "table10x10: violated at table:Y2-X13 (computed 12, bound 11)" in err
+    assert "failed segments: catalogue:table10x10" in err
+    segments = {s["name"]: s for s in report["results"]["segments"]}
+    assert segments["catalogue:table10x10"]["violated"] == ["table:Y2-X13"]
+    assert all(s["pass"] for name, s in segments.items() if name != "catalogue:table10x10")
 
 
 def test_non_catalogue_checks_name_their_failures(monkeypatch):
@@ -532,16 +558,16 @@ def test_optscan_cli(capsys):
     capsys.readouterr()
 
 
-def test_readme_command_lines_parse():
-    # every `rtlab ...` line of the README's sh blocks names real options
+def _readme_sh_lines(prefix):
+    """The lines of the README's sh blocks that start with ``prefix``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
-    lines = [
-        line.split("#")[0].split()
-        for block in blocks
-        for line in block.splitlines()
-        if line.startswith("rtlab ")
-    ]
+    return [line for block in blocks for line in block.splitlines() if line.startswith(prefix)]
+
+
+def test_readme_command_lines_parse():
+    # every `rtlab ...` line of the README's sh blocks names real options
+    lines = [line.split("#")[0].split() for line in _readme_sh_lines("rtlab ")]
     assert len(lines) >= 10
     parser = cli.build_parser()
     for argv in lines:
@@ -549,6 +575,18 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {' '.join(argv)}")
+
+
+def test_readme_python_lines_run(tmp_path):
+    # every `python3 -c ...` line of the README's sh blocks runs against src
+    lines = _readme_sh_lines("python3 -c ")
+    assert lines
+    for line in lines:
+        argv = [sys.executable, *shlex.split(line, comments=True)[1:]]
+        proc = subprocess.run(
+            argv, cwd=tmp_path, capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, (line, proc.stderr)
 
 
 def test_thresholds_cli(capsys):
@@ -565,6 +603,11 @@ def test_thresholds_cli(capsys):
     assert all(i["holds"] for i in report["results"]["identities"])
     by_name = {e["name"]: e for e in report["results"]["entries"]}
     assert by_name["undirected-per-color-3"]["coefficient"]["decimal"].startswith("0.2556")
+    assert {name for name, e in by_name.items() if e["scales_with_colors"]} == {
+        "directed-total-4plus",
+        "transitive-total-4plus",
+        "transitive-total-oriented",
+    }
 
 
 def test_jobs_must_be_at_least_one(tmp_path, capsys):
@@ -583,6 +626,15 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     assert code == 3 and report is None
     assert "internal error: RuntimeError('handler crashed')" in err
     assert "Traceback" in err
+
+
+def _src_env():
+    """The environment with ``PYTHONPATH`` led by the tree this test imported,
+    so a subprocess runs it and not whatever else may be installed."""
+    src = str(Path(rtlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _check_lemma21_run(command, env=None):
@@ -621,11 +673,7 @@ def test_console_script_installed(tmp_path):
     )
     script.chmod(0o755)
 
-    # run the same tree this test imported, not whatever else may be installed
-    src = str(Path(rtlab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    _check_lemma21_run([str(script)], env=env)
+    _check_lemma21_run([str(script)], env=_src_env())
 
 
 def test_library_value_error_exits_3(capsys, monkeypatch):

@@ -195,7 +195,7 @@ def test_constraint_system_sample_points():
     ]
     for point in samples:
         assert system.feasible(*point), point
-        assert system.min_slack(*point) < 0, point
+        assert min(system.slacks(*point)) < 0, point
     assert not system.feasible(Fraction(1, 3), 0, 0, Fraction(1, 100))
     assert not system.feasible(Fraction(1, 10), Fraction(1, 2), 0, 0)
     assert not system.feasible(Fraction(1, 10), 0, -1, 0)

@@ -151,7 +151,7 @@ def test_rule_on_one_undecided_pair_filters_its_options():
 # engine vs naive enumeration
 
 
-def _small_catalogue_scenarios(limit=12):
+def _small_catalogue_sample(limit=12):
     for s in load_catalogue("claims_local"):
         states = scenario_slot_states(s)
         if sum(1 for st in states.values() if st == "free") <= limit:
@@ -160,7 +160,7 @@ def _small_catalogue_scenarios(limit=12):
 
 def test_engine_agrees_with_naive_on_shipped_claims():
     checked = 0
-    for s in _small_catalogue_scenarios():
+    for s in _small_catalogue_sample():
         feasible, best = naive_scenario_max(s)
         r = enumerate_max(s)
         assert r.feasible == feasible, s.id
@@ -328,7 +328,7 @@ def _relabel(s: Scenario, sigma: dict[int, int], pi: dict | None = None) -> Scen
 
 
 def test_color_swap_leaves_maximum_unchanged():
-    scenarios = list(_small_catalogue_scenarios())[:6]
+    scenarios = list(_small_catalogue_sample())[:6]
     table = load_catalogue("table10x10")
     scenarios += [s for s in table if s.id in ("table:X12-Y1", "table:Z1-R")]
     for s in scenarios:
