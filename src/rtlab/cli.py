@@ -25,7 +25,8 @@ traceback on stderr, so that a crash is never read as a failed check.
 Worker counts for the scenario evaluators come from --jobs (default 1).
 
 Each verify-all segment is built by one ``check_*`` function below; the
-acceptance suite calls the same functions.
+acceptance suite calls the same functions.  One ``check_catalogues`` call
+grades all catalogues, so an orbit two of them share is enumerated once.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .localbounds import (
     load_catalogue,
     load_scenarios,
 )
-from .search import SearchObjective, SearchProblem, solve
+from .search import DEFAULT_NODE_BUDGET, SearchObjective, SearchProblem, solve
 from .triangles import (
     TrianglePattern,
     count_rainbow,
@@ -203,7 +204,7 @@ def cmd_catalogue(args, echo, started) -> int:
         key, label, scenarios = "file", str(args.file), load_scenarios(args.file)
     else:
         key, label, scenarios = "catalogue", "table10x10", load_catalogue("table10x10")
-    segment, digest, entries = check_catalogue(label, scenarios, _resolve_jobs(args.jobs))
+    segment, digest, entries = check_catalogues({label: scenarios}, _resolve_jobs(args.jobs))[label]
     summary = {k: v for k, v in segment.items() if k not in ("name", "pass")}
     results = {key: label, **summary, "entries": [e.to_dict() for e in entries]}
     return _emit(echo, digest, results, segment["pass"], started)
@@ -277,28 +278,31 @@ def _random_small_graph(rng: random.Random) -> ColoredDigraph:
     return ColoredDigraph.from_edges(n, c, edges)
 
 
-def check_catalogue(which: str, scenarios, jobs: int = 1):
-    """Grade a scenario list and print each violated or infeasible entry,
-    prefixed by ``which``, to stderr; it passes when there are none.
-    Returns (segment, digest of the scenarios, entries)."""
-    entries = evaluate_scenarios(scenarios, jobs=jobs)
-    failed = [e for e in entries if e.status in ("violated", "infeasible")]
-    for e in failed:
-        print(
-            f"{which}: {e.status} at {e.scenario_id} "
-            f"(computed {e.computed_max}, bound {e.bound})",
-            file=sys.stderr,
-        )
-    segment = {
-        "name": f"catalogue:{which}",
-        "pass": not failed,
-        "scenarios": len(entries),
-        "tight": sum(1 for e in entries if e.status == "tight"),
-        "verified": sum(1 for e in entries if e.status == "verified"),
-        "violated": [e.scenario_id for e in failed if e.status == "violated"],
-        "infeasible": [e.scenario_id for e in failed if e.status == "infeasible"],
-    }
-    return segment, _sha256(dumps_scenarios(scenarios)), entries
+def check_catalogues(catalogues: dict[str, list], jobs: int = 1) -> dict:
+    """Grade named scenario lists in one ``evaluate_scenarios`` call, so an
+    orbit shared by several lists is enumerated once, and print each
+    violated or infeasible entry, prefixed by its list's name, to stderr.
+    Returns {name: (segment, digest of the scenarios, entries)}; a segment
+    passes when its list has no such entry."""
+    entries = evaluate_scenarios([s for ss in catalogues.values() for s in ss], jobs=jobs)
+    graded = {}
+    for which, scenarios in catalogues.items():
+        mine, entries = entries[: len(scenarios)], entries[len(scenarios) :]
+        failed = [e for e in mine if e.status in ("violated", "infeasible")]
+        for e in failed:
+            detail = f"(computed {e.computed_max}, bound {e.bound})"
+            print(f"{which}: {e.status} at {e.scenario_id} {detail}", file=sys.stderr)
+        segment = {
+            "name": f"catalogue:{which}",
+            "pass": not failed,
+            "scenarios": len(mine),
+            "tight": sum(1 for e in mine if e.status == "tight"),
+            "verified": sum(1 for e in mine if e.status == "verified"),
+            "violated": [e.scenario_id for e in failed if e.status == "violated"],
+            "infeasible": [e.scenario_id for e in failed if e.status == "infeasible"],
+        }
+        graded[which] = segment, _sha256(dumps_scenarios(scenarios)), mine
+    return graded
 
 
 def check_two_set_edge_bound(max_sum: int = 7) -> dict:
@@ -382,22 +386,21 @@ def check_detector_sanity(seed: int, graphs: int = 200) -> dict:
 
 def cmd_verify_all(args, echo, started) -> int:
     jobs = _resolve_jobs(args.jobs)
-    segments = []
-    digest_parts: dict = {"seed": args.seed}
-    for which in CATALOGUE_IDS:
-        segment, digest_parts[which], _ = check_catalogue(which, load_catalogue(which), jobs)
-        segments.append(segment)
-    segments.append(check_two_set_edge_bound())
-    segments.append(check_constraint_scan())
-    segments.append(check_constructions())
-    segments.append(check_detector_sanity(args.seed))
+    graded = check_catalogues({which: load_catalogue(which) for which in CATALOGUE_IDS}, jobs)
+    digest = _params_digest({"seed": args.seed, **{w: d for w, (_, d, _) in graded.items()}})
+    segments = [segment for segment, _, _ in graded.values()] + [
+        check_two_set_edge_bound(),
+        check_constraint_scan(),
+        check_constructions(),
+        check_detector_sanity(args.seed),
+    ]
 
     passed = all(s["pass"] for s in segments)
     failed = [s["name"] for s in segments if not s["pass"]]
     if failed:
         print("failed segments: " + ", ".join(failed), file=sys.stderr)
     results = {"segments": segments, "failed_segments": failed}
-    return _emit(echo, _params_digest(digest_parts), results, passed, started)
+    return _emit(echo, digest, results, passed, started)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help="node budget; the search reports a lower bound when it runs out",
+        default=DEFAULT_NODE_BUDGET,
+        help="node budget (default: %(default)s); past it the value is only a lower bound",
     )
     p.set_defaults(handler=cmd_search)
 

@@ -52,7 +52,6 @@ __all__ = [
     "pattern_edges",
     "find_rainbow",
     "count_rainbow",
-    "sdr_exists",
     "rainbow_free_check",
     "witness_is_valid",
 ]
@@ -86,25 +85,6 @@ def pattern_edges(pattern: TrianglePattern, u: int, v: int, w: int):
     return ((u, v), (v, w), (u, w))
 
 
-def sdr_exists(m1: int, m2: int, m3: int) -> bool:
-    """Whether three color bitmasks admit pairwise-distinct representatives.
-
-    This is Hall's condition for three sets: each mask nonempty, each union
-    of two masks at least 2 colors, the union of all three at least 3.  It
-    answers "can these three edge slots be colored rainbow?" without
-    enumerating assignments.
-    """
-    if not (m1 and m2 and m3):
-        return False
-    if (
-        (m1 | m2).bit_count() < 2
-        or (m1 | m3).bit_count() < 2
-        or (m2 | m3).bit_count() < 2
-    ):
-        return False
-    return (m1 | m2 | m3).bit_count() >= 3
-
-
 def rainbow_free_check(m, pattern: TrianglePattern, a: int, b: int, c: int):
     """A closure answering "does the triple {a, b, c} hold no rainbow copy
     of the pattern?" against the live mask matrix ``m``.
@@ -114,6 +94,11 @@ def rainbow_free_check(m, pattern: TrianglePattern, a: int, b: int, c: int):
     it in place between calls.  It tests every copy of the pattern on the
     triple: both orientations of a directed cycle, or all six role
     assignments of a transitive triangle.
+
+    A copy is rainbow when its three slot masks x, y, z admit pairwise
+    distinct representatives.  By Hall's condition for three sets that is:
+    each mask nonempty, each union of two masks at least 2 colors, the union
+    of all three at least 3; so no color assignment is enumerated.
     """
     if pattern is TrianglePattern.DIRECTED:
         orders = ((a, b, c), (a, c, b))
@@ -123,8 +108,10 @@ def rainbow_free_check(m, pattern: TrianglePattern, a: int, b: int, c: int):
 
     def check() -> bool:
         for (p, q), (r, s), (t, u) in copies:
-            if sdr_exists(m[p][q], m[r][s], m[t][u]):
-                return False
+            x, y, z = m[p][q], m[r][s], m[t][u]
+            if x and y and z and (x | y).bit_count() > 1 and (x | z).bit_count() > 1:
+                if (y | z).bit_count() > 1 and (x | y | z).bit_count() > 2:
+                    return False
         return True
 
     return check

@@ -35,6 +35,15 @@ def naive_find_rainbow(g: ColoredDigraph, pattern: TrianglePattern):
     return None
 
 
+def naive_masks_have_rainbow(m1: int, m2: int, m3: int) -> bool:
+    """Whether three color masks (bit i - 1 for color i) hold one color each,
+    pairwise distinct, by trying every ordered triple of distinct colors."""
+    colors = range(max(m1, m2, m3).bit_length())
+    return any(
+        m1 >> i & 1 and m2 >> j & 1 and m3 >> k & 1 for i, j, k in permutations(colors, 3)
+    )
+
+
 def naive_count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
     total = 0
     for u, v, w in permutations(range(g.n), 3):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from rtlab.cli import check_catalogues
 from rtlab.graphs import GraphInputError
 from rtlab.localbounds import (
     CATALOGUE_IDS,
@@ -164,6 +165,25 @@ def test_orbit_members_agree_when_enumerated_alone(graded_catalogue):
         alone = evaluate_scenario(s)
         assert alone.evaluated_as == s.id and alone.nodes > 0
         assert alone.computed_max == shared[s.id].computed_max, s.id
+
+
+def test_catalogues_graded_together_share_orbits(graded_catalogue):
+    # verify-all grades the four catalogues in one call: every eq3 bullet is
+    # a table10x10 orbit, so 135 entries take 41 enumerations, and each
+    # catalogue's segment is the one it gets on its own
+    graded = check_catalogues({w: load_catalogue(w) for w in CATALOGUE_IDS}, jobs=4)
+    assert list(graded) == list(CATALOGUE_IDS)
+    entries = [e for _, _, mine in graded.values() for e in mine]
+    assert len(entries) == 135
+    assert sum(e.evaluated_as == e.scenario_id and e.nodes > 0 for e in entries) == 41
+    for which, (segment, _, mine) in graded.items():
+        alone_segment, alone, _ = graded_catalogue(which)
+        assert segment == alone_segment, which
+        assert [(e.computed_max, e.status) for e in mine] == [
+            (e.computed_max, e.status) for e in alone
+        ], which
+        if which == "eq3_bullets":
+            assert all(e.evaluated_as.startswith("table:") for e in mine)
 
 
 def test_parallel_evaluation_matches_sequential():

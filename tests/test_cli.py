@@ -24,6 +24,7 @@ from rtlab.localbounds import (
     load_catalogue,
     save_scenarios,
 )
+from rtlab.search import DEFAULT_NODE_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +218,19 @@ def test_search_budget_exhaustion(capsys):
         capsys, "search", "--n", "3", "--c", "3", "--pattern", "directed", "--budget", "0"
     )
     assert code == 1 and report["results"]["exhaustive"] is False
+
+
+def test_search_default_budget(capsys):
+    # without --budget the search is bounded by DEFAULT_NODE_BUDGET: the
+    # n = 4, c = 3 optimum finishes inside it, a c = 4 total stops at it
+    code, report, _ = run_cli(capsys, "search", "--n", "4", "--c", "3", "--pattern", "directed")
+    assert code == 0 and report["results"]["exhaustive"] is True
+    assert report["results"]["value"] == 24
+    assert 1_000_000 < report["results"]["nodes"] <= DEFAULT_NODE_BUDGET
+    code, report, err = run_cli(capsys, "search", "--n", "4", "--c", "4", "--pattern", "directed")
+    assert code == 1 and report["results"]["exhaustive"] is False
+    assert report["results"]["nodes"] == DEFAULT_NODE_BUDGET + 1
+    assert "lower bound" in err
 
 
 def test_search_vertex_cap(capsys):

@@ -15,7 +15,13 @@ from rtlab.triangles import (
     witness_is_valid,
 )
 
-from naive import naive_count_rainbow, naive_find_rainbow, random_graph
+from naive import (
+    _slots,
+    naive_count_rainbow,
+    naive_find_rainbow,
+    naive_masks_have_rainbow,
+    random_graph,
+)
 
 D, T = TrianglePattern.DIRECTED, TrianglePattern.TRANSITIVE
 
@@ -246,6 +252,26 @@ def test_find_with_more_colors_than_pair_slots_agrees_with_oracle():
 def test_pattern_edges_shapes():
     assert pattern_edges(D, 0, 1, 2) == ((0, 1), (1, 2), (2, 0))
     assert pattern_edges(T, 0, 1, 2) == ((0, 1), (1, 2), (0, 2))
+
+
+def test_rainbow_free_check_is_halls_condition_on_every_mask_triple():
+    # every triple of color masks with c <= 4, set on the slots of one copy
+    # of the pattern; the other three pairs stay empty, so no other copy can
+    # be rainbow, and the closures of all six vertex orders must agree with
+    # brute force over distinct color triples
+    rainbow = {t: naive_masks_have_rainbow(*t) for t in product(range(16), repeat=3)}
+    assert 0 < sum(rainbow.values()) < len(rainbow)
+    for pattern in (D, T):
+        masks = [[0] * 3 for _ in range(3)]
+        checks = [rainbow_free_check(masks, pattern, *order) for order in permutations(range(3))]
+        for order in permutations(range(3)):
+            slots = _slots(pattern, *order)
+            for triple, want in rainbow.items():
+                for (u, v), mask in zip(slots, triple):
+                    masks[u][v] = mask
+                assert [check() for check in checks] == [not want] * 6, (pattern, order, triple)
+            for u, v in slots:
+                masks[u][v] = 0
 
 
 def test_rainbow_free_check_matches_oracle_on_live_masks():
