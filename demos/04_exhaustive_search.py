@@ -13,7 +13,10 @@ from rtlab.triangles import TrianglePattern, find_rainbow
 # color classes; one search maximizes either objective directly.  Color
 # symmetry on the first vertex pair and an optimistic-completion bound
 # (every unassigned pair filled to capacity) keep the tree small enough
-# to exhaust.
+# to exhaust.  For the total at n >= 4 the search first solves n - 1:
+# every vertex pair lies in n - 2 of the n graphs left by deleting one
+# vertex, so the total is at most n * T(n-1) // (n - 2), and the search
+# stops as soon as a witness reaches that cap.
 
 for oriented in (False, True):
     for pattern in TrianglePattern:

@@ -26,11 +26,20 @@ optimistic total is divided by c first, since the smallest color count is at
 most the average.  Colors are interchangeable for both objectives, so the
 first pair's states are restricted to one representative per
 color-permutation orbit.
+
+For ``total`` at n >= 4 the search first solves the same question at n - 1.
+Deleting a vertex keeps a graph pattern-free (and oriented), and each vertex
+pair lies in n - 2 of the n vertex-deleted subgraphs, so the optimum is at
+most ``n * T(n-1) // (n - 2)`` (the averaging bound of Katona, Nemetz and
+Simonovits, 1964).  When the n - 1 run is exhaustive the search stops as soon
+as its best value reaches that cap.  Until then every prune is the uncapped
+one, so the value, the witness and ``exhaustive`` are those of the uncapped
+search; only the nodes after the cap is reached are saved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import add
 from typing import Sequence
@@ -55,8 +64,9 @@ __all__ = [
 # anything, so n is capped; an exhaustive search is out of reach far below.
 MAX_SEARCH_VERTICES = 64
 
-# `rtlab search` stops here unless --budget says otherwise: about 1.5M nodes/s
-# on the c = 3 goldens (0.8M/s traced in the small-n benchmark), 2-vCPU Xeon.
+# `rtlab search` stops here unless --budget says otherwise: about 1.4M nodes/s
+# on the c = 3 goldens and 2.3-2.6M/s on the n = 4, c = 5 and n = 5, c = 3
+# totals, 2-vCPU Xeon.
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -145,14 +155,27 @@ def _first_pair_profiles(profiles: Sequence[_PairState]) -> list[_PairState]:
 def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     """Solve the extremal question exactly (or report a budget-limited try).
 
-    ``budget`` caps the number of pair-state assignments explored; when the
-    cap is hit the result carries ``exhaustive=False`` and the best value
-    found so far, with its witness (none if no complete graph was reached).
+    ``budget`` caps the number of pair-state assignments explored, counting
+    those of the n - 1 run that caps a ``total`` search; when the cap is hit
+    the result carries ``exhaustive=False`` and the best value found so far,
+    with its witness (value 0 and no witness if no complete graph on n
+    vertices was reached, as when the budget ends in the n - 1 run).
     A negative budget raises GraphInputError; budget 0 stops at the first node.
     """
     if budget is not None and budget < 0:
         raise GraphInputError(f"budget must be non-negative, got {budget}")
+    return _solve(problem, float("inf") if budget is None else budget)
+
+
+def _solve(problem: SearchProblem, limit: float) -> SearchResult:
     n, c = problem.n, problem.c
+    nodes = 0
+    cap = float("inf")  # no witness can beat it, so reaching it ends the search
+    if problem.objective is SearchObjective.TOTAL and n >= 4:
+        below = _solve(replace(problem, n=n - 1), limit)
+        if not below.exhaustive:
+            return SearchResult(value=0, witness=None, nodes=below.nodes, exhaustive=False)
+        nodes, cap = below.nodes, n * below.value // (n - 2)
     pairs = _pairs_by_max_endpoint(n)
     num_pairs = len(pairs)
     masks = [[0] * n for _ in range(n)]  # masks[u][v]: colors carrying u -> v
@@ -166,8 +189,6 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
         score([(num_pairs - idx) * problem.color_pair_capacity] * c)
         for idx in range(num_pairs + 1)
     ]
-    limit = float("inf") if budget is None else budget
-    nodes = 0
     best = -1
     best_graph: ColoredDigraph | None = None
 
@@ -199,7 +220,7 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
                     break
             else:
                 rec(idx + 1, tuple(map(add, counts, gain)))
-                if nodes > limit:
+                if nodes > limit or best >= cap:
                     break
         masks[a][m] = masks[m][a] = 0
 

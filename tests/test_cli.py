@@ -222,14 +222,16 @@ def test_search_budget_exhaustion(capsys):
 
 def test_search_default_budget(capsys):
     # without --budget the search is bounded by DEFAULT_NODE_BUDGET: the
-    # n = 4, c = 3 optimum finishes inside it, a c = 4 total stops at it
-    code, report, _ = run_cli(capsys, "search", "--n", "4", "--c", "3", "--pattern", "directed")
+    # n = 4, c = 5 total finishes inside it, the n = 5, c = 3 total stops at
+    # it below its averaging cap of 40
+    code, report, _ = run_cli(capsys, "search", "--n", "4", "--c", "5", "--pattern", "directed")
     assert code == 0 and report["results"]["exhaustive"] is True
-    assert report["results"]["value"] == 24
+    assert report["results"]["value"] == 40
     assert 1_000_000 < report["results"]["nodes"] <= DEFAULT_NODE_BUDGET
-    code, report, err = run_cli(capsys, "search", "--n", "4", "--c", "4", "--pattern", "directed")
+    code, report, err = run_cli(capsys, "search", "--n", "5", "--c", "3", "--pattern", "directed")
     assert code == 1 and report["results"]["exhaustive"] is False
     assert report["results"]["nodes"] == DEFAULT_NODE_BUDGET + 1
+    assert report["results"]["value"] == 36
     assert "lower bound" in err
 
 

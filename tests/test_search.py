@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
-from rtlab.graphs import ColoredDigraph
+from rtlab.exactmath import threshold_value, thresholds
+from rtlab.graphs import ColoredDigraph, graph_digest
 from rtlab.search import (
+    DEFAULT_NODE_BUDGET,
     SearchObjective,
     SearchProblem,
     _first_pair_profiles,
@@ -23,9 +25,33 @@ GOLDEN_N3 = {
     (True, D): (9, 3),
     (True, T): (9, 3),
 }
-# frozen solver outputs at n=4, c=3, spot-checked against hand witnesses
-GOLDEN_N4_TOTAL = {(False, D): 24, (False, T): 24, (True, D): 18, (True, T): 15}
+# frozen solver outputs at n=4, c=3, spot-checked against hand witnesses,
+# with the graph_digest of each total's witness
+GOLDEN_N4_TOTAL = {
+    (False, D): (24, "29987002c390952ffbab24213f855eca0e59ac37fdda832553866d08d279ba9a"),
+    (False, T): (24, "29987002c390952ffbab24213f855eca0e59ac37fdda832553866d08d279ba9a"),
+    (True, D): (18, "7ab3778b244252bcbfe0c9d7bd1a703351f73f0feeec15d7d97f4ea2e8ca8d4d"),
+    (True, T): (15, "ec78784b237c9990363c412224de015e418f3652334457ca7521389fe8280ff0"),
+}
 GOLDEN_N4_MIN = {(False, D): 8, (False, T): 8, (True, D): 6, (True, T): 5}
+# frozen solver outputs at n=4, c=4 (total), with the ledger entry each obeys
+GOLDEN_N4_C4_TOTAL = {
+    (False, D): (32, "directed-total-4plus"),
+    (False, T): (32, "transitive-total-4plus"),
+    (True, D): (24, "directed-total-4plus"),
+    (True, T): (20, "transitive-total-oriented"),
+}
+# nodes of each c=3 golden search; a slower search fails here, not in timing
+GOLDEN_NODES = {
+    (3, False, D): {TOTAL: 5951, MINC: 619},
+    (3, False, T): {TOTAL: 5951, MINC: 619},
+    (3, True, D): {TOTAL: 6, MINC: 6},
+    (3, True, T): {TOTAL: 181, MINC: 94},
+    (4, False, D): {TOTAL: 11645, MINC: 76870},
+    (4, False, T): {TOTAL: 12265, MINC: 60749},
+    (4, True, D): {TOTAL: 12, MINC: 12},
+    (4, True, T): {TOTAL: 18933, MINC: 873},
+}
 
 
 def _oracle_sdr(m1, m2, m3):
@@ -108,12 +134,45 @@ def test_two_vertices_leave_no_triangles():
 
 
 def test_n4_totals_frozen():
-    for (oriented, pattern), want in GOLDEN_N4_TOTAL.items():
+    for (oriented, pattern), (want, digest) in GOLDEN_N4_TOTAL.items():
         problem = SearchProblem(4, 3, pattern, oriented=oriented)
         result = solve(problem)
         assert result.value == want, (oriented, pattern)
         assert result.exhaustive
         assert verify_witness(problem, result.witness, result.value)
+        assert graph_digest(result.witness) == digest, (oriented, pattern)
+
+
+def test_golden_node_counts_frozen():
+    for (n, oriented, pattern), by_objective in GOLDEN_NODES.items():
+        for objective, want in by_objective.items():
+            problem = SearchProblem(n, 3, pattern, oriented=oriented, objective=objective)
+            assert solve(problem).nodes == want, problem
+
+
+def test_n4_c4_totals_frozen_and_within_the_ledger():
+    table = thresholds()
+    for (oriented, pattern), (want, name) in GOLDEN_N4_C4_TOTAL.items():
+        problem = SearchProblem(4, 4, pattern, oriented=oriented)
+        result = solve(problem, budget=DEFAULT_NODE_BUDGET)
+        assert result.value == want, (oriented, pattern)
+        assert result.exhaustive
+        assert verify_witness(problem, result.witness, result.value)
+        entry = table[name]
+        limit = threshold_value(entry, 4, 4)
+        # a strict entry forces the pattern only above its threshold
+        assert result.value <= limit if entry.strict else result.value < limit, name
+        if not oriented:  # (c/2)n^2 is tight: bipartite_double attains it
+            assert result.value == limit, name
+
+
+def test_averaging_cap_ends_the_search_only_at_its_value():
+    # T(4) = 15 caps the oriented transitive total at n = 5 by 5 * 15 // 3 = 25:
+    # the witness of 24 found within 25k nodes must not end the search
+    problem = SearchProblem(5, 3, T, oriented=True)
+    result = solve(problem, budget=100_000)
+    assert (result.value, result.exhaustive, result.nodes) == (24, False, 100_001)
+    assert verify_witness(problem, result.witness, result.value)
 
 
 def test_n4_min_color_directed():
@@ -168,17 +227,20 @@ def test_budget_counts_nodes_exactly():
         SearchProblem(4, 3, D, objective=MINC),
         SearchProblem(4, 3, T, oriented=True),
         SearchProblem(4, 3, T, oriented=True, objective=MINC),
+        # capped by their n = 3 run (5,951 nodes): budgets 0, 1 and 5 end in
+        # that run, full.nodes - 1 in the main search
+        SearchProblem(4, 3, D),
+        SearchProblem(4, 3, T),
     ]
     for problem in problems:
         full = solve(problem)
-        for budget in (0, 1, 5):
+        for budget in (0, 1, 5, full.nodes - 1):
             capped = solve(problem, budget=budget)
             assert capped.nodes == budget + 1 and not capped.exhaustive, (problem, budget)
         at_count = solve(problem, budget=full.nodes)
         assert at_count.exhaustive, problem
         assert (at_count.value, at_count.nodes) == (full.value, full.nodes), problem
         assert at_count.witness == full.witness, problem
-        assert not solve(problem, budget=full.nodes - 1).exhaustive, problem
 
 
 def _permuted(mask, perm):
