@@ -191,40 +191,56 @@ def _solve(problem: SearchProblem, limit: float) -> SearchResult:
     ]
     best = -1
     best_graph: ColoredDigraph | None = None
+    # One entry per pair whose state is being tried, in pair order: the
+    # iterator over its remaining states, the counts before it, its
+    # optimistic total, its index and the checks of its triples.  A loop over
+    # this stack, not recursion, walks the tree, so the C(n, 2) levels never
+    # meet Python's recursion limit.
+    stack: list[tuple] = []
 
-    def rec(idx: int, counts: tuple[int, ...]) -> None:
-        nonlocal nodes, best, best_graph
+    def enter(idx: int, counts: tuple[int, ...]) -> None:
+        """Score a leaf, or open pair idx unless the bound prunes it."""
+        nonlocal best, best_graph
         value = score(counts)
         if idx == num_pairs:
             if value > best:
                 best, best_graph = value, _to_graph(problem, masks)
-            return
-        if value + reach[idx] <= best:
-            return
+        elif value + reach[idx] > best:
+            a, m = pairs[idx]
+            if idx == len(checks):
+                checks.append(
+                    [rainbow_free_check(masks, problem.pattern, x, a, m) for x in range(a)]
+                )
+            optimistic = sum(counts) + (num_pairs - idx - 1) * problem.pair_capacity
+            states = iter(first if idx == 0 else profiles)
+            stack.append((states, counts, optimistic, idx, checks[idx]))
+
+    enter(0, (0,) * c)
+    while stack:
+        states, base, optimistic, idx, triple_checks = stack[-1]
         a, m = pairs[idx]
-        if idx == len(checks):
-            checks.append(
-                [rainbow_free_check(masks, problem.pattern, x, a, m) for x in range(a)]
-            )
-        triple_checks = checks[idx]
-        optimistic = sum(counts) + (num_pairs - idx - 1) * problem.pair_capacity
-        for count, f, b, gain in first if idx == 0 else profiles:
+        out_a, out_m = masks[a], masks[m]  # the masks of the edges out of a and m
+        depth = len(stack)
+        for count, f, b, gain in states:
             nodes += 1
             if nodes > limit:
                 break
             if (optimistic + count) // divisor <= best:
                 break  # states are sorted densest first
-            masks[a][m], masks[m][a] = f, b
+            out_a[m], out_m[a] = f, b
             for check in triple_checks:
                 if not check():
                     break
             else:
-                rec(idx + 1, tuple(map(add, counts, gain)))
-                if nodes > limit or best >= cap:
+                enter(idx + 1, tuple(map(add, base, gain)))
+                if len(stack) > depth or best >= cap:
                     break
-        masks[a][m] = masks[m][a] = 0
-
-    rec(0, (0,) * c)
+        if len(stack) > depth:
+            continue  # down to the pair just opened; this one resumes after it
+        out_a[m] = out_m[a] = 0
+        stack.pop()
+        if nodes > limit or best >= cap:
+            break  # every open pair would stop at once too
     return SearchResult(
         value=max(best, 0),
         witness=best_graph,

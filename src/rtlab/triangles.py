@@ -25,6 +25,16 @@ triple is searched in Python.  With more than 3n(n-1) colors, finding
 runs the kernel only on the three lowest colors of each ordered pair,
 which decide the same triples (see ``_first_three_colors``).
 
+One pass of the kernel over all of a graph's layers yields both what
+finding needs (the first row u of K with a nonzero entry) and what counting
+needs (the sum of K).  That pair is memoised on the graph, once per closing
+slot, so ``find_rainbow`` then ``count_rainbow`` on the same graph and
+pattern run the pass once.  This is sound because a ``ColoredDigraph`` is a
+value object: its layer array is its own and read-only from construction
+on, so the pass can never see other layers.  Only passes over all layers
+are memoised; the many-colors pass of ``find_rainbow`` runs on a subset of
+the layers and neither reads nor fills the memo.
+
 The products run in float64 and the total is summed in int64.  Under
 ``graphs.MAX_CELLS`` every matrix product entry is at most c**2 * n <= 2**52,
 and with fewer than 2**16 colors every entry of K (at most c**3 * n) stays
@@ -192,19 +202,41 @@ def _first_three_colors(layers: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate(kept))
 
 
+def _first_row_and_total(layers, others, close):
+    """One kernel pass over the slot layers of ``_slot_layers``: the first
+    row u of K with a nonzero entry (None if there is none) and the sum of K
+    in int64."""
+    counts = _rainbow_counts(layers, others, layers, others, close, np.matmul)
+    total = int(counts.sum(dtype=np.int64))
+    if not total:  # K counts completions, so every entry is >= 0
+        return None, 0
+    return int(counts.nonzero()[0][0]), total
+
+
+def _graph_pass(g: ColoredDigraph, pattern: TrianglePattern, slot_arrays=None):
+    """``_first_row_and_total`` over all of g's layers, memoised on g;
+    ``slot_arrays``, if given, are ``_slot_layers`` of all of g's layers."""
+    directed = pattern is TrianglePattern.DIRECTED  # the pass reads no more of the pattern
+    memo = g._rainbow_memo
+    if directed not in memo:
+        memo[directed] = _first_row_and_total(*(slot_arrays or _slot_layers(g.layers, pattern)))
+    return memo[directed]
+
+
 def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness | None:
     """First rainbow copy of the pattern in lexicographic (u, v, w, colors)
     order, or None when the graph is pattern-free."""
     if g.n < 3 or g.c < 3:
         return None
-    layers = g.layers
     if g.c > 3 * g.n * (g.n - 1):
-        layers = layers[_first_three_colors(layers)]
-    layers, others, close = _slot_layers(layers, pattern)
-    rows, _ = _rainbow_counts(layers, others, layers, others, close, np.matmul).nonzero()
-    if not rows.size:
+        slot_arrays = _slot_layers(g.layers[_first_three_colors(g.layers)], pattern)
+        u, _ = _first_row_and_total(*slot_arrays)
+    else:
+        slot_arrays = _slot_layers(g.layers, pattern)  # for the pass on a miss, and the row
+        u, _ = _graph_pass(g, pattern, slot_arrays)
+    if u is None:
         return None
-    u = int(rows[0])
+    layers, others, close = slot_arrays
     row = _rainbow_counts(layers[:, u], others[:, u], layers, others, close[:, u, None], _outer)
     vs, ws = row.nonzero()  # in row-major order, so the first is the least (v, w)
     v, w = int(vs[0]), int(ws[0])
@@ -225,9 +257,7 @@ def count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
         raise GraphInputError(f"count_rainbow is exact only below 2**16 colors, got c={g.c}")
     if g.n < 3 or g.c < 3:
         return 0
-    layers, others, close = _slot_layers(g.layers, pattern)
-    counts = _rainbow_counts(layers, others, layers, others, close, np.matmul)
-    total = int(counts.sum(dtype=np.int64))
+    _, total = _graph_pass(g, pattern)
     # the kernel sees a directed cycle once from each of its three vertices
     return total // 3 if pattern is TrianglePattern.DIRECTED else total
 

@@ -242,6 +242,17 @@ def test_search_vertex_cap(capsys):
     assert code == 2 and report is None and "MAX_SEARCH_VERTICES" in err
 
 
+def test_search_at_the_vertex_cap_walks_every_pair_without_recursion(capsys):
+    # with one color the first path assigns all C(64, 2) = 2016 pairs, more
+    # levels than Python's default recursion limit of 1000
+    code, report, _ = run_cli(
+        capsys, "search", "--n", "64", "--c", "1", "--pattern", "directed",
+        "--objective", "min-color",
+    )
+    assert code == 0 and report["results"]["exhaustive"] is True
+    assert report["results"]["value"] == 64 * 63
+
+
 def scenario_pair(bound):
     """A lone vertex pair with every slot free and the given total bound."""
     return Scenario(

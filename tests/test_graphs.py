@@ -65,12 +65,42 @@ def test_from_edges_walks_entries_the_array_check_does_not_take():
     assert ColoredDigraph.from_edges(3, 2, [EdgeRef(2, 1, 2), (np.int8(1), np.int64(0), 1)]) == (
         ColoredDigraph.from_edges(3, 2, [(2, 1, 2), (1, 0, 1)])
     )
+    mixed = (e if k % 2 else list(e) for k, e in enumerate(g.edges()))  # plain lists and EdgeRefs
+    assert ColoredDigraph.from_edges(g.n, g.c, mixed) == g
+
+
+BAD_ENTRIES = [  # (entry, message) at n = 3, c = 2, each after one good entry
+    ([True, 0, 1], "color must be an integer, got True"),
+    ([1, False, 1], "vertex must be an integer, got False"),
+    ([1, 0, True], "vertex must be an integer, got True"),
+    ([1.0, 0, 1], "color must be an integer, got 1.0"),
+    ([1, 0.0, 1], "vertex must be an integer, got 0.0"),
+    ([1, 0, 1.5], "vertex must be an integer, got 1.5"),
+    ([np.bool_(True), 0, 1], "color must be an integer, got np.True_"),
+    ([1, np.bool_(False), 1], "vertex must be an integer, got np.False_"),
+    ([0, 0, 1], "color 0 out of range for c=2"),
+    ([3, 0, 1], "color 3 out of range for c=2"),
+    ((np.int64(3), 0, 1), "color 3 out of range for c=2"),
+    ((1, -1, 0), "vertex -1 out of range for n=3"),
+    ([1, 0, -1], "vertex -1 out of range for n=3"),
+    ((1, 0, 3), "vertex 3 out of range for n=3"),
+    ([1, 3, 0], "vertex 3 out of range for n=3"),
+    ([1, np.int8(-1), 0], "vertex -1 out of range for n=3"),
+    ((1, 0, 0), "loop at vertex 0 rejected"),
+    ([2, 1, 1], "loop at vertex 1 rejected"),
+    ([1, 0], "edge entry [1, 0] must be [color, from, to]"),
+    ((1, 0, 1, 2), "edge entry (1, 0, 1, 2) must be [color, from, to]"),
+    ("abc", "edge entry 'abc' must be [color, from, to]"),
+]
 
 
 def test_rejects_bad_input():
-    for edge in ((1, 0, 0), (0, 0, 1), (3, 0, 1), (1, 0, 3), (1, -1, 0)):
-        with pytest.raises(GraphInputError):
-            ColoredDigraph.from_edges(3, 2, [edge])
+    # the quick accept of plain in-range int entries leaves every message to
+    # the checks, word for word, whatever the type of the bad entry
+    for entry, message in BAD_ENTRIES:
+        with pytest.raises(GraphInputError) as err:
+            ColoredDigraph.from_edges(3, 2, [[1, 0, 1], entry])
+        assert str(err.value) == message, entry
 
 
 def test_count_color_additivity():

@@ -5,7 +5,8 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from rtlab.graphs import ColoredDigraph, GraphInputError
+from rtlab import triangles
+from rtlab.graphs import ColoredDigraph, GraphInputError, dumps_graph, loads_graph
 from rtlab.triangles import (
     TrianglePattern,
     count_rainbow,
@@ -160,6 +161,74 @@ def test_count_matches_oracle():
                     assert _witness_key(find_rainbow(g, pattern)) == naive_find_rainbow(
                         g, pattern
                     ), (g.edges(), pattern)
+
+
+def _find_then_count(g, pattern):
+    witness = find_rainbow(g, pattern)
+    return _witness_key(witness), count_rainbow(g, pattern)
+
+
+def _count_then_find(g, pattern):
+    count = count_rainbow(g, pattern)
+    return _witness_key(find_rainbow(g, pattern)), count
+
+
+def test_find_and_count_agree_in_any_order_and_on_fresh_copies():
+    # both detectors read one memoised kernel pass per graph and pattern, so
+    # neither the order of the calls nor a second call may change an answer
+    rng = random.Random(41)
+    for n in range(7):
+        for c in range(1, 5):
+            for p in (0.2, 0.5, 0.8):
+                g = random_graph(rng, n, c, p=p)
+                for pattern in (D, T):
+                    want = naive_find_rainbow(g, pattern), naive_count_rainbow(g, pattern)
+                    fresh = ColoredDigraph(n, c, g.layers)
+                    alone = (
+                        _witness_key(find_rainbow(ColoredDigraph(n, c, g.layers), pattern)),
+                        count_rainbow(ColoredDigraph(n, c, g.layers), pattern),
+                    )
+                    assert _find_then_count(g, pattern) == want, (g.edges(), pattern)
+                    assert _count_then_find(g, pattern) == want
+                    assert _count_then_find(fresh, pattern) == want
+                    assert _find_then_count(fresh, pattern) == want
+                    assert _count_then_find(loads_graph(dumps_graph(g)), pattern) == want
+                    assert alone == want
+
+
+def test_count_after_find_runs_no_second_kernel_pass(monkeypatch):
+    passes = []
+    kernel = triangles._rainbow_counts
+
+    def counted(*args):
+        passes.append(args[-1] is np.matmul)  # a whole-graph pass, not a row pass
+        return kernel(*args)
+
+    monkeypatch.setattr(triangles, "_rainbow_counts", counted)
+    g = ColoredDigraph.from_edges(3, 3, CYCLE)
+    for pattern in (D, T):
+        assert _find_then_count(g, pattern) == _count_then_find(g, pattern)
+    assert passes.count(True) == 2
+    assert passes.count(False) == 2  # the directed witness's row, found twice
+
+
+def test_the_color_limit_and_many_colors_bypass_the_memo():
+    # c = 2**16 is refused by count even after find has run; find then took
+    # the c > 3n(n-1) route, which keeps only the lowest colors of each pair
+    # and so must leave the memo of the whole graph empty
+    g = _complete(3, 1 << 16)
+    for pattern in (D, T):
+        assert _witness_key(find_rainbow(g, pattern)) == ((0, 1, 2), (1, 2, 3))
+        with pytest.raises(GraphInputError, match=r"2\*\*16 colors"):
+            count_rainbow(g, pattern)
+    assert g._rainbow_memo == {}
+    g = _complete(3, 19)
+    for filled, pattern in enumerate((D, T)):
+        witness = find_rainbow(g, pattern)
+        assert len(g._rainbow_memo) == filled  # find added nothing
+        assert count_rainbow(g, pattern) == naive_count_rainbow(g, pattern)
+        assert len(g._rainbow_memo) == filled + 1
+        assert find_rainbow(g, pattern) == witness
 
 
 def test_colors_beyond_64_are_seen():
