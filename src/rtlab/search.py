@@ -168,21 +168,33 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
 
 
 def _solve(problem: SearchProblem, limit: float) -> SearchResult:
-    n, c = problem.n, problem.c
+    n = problem.n
+    # One mask matrix and one list of triple checks serve the whole chain of
+    # runs: pairs go by larger endpoint, so a run on fewer vertices uses a
+    # prefix of the pairs, and the checks of a pair depend on that pair only.
+    masks = [[0] * n for _ in range(n)]  # masks[u][v]: colors carrying u -> v
+    checks: list[list] = []  # checks[idx]: the triples completed by pairs[idx]
+    profiles = _profiles(problem.c, problem.oriented)
+    first = _first_pair_profiles(profiles)
     nodes = 0
     cap = float("inf")  # no witness can beat it, so reaching it ends the search
-    if problem.objective is SearchObjective.TOTAL and n >= 4:
-        below = _solve(replace(problem, n=n - 1), limit)
-        if not below.exhaustive:
-            return SearchResult(value=0, witness=None, nodes=below.nodes, exhaustive=False)
-        nodes, cap = below.nodes, n * below.value // (n - 2)
+    if problem.objective is SearchObjective.TOTAL:
+        for k in range(3, n):  # the n - 1 run caps the n run, from n = 4 on
+            below = _run(replace(problem, n=k), limit, nodes, cap, masks, checks, first, profiles)
+            if not below.exhaustive:
+                return SearchResult(value=0, witness=None, nodes=below.nodes, exhaustive=False)
+            nodes, cap = below.nodes, (k + 1) * below.value // (k - 1)
+    return _run(problem, limit, nodes, cap, masks, checks, first, profiles)
+
+
+def _run(problem, limit, nodes, cap, masks, checks, first, profiles) -> SearchResult:
+    """One branch-and-bound over problem.n vertices, on the top-left corner
+    of ``masks``, which it leaves all zero; ``nodes`` counts the nodes of
+    earlier runs and ``cap`` ends the search when the best value reaches it.
+    ``first`` and ``profiles`` are the states of the first and later pairs."""
+    n, c = problem.n, problem.c
     pairs = _pairs_by_max_endpoint(n)
     num_pairs = len(pairs)
-    masks = [[0] * n for _ in range(n)]  # masks[u][v]: colors carrying u -> v
-    # checks[idx]: the triples completed by pairs[idx], built on first visit
-    checks: list[list] = []
-    profiles = _profiles(c, problem.oriented)
-    first = _first_pair_profiles(profiles)
     score, divisor = (sum, 1) if problem.objective is SearchObjective.TOTAL else (min, c)
     # reach[idx]: what the pairs from idx on can add to the objective at most
     reach = [
@@ -241,6 +253,9 @@ def _solve(problem: SearchProblem, limit: float) -> SearchResult:
         stack.pop()
         if nodes > limit or best >= cap:
             break  # every open pair would stop at once too
+    for entry in stack:  # the pairs an early stop left set
+        a, m = pairs[entry[3]]
+        masks[a][m] = masks[m][a] = 0
     return SearchResult(
         value=max(best, 0),
         witness=best_graph,
@@ -250,9 +265,12 @@ def _solve(problem: SearchProblem, limit: float) -> SearchResult:
 
 
 def _to_graph(problem: SearchProblem, masks: list[list[int]]) -> ColoredDigraph:
-    """The graph whose color i edges are the set bits i - 1 of the masks."""
+    """The graph whose color i edges are the set bits i - 1 of the masks'
+    top-left n x n corner."""
     n, c = problem.n, problem.c
-    bits = np.array(masks, dtype=np.int64).reshape(n, n) >> np.arange(c).reshape(c, 1, 1)
+    size = len(masks)
+    corner = np.array(masks, dtype=np.int64).reshape(size, size)[:n, :n]
+    bits = corner >> np.arange(c).reshape(c, 1, 1)
     return ColoredDigraph(n, c, (bits & 1).astype(bool))
 
 

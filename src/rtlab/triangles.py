@@ -15,30 +15,31 @@ directed triangles, A_k for transitive ones), the number of rainbow
     K = sum_k C_k * ((S - A_k) @ (S - A_k) + A_k @ A_k - sum_i A_i @ A_i)
 
 by inclusion-exclusion: for closing color k, the first two slots take any
-colors other than k, less the pairs of equal colors other than k.  That is
-2c matrix products and O(c * n**2) memory, never an n**3 tensor.  Counting
-sums K.  Finding takes the first row u of K with a nonzero entry, which is
-the witness's u, and evaluates the same formula for that row alone, with
-outer products in place of matrix products, which gives the
-lexicographically first (v, w); only the color assignment of that one
-triple is searched in Python.  With more than 3n(n-1) colors, finding
-runs the kernel only on the three lowest colors of each ordered pair,
-which decide the same triples (see ``_first_three_colors``).
+colors other than k, less the pairs of equal colors other than k.  The
+bracket does not depend on the closing slot, so one pass of 2c matrix
+products (three float64 (c, n, n) arrays, never an n**3 tensor) serves
+both shapes, each then one einsum over k on the bool layers.  Counting
+sums K.  Finding takes the first row u of K with a nonzero entry and that
+row's nonzero columns, the w of every copy on u.  It walks (v, w) in
+row-major order over Python-int color masks (one packbits over the colors,
+bit i for color i + 1) to the first whose slots pass the Hall test of
+``rainbow_free_check`` (at most (n - 1)(n - 2) O(1) tests, against 2c
+products of size n**3), and ``_lex_least_assignment`` colors it.  With
+more than 3n(n-1) colors, finding runs the pass only on the three lowest
+colors of each ordered pair, which decide the same triples
+(``_first_three_colors``).
 
-One pass of the kernel over all of a graph's layers yields both what
-finding needs (the first row u of K with a nonzero entry) and what counting
-needs (the sum of K).  That pair is memoised on the graph, once per closing
-slot, so ``find_rainbow`` then ``count_rainbow`` on the same graph and
-pattern run the pass once.  This is sound because a ``ColoredDigraph`` is a
-value object: its layer array is its own and read-only from construction
-on, so the pass can never see other layers.  Only passes over all layers
-are memoised; the many-colors pass of ``find_rainbow`` runs on a subset of
-the layers and neither reads nor fills the memo.
+The first pass over all of a graph's layers runs for both shapes and is
+memoised on the graph (a value object with its own read-only layers), so
+finding and counting both patterns run the kernel once; the many-colors
+pass of ``find_rainbow`` neither reads nor fills the memo.
 
-The products run in float64 and the total is summed in int64.  Under
-``graphs.MAX_CELLS`` every matrix product entry is at most c**2 * n <= 2**52,
-and with fewer than 2**16 colors every entry of K (at most c**3 * n) stays
-below 2**53, so all counts are exact; ``count_rainbow`` rejects more colors.
+Every count is exact.  Under ``graphs.MAX_CELLS`` each product entry is at
+most c**2 * n <= 2**52.  The bracket counts (v, i, j) and K counts
+(v, i, j, k), at most n * c**3 <= 2**13 * c**2.5 < 2**53 for c < 2**16
+(``count_rainbow`` rejects more colors); the einsum's terms are
+nonnegative, so each of its partial sums is exact too, in any order.  The
+sum of K can pass 2**53 (n = 32, c = 2**16 - 1) and is taken in int64.
 
 Copy identification for counting: a directed triangle is identified up to
 rotation of (u, v, w) — the cycle (u, v, w) equals (v, w, u) — while a
@@ -127,14 +128,6 @@ def rainbow_free_check(m, pattern: TrianglePattern, a: int, b: int, c: int):
     return check
 
 
-def _set_bits(m: int):
-    """The 1-based positions of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length()
-        m ^= low
-
-
 def _lex_least_assignment(m1: int, m2: int, m3: int):
     """Lexicographically least (c1, c2, c3), pairwise distinct, with bit
     c_k - 1 set in m_k; None if no such assignment exists.
@@ -142,44 +135,17 @@ def _lex_least_assignment(m1: int, m2: int, m3: int):
     When an assignment exists, Hall's condition lets at most two choices of
     c1, and then one of c2, fail, so the loops take a handful of steps
     however many colors the masks hold."""
-    for c1 in _set_bits(m1):
-        for c2 in _set_bits(m2 & ~(1 << (c1 - 1))):
-            rest = m3 & ~(1 << (c1 - 1)) & ~(1 << (c2 - 1))
-            if rest:
-                return (c1, c2, (rest & -rest).bit_length())
+    while m1:
+        b1 = m1 & -m1  # the lowest color left in m1, as a bit
+        rest2 = m2 & ~b1
+        while rest2:
+            b2 = rest2 & -rest2
+            rest3 = m3 & ~b1 & ~b2
+            if rest3:
+                return b1.bit_length(), b2.bit_length(), (rest3 & -rest3).bit_length()
+            rest2 ^= b2
+        m1 ^= b1
     return None
-
-
-def _rainbow_counts(first, first_others, mid, mid_others, close, mul) -> np.ndarray:
-    """Sum over pairwise distinct colors (i, j, k) of
-    ``mul(first[i], mid[j]) * close[k]``, by inclusion-exclusion.
-
-    ``first_others[k]`` is the sum of ``first`` over the colors other than
-    k, and likewise ``mid_others``.  For a closing color k, the pairs (i, j)
-    that avoid k are ``mul(first_others[k], mid_others[k])`` less the pairs
-    with i == j != k.  ``mul`` contracts the first slot with the middle one:
-    the matrix product over v for the whole graph, or the outer product for
-    a single row u, which keeps v as an axis.
-    """
-    same = mul(first, mid)  # color i on both of the first two slots
-    counts = mul(first_others, mid_others)
-    counts += same
-    counts -= np.add.reduce(same)
-    counts *= close
-    return np.add.reduce(counts)
-
-
-def _outer(first, mid):
-    return first[..., None] * mid
-
-
-def _slot_layers(layers: np.ndarray, pattern: TrianglePattern):
-    """Float64 layers, the sum of the other layers for each color, and the
-    layers of the closing slot."""
-    layers = layers.astype(np.float64)
-    others = np.add.reduce(layers) - layers
-    close = layers.transpose(0, 2, 1) if pattern is TrianglePattern.DIRECTED else layers
-    return layers, others, close
 
 
 def _first_three_colors(layers: np.ndarray) -> np.ndarray:
@@ -202,25 +168,46 @@ def _first_three_colors(layers: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate(kept))
 
 
-def _first_row_and_total(layers, others, close):
-    """One kernel pass over the slot layers of ``_slot_layers``: the first
-    row u of K with a nonzero entry (None if there is none) and the sum of K
-    in int64."""
-    counts = _rainbow_counts(layers, others, layers, others, close, np.matmul)
-    total = int(counts.sum(dtype=np.int64))
-    if not total:  # K counts completions, so every entry is >= 0
-        return None, 0
-    return int(counts.nonzero()[0][0]), total
+def _kernel_pass(layers: np.ndarray, shapes) -> dict:
+    """One kernel pass over ``layers``: for each closing slot in ``shapes``
+    (True for directed triangles, False for transitive ones), the first row
+    u of K with a nonzero entry, the columns w of that row's nonzero entries
+    and the sum of K in int64; (None, (), 0) if K is zero."""
+    pairs = layers.astype(np.float64)
+    same = pairs @ pairs  # color i on both of the first two slots
+    np.subtract(np.add.reduce(pairs), pairs, out=pairs)  # now the layers other than k, summed
+    counts = pairs @ pairs
+    del pairs  # so the peak stays that of the product above
+    counts += same
+    counts -= np.add.reduce(same)
+    out = {}
+    for directed in shapes:
+        # the closing slot is read as bool, so no float (c, n, n) array is made
+        k = np.einsum("kuw,kwu->uw" if directed else "kuw,kuw->uw", counts, layers)
+        total = int(k.sum(dtype=np.int64))
+        if not total:  # K counts completions, so every entry is >= 0
+            out[directed] = None, (), 0
+        else:
+            u = int(k.nonzero()[0][0])
+            out[directed] = u, k[u].nonzero()[0].tolist(), total
+    return out
 
 
-def _graph_pass(g: ColoredDigraph, pattern: TrianglePattern, slot_arrays=None):
-    """``_first_row_and_total`` over all of g's layers, memoised on g;
-    ``slot_arrays``, if given, are ``_slot_layers`` of all of g's layers."""
-    directed = pattern is TrianglePattern.DIRECTED  # the pass reads no more of the pattern
+def _graph_pass(g: ColoredDigraph, pattern: TrianglePattern):
+    """The pattern's slot of ``_kernel_pass`` over all of g's layers; the
+    first call on g runs the pass for both slots and memoises both."""
     memo = g._rainbow_memo
-    if directed not in memo:
-        memo[directed] = _first_row_and_total(*(slot_arrays or _slot_layers(g.layers, pattern)))
-    return memo[directed]
+    if not memo:
+        memo.update(_kernel_pass(g.layers, (True, False)))
+    return memo[pattern is TrianglePattern.DIRECTED]
+
+
+def _masks(cells: np.ndarray) -> list[int]:
+    """The Python-int color masks of an (m, bytes) array of packed cells."""
+    if cells.shape[1] == 1:
+        return cells[:, 0].tolist()
+    width, blob = cells.shape[1], cells.tobytes()  # the cells one after another
+    return [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
 
 
 def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness | None:
@@ -228,25 +215,32 @@ def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness 
     order, or None when the graph is pattern-free."""
     if g.n < 3 or g.c < 3:
         return None
+    directed = pattern is TrianglePattern.DIRECTED
     if g.c > 3 * g.n * (g.n - 1):
-        slot_arrays = _slot_layers(g.layers[_first_three_colors(g.layers)], pattern)
-        u, _ = _first_row_and_total(*slot_arrays)
+        kept = g.layers[_first_three_colors(g.layers)]
+        u, ws, _ = _kernel_pass(kept, (directed,))[directed]
     else:
-        slot_arrays = _slot_layers(g.layers, pattern)  # for the pass on a miss, and the row
-        u, _ = _graph_pass(g, pattern, slot_arrays)
+        u, ws, _ = _graph_pass(g, pattern)
     if u is None:
         return None
-    layers, others, close = slot_arrays
-    row = _rainbow_counts(layers[:, u], others[:, u], layers, others, close[:, u, None], _outer)
-    vs, ws = row.nonzero()  # in row-major order, so the first is the least (v, w)
-    v, w = int(vs[0]), int(ws[0])
-    slots = pattern_edges(pattern, u, v, w)
-    slot_colors = g.layers[:, [a for a, _ in slots], [b for _, b in slots]]
-    packed = np.packbits(slot_colors, axis=0, bitorder="little")  # bit i: color i + 1
-    masks = [int.from_bytes(packed[:, k].tobytes(), "little") for k in range(3)]
-    colors = _lex_least_assignment(*masks)
-    edges = tuple((colors[k], slots[k][0], slots[k][1]) for k in range(3))
-    return RainbowWitness(pattern, (u, v, w), edges)
+    # cells[a, b]: the colors of the edge a -> b, bit i for color i + 1
+    cells = np.packbits(g.layers, axis=0, bitorder="little").transpose(1, 2, 0)
+    first = _masks(cells[u])
+    close = _masks(cells[:, u]) if directed else first
+    # ws: the w of every copy on u; Hall's test as in rainbow_free_check
+    for v, x in enumerate(first):
+        if not x:
+            continue
+        mid = _masks(cells[v])
+        for w in ws:
+            y, z = mid[w], close[w]
+            if y and (x | y).bit_count() > 1 and (x | z).bit_count() > 1:
+                if (y | z).bit_count() > 1 and (x | y | z).bit_count() > 2:
+                    (a1, b1), (a2, b2), (a3, b3) = pattern_edges(pattern, u, v, w)
+                    c1, c2, c3 = _lex_least_assignment(x, y, z)
+                    edges = (c1, a1, b1), (c2, a2, b2), (c3, a3, b3)
+                    return RainbowWitness(pattern, (u, v, w), edges)
+    raise AssertionError(f"row {u} of K is nonzero, yet no (v, w) completes it")
 
 
 def count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
@@ -257,7 +251,7 @@ def count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
         raise GraphInputError(f"count_rainbow is exact only below 2**16 colors, got c={g.c}")
     if g.n < 3 or g.c < 3:
         return 0
-    _, total = _graph_pass(g, pattern)
+    _, _, total = _graph_pass(g, pattern)
     # the kernel sees a directed cycle once from each of its three vertices
     return total // 3 if pattern is TrianglePattern.DIRECTED else total
 
@@ -267,7 +261,8 @@ def witness_is_valid(g: ColoredDigraph, witness: RainbowWitness) -> bool:
     u, v, w = witness.vertices
     if len({u, v, w}) != 3:
         return False
-    if any(not 0 <= x < g.n for x in (u, v, w)):
+    n, c, layers = g.n, g.c, g.layers
+    if not (0 <= u < n and 0 <= v < n and 0 <= w < n):
         return False
     expected = pattern_edges(witness.pattern, u, v, w)
     if len(witness.edges) != 3:
@@ -276,7 +271,12 @@ def witness_is_valid(g: ColoredDigraph, witness: RainbowWitness) -> bool:
     for (color, a, b), slot in zip(witness.edges, expected):
         if (a, b) != slot:
             return False
-        if not 1 <= color <= g.c or not g.has_edge(color, a, b):
+        # plain ints are read at once (a and b equal range-checked vertices);
+        # every other value takes has_edge's checks, which decide or raise
+        if type(color) is int and type(a) is int and type(b) is int and 0 < color <= c:
+            if not layers[color - 1, a, b]:
+                return False
+        elif not 1 <= color <= c or not g.has_edge(color, a, b):
             return False
         colors.append(color)
     return len(set(colors)) == 3

@@ -110,6 +110,79 @@ def test_witness_validator_rejects_garbage():
     assert not witness_is_valid(g, degenerate)
 
 
+def test_witness_validator_on_odd_values():
+    # plain in-range ints are read straight from the layers; every other
+    # value goes through has_edge, so the answer, or the error, stays that
+    # of has_edge's checks
+    from rtlab.triangles import RainbowWitness
+
+    g = ColoredDigraph.from_edges(3, 3, CYCLE + [(1, 1, 2), (2, 0, 2)])
+    good = ((1, 0, 1), (2, 1, 2), (3, 2, 0))
+
+    def edit(k, edge):
+        return tuple(edge if i == k else e for i, e in enumerate(good))
+
+    not_int = r"color must be an integer"
+    cases = [
+        ((D, (0, 1, 2), good), True),
+        ((D, (0, 1, 2), edit(0, (True, 0, 1))), not_int),
+        ((D, (0, 1, 2), edit(0, (False, 0, 1))), False),  # out of range first
+        ((D, (0, 1, 2), edit(0, (1.0, 0, 1))), not_int),
+        ((D, (0, 1, 2), edit(0, (np.int64(1), 0, 1))), True),
+        ((D, (0, 1, 2), edit(0, (0, 0, 1))), False),
+        ((D, (0, 1, 2), edit(2, (4, 2, 0))), False),
+        ((D, (0, 1, 2), edit(0, (2, 0, 1))), False),  # no such edge
+        ((D, (-1, 1, 2), good), False),
+        ((D, (0, 1, 3), good), False),
+        ((D, (0, 0, 2), good), False),
+        ((T, (0, 1, 2), good), False),  # the slots of the other pattern
+        ((D, (0, 1, 2), (good[1], good[0], good[2])), False),
+        ((D, (0, 1, 2), edit(1, (1, 1, 2))), False),  # a repeated color
+        ((D, (0, 1, 2), edit(0, (1, False, 1))), r"vertex must be an integer"),
+        ((D, (0, 1, 2), edit(0, (1, 0, 1.0))), r"vertex must be an integer"),
+        ((D, (0, 1, 2), edit(2, (3, 2, np.int64(0)))), True),
+        ((D, tuple(np.arange(3)), good), True),
+        ((D, (0, 1, 2), good[:2]), False),
+    ]
+    for (pattern, vertices, edges), want in cases:
+        witness = RainbowWitness(pattern, vertices, edges)
+        if isinstance(want, bool):
+            assert witness_is_valid(g, witness) is want, (vertices, edges)
+        else:
+            with pytest.raises(GraphInputError, match=want):
+                witness_is_valid(g, witness)
+    with pytest.raises(TypeError):
+        witness_is_valid(g, RainbowWitness(D, (0, 1, 2), edit(0, ("1", 0, 1))))
+
+
+def _last_completion_graph(n, c, pattern, colors):
+    """A graph whose only rainbow copy on u = 0 is the triple (0, n-1, n-2),
+    the last (v, w) in row-major order: every slot carries color a, except
+    that the closing slot of w = n-2 also carries b and the pair
+    (n-1, n-2) also carries d."""
+    a, b, d = colors
+    inner = [(a, v, w) for v, w in permutations(range(1, n), 2)]
+    close = (b, n - 2, 0) if pattern is D else (b, 0, n - 2)
+    edges = [(a, 0, v) for v in range(1, n)] + inner + [close, (d, n - 1, n - 2)]
+    return ColoredDigraph.from_edges(n, c, edges)
+
+
+@pytest.mark.parametrize(
+    "n, c, colors",
+    [(200, 3, (1, 2, 3)), (40, 70, (65, 66, 70)), (8, 3 * 8 * 7 + 5, (60, 7, 171))],
+)
+def test_witness_scan_reaches_the_last_pair(n, c, colors):
+    # the scan's longest walk for a row u whose only copy is its last
+    # (v, w); with c > 3n(n-1) the pass runs on the kept layers only
+    a, b, d = colors
+    for pattern in (D, T):
+        g = _last_completion_graph(n, c, pattern, colors)
+        witness = find_rainbow(g, pattern)
+        assert witness.vertices == (0, n - 1, n - 2)
+        assert _witness_key(witness) == naive_find_rainbow(g, pattern)
+        assert [color for color, _, _ in witness.edges] == [a, d, b]
+
+
 def test_full_enumeration_n3_agrees_with_oracle():
     # every 3-vertex graph with c <= 2 (no rainbow possible), plus every
     # single-pair-profile combination for c = 3 over a fixed edge universe
@@ -196,39 +269,53 @@ def test_find_and_count_agree_in_any_order_and_on_fresh_copies():
                     assert alone == want
 
 
-def test_count_after_find_runs_no_second_kernel_pass(monkeypatch):
+def _spy_on_passes(monkeypatch):
+    """The closing slots of every kernel pass run from now on, one tuple
+    per pass."""
     passes = []
-    kernel = triangles._rainbow_counts
+    kernel = triangles._kernel_pass
 
-    def counted(*args):
-        passes.append(args[-1] is np.matmul)  # a whole-graph pass, not a row pass
-        return kernel(*args)
+    def counted(layers, shapes):
+        passes.append(tuple(shapes))
+        return kernel(layers, shapes)
 
-    monkeypatch.setattr(triangles, "_rainbow_counts", counted)
-    g = ColoredDigraph.from_edges(3, 3, CYCLE)
+    monkeypatch.setattr(triangles, "_kernel_pass", counted)
+    return passes
+
+
+def test_count_after_find_runs_no_second_kernel_pass(monkeypatch):
+    # one pass serves both closing slots: finding and counting both
+    # patterns, in either order and twice over, runs the kernel once
+    passes = _spy_on_passes(monkeypatch)
+    g = ColoredDigraph.from_edges(3, 3, CYCLE + [(1, 0, 2), (2, 1, 0)])
     for pattern in (D, T):
-        assert _find_then_count(g, pattern) == _count_then_find(g, pattern)
-    assert passes.count(True) == 2
-    assert passes.count(False) == 2  # the directed witness's row, found twice
+        want = naive_find_rainbow(g, pattern), naive_count_rainbow(g, pattern)
+        assert _find_then_count(g, pattern) == _count_then_find(g, pattern) == want
+    assert passes == [(True, False)]
 
 
-def test_the_color_limit_and_many_colors_bypass_the_memo():
+def test_the_color_limit_and_many_colors_bypass_the_memo(monkeypatch):
     # c = 2**16 is refused by count even after find has run; find then took
     # the c > 3n(n-1) route, which keeps only the lowest colors of each pair
     # and so must leave the memo of the whole graph empty
+    passes = _spy_on_passes(monkeypatch)
     g = _complete(3, 1 << 16)
     for pattern in (D, T):
         assert _witness_key(find_rainbow(g, pattern)) == ((0, 1, 2), (1, 2, 3))
         with pytest.raises(GraphInputError, match=r"2\*\*16 colors"):
             count_rainbow(g, pattern)
     assert g._rainbow_memo == {}
+    assert passes == [(True,), (False,)]  # one slot each, on the kept layers
     g = _complete(3, 19)
-    for filled, pattern in enumerate((D, T)):
-        witness = find_rainbow(g, pattern)
-        assert len(g._rainbow_memo) == filled  # find added nothing
-        assert count_rainbow(g, pattern) == naive_count_rainbow(g, pattern)
-        assert len(g._rainbow_memo) == filled + 1
-        assert find_rainbow(g, pattern) == witness
+    witnesses = [find_rainbow(g, pattern) for pattern in (D, T)]
+    assert g._rainbow_memo == {}  # find added nothing
+    del passes[:]
+    assert count_rainbow(g, D) == naive_count_rainbow(g, D)
+    assert set(g._rainbow_memo) == {True, False}  # the first count filled both slots
+    assert count_rainbow(g, T) == naive_count_rainbow(g, T)
+    assert [find_rainbow(g, pattern) for pattern in (D, T)] == witnesses
+    # one pass for both counts; each find still runs its own on the kept layers
+    assert passes == [(True, False), (True,), (False,)]
 
 
 def test_colors_beyond_64_are_seen():
