@@ -21,9 +21,9 @@ products (three float64 (c, n, n) arrays, never an n**3 tensor) serves
 both shapes, each then one einsum over k on the bool layers.  Counting
 sums K.  Finding takes the first row u of K with a nonzero entry and that
 row's nonzero columns, the w of every copy on u.  It walks (v, w) in
-row-major order over Python-int color masks (one packbits over the colors,
-bit i for color i + 1) to the first whose slots pass the Hall test of
-``rainbow_free_check`` (at most (n - 1)(n - 2) O(1) tests, against 2c
+row-major order over Python-int color masks of those columns (one packbits,
+bit i for color i + 1) to the first whose slots pass Hall's test, the one
+``rainbow_free_check`` uses (at most (n - 1)(n - 2) O(1) tests, against 2c
 products of size n**3), and ``_lex_least_assignment`` colors it.  With
 more than 3n(n-1) colors, finding runs the pass only on the three lowest
 colors of each ordered pair, which decide the same triples
@@ -119,13 +119,18 @@ def rainbow_free_check(m, pattern: TrianglePattern, a: int, b: int, c: int):
 
     def check() -> bool:
         for (p, q), (r, s), (t, u) in copies:
-            x, y, z = m[p][q], m[r][s], m[t][u]
-            if x and y and z and (x | y).bit_count() > 1 and (x | z).bit_count() > 1:
-                if (y | z).bit_count() > 1 and (x | y | z).bit_count() > 2:
-                    return False
+            if _admits_rainbow(m[p][q], m[r][s], m[t][u]):
+                return False
         return True
 
     return check
+
+
+def _admits_rainbow(x: int, y: int, z: int) -> bool:
+    """Hall's condition: three slots with color masks x, y, z take distinct colors."""
+    if x and y and z and (x | y).bit_count() > 1 and (x | z).bit_count() > 1:
+        return (y | z).bit_count() > 1 and (x | y | z).bit_count() > 2
+    return False
 
 
 def _lex_least_assignment(m1: int, m2: int, m3: int):
@@ -189,13 +194,12 @@ def _kernel_pass(layers: np.ndarray, shapes) -> dict:
             out[directed] = None, (), 0
         else:
             u = int(k.nonzero()[0][0])
-            out[directed] = u, k[u].nonzero()[0].tolist(), total
+            out[directed] = u, k[u].nonzero()[0], total
     return out
 
 
 def _graph_pass(g: ColoredDigraph, pattern: TrianglePattern):
-    """The pattern's slot of ``_kernel_pass`` over all of g's layers; the
-    first call on g runs the pass for both slots and memoises both."""
+    """The pattern's slot of ``_kernel_pass`` on g; the first call memoises both slots."""
     memo = g._rainbow_memo
     if not memo:
         memo.update(_kernel_pass(g.layers, (True, False)))
@@ -217,8 +221,7 @@ def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness 
         return None
     directed = pattern is TrianglePattern.DIRECTED
     if g.c > 3 * g.n * (g.n - 1):
-        kept = g.layers[_first_three_colors(g.layers)]
-        u, ws, _ = _kernel_pass(kept, (directed,))[directed]
+        u, ws, _ = _kernel_pass(g.layers[_first_three_colors(g.layers)], (directed,))[directed]
     else:
         u, ws, _ = _graph_pass(g, pattern)
     if u is None:
@@ -227,19 +230,16 @@ def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness 
     cells = np.packbits(g.layers, axis=0, bitorder="little").transpose(1, 2, 0)
     first = _masks(cells[u])
     close = _masks(cells[:, u]) if directed else first
-    # ws: the w of every copy on u; Hall's test as in rainbow_free_check
+    to_ws, ws = cells.take(ws, axis=1), ws.tolist()  # only the columns w of a copy on u are read
     for v, x in enumerate(first):
         if not x:
             continue
-        mid = _masks(cells[v])
-        for w in ws:
-            y, z = mid[w], close[w]
-            if y and (x | y).bit_count() > 1 and (x | z).bit_count() > 1:
-                if (y | z).bit_count() > 1 and (x | y | z).bit_count() > 2:
-                    (a1, b1), (a2, b2), (a3, b3) = pattern_edges(pattern, u, v, w)
-                    c1, c2, c3 = _lex_least_assignment(x, y, z)
-                    edges = (c1, a1, b1), (c2, a2, b2), (c3, a3, b3)
-                    return RainbowWitness(pattern, (u, v, w), edges)
+        for w, y in zip(ws, _masks(to_ws[v])):
+            if _admits_rainbow(x, y, z := close[w]):
+                (a1, b1), (a2, b2), (a3, b3) = pattern_edges(pattern, u, v, w)
+                c1, c2, c3 = _lex_least_assignment(x, y, z)
+                edges = (c1, a1, b1), (c2, a2, b2), (c3, a3, b3)
+                return RainbowWitness(pattern, (u, v, w), edges)
     raise AssertionError(f"row {u} of K is nonzero, yet no (v, w) completes it")
 
 
