@@ -92,7 +92,7 @@ print("a '>= 3 edges between u and v' constraint:", pair_sum((1, 2, 3), "u", "v"
 
 # Shipped catalogues bundle such scenarios with their claimed bounds.
 # The 10x10 class-pair table is the big one; here is one row's worth.
-table = evaluate_scenarios(load_catalogue("table10x10"), jobs=4)
+table = evaluate_scenarios(load_catalogue("table10x10"))
 entries = [e for e in table if e.scenario_id.startswith("table:R-")]
 print()
 for e in entries:

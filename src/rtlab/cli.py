@@ -22,7 +22,9 @@ files, out-of-range parameters, unknown names -- and 3 on an internal
 error: any other exception, reported as ``internal error:`` plus its
 traceback on stderr, so that a crash is never read as a failed check.
 
-Worker counts for the scenario evaluators come from --jobs (default 1).
+Scenarios are graded in this process.  ``verify-all`` still accepts
+``--jobs 1``, and only that value, so that existing command lines keep
+working.
 
 Each verify-all segment is built by one ``check_*`` function below; the
 acceptance suite calls the same functions.  One ``check_catalogues`` call
@@ -102,12 +104,6 @@ def _emit(echo, digest, results, passed, started) -> int:
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0 if passed else 1
-
-
-def _resolve_jobs(jobs: int) -> int:
-    if jobs < 1:
-        raise GraphInputError("worker count must be at least 1")
-    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +200,7 @@ def cmd_catalogue(args, echo, started) -> int:
         key, label, scenarios = "file", str(args.file), load_scenarios(args.file)
     else:
         key, label, scenarios = "catalogue", "table10x10", load_catalogue("table10x10")
-    segment, digest, entries = check_catalogues({label: scenarios}, _resolve_jobs(args.jobs))[label]
+    segment, digest, entries = check_catalogues({label: scenarios})[label]
     summary = {k: v for k, v in segment.items() if k not in ("name", "pass")}
     results = {key: label, **summary, "entries": [e.to_dict() for e in entries]}
     return _emit(echo, digest, results, segment["pass"], started)
@@ -278,13 +274,13 @@ def _random_small_graph(rng: random.Random) -> ColoredDigraph:
     return ColoredDigraph.from_edges(n, c, edges)
 
 
-def check_catalogues(catalogues: dict[str, list], jobs: int = 1) -> dict:
+def check_catalogues(catalogues: dict[str, list]) -> dict:
     """Grade named scenario lists in one ``evaluate_scenarios`` call, so an
     orbit shared by several lists is enumerated once, and print each
     violated or infeasible entry, prefixed by its list's name, to stderr.
     Returns {name: (segment, digest of the scenarios, entries)}; a segment
     passes when its list has no such entry."""
-    entries = evaluate_scenarios([s for ss in catalogues.values() for s in ss], jobs=jobs)
+    entries = evaluate_scenarios([s for ss in catalogues.values() for s in ss])
     graded = {}
     for which, scenarios in catalogues.items():
         mine, entries = entries[: len(scenarios)], entries[len(scenarios) :]
@@ -389,8 +385,7 @@ def check_detector_sanity(seed: int, graphs: int = 200) -> dict:
 
 
 def cmd_verify_all(args, echo, started) -> int:
-    jobs = _resolve_jobs(args.jobs)
-    graded = check_catalogues({which: load_catalogue(which) for which in CATALOGUE_IDS}, jobs)
+    graded = check_catalogues({which: load_catalogue(which) for which in CATALOGUE_IDS})
     digest = _params_digest({"seed": args.seed, **{w: d for w, (_, d, _) in graded.items()}})
     segments = [segment for segment, _, _ in graded.values()] + [
         check_two_set_edge_bound(),
@@ -410,15 +405,6 @@ def cmd_verify_all(args, echo, started) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-
-def _add_jobs(parser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for scenario evaluation (default: 1)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,14 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = ssub.add_parser("run", help="evaluate every scenario in a file against its bound")
     q.add_argument("--file", required=True, help="path to a scenario JSON file")
-    _add_jobs(q)
     q.set_defaults(handler=cmd_catalogue)
 
     q = ssub.add_parser(
         "verify-table",
         help="recompute the 10x10 class-pair table and compare with the shipped bounds",
     )
-    _add_jobs(q)
     q.set_defaults(handler=cmd_catalogue)
 
     p = sub.add_parser(
@@ -503,7 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-all",
         help="run every shipped check: catalogues, edge-bound grid, scan, constructions, detectors",
     )
-    _add_jobs(p)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        choices=[1],
+        default=1,
+        help="accepted only as 1, so that existing command lines keep working; "
+        "scenarios are graded in this process",
+    )
     p.add_argument(
         "--seed",
         type=int,

@@ -36,6 +36,7 @@ the verification commands:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
@@ -70,30 +71,23 @@ def _floor_root7(m: int) -> int:
     return -isqrt(7 * m * m) - 1
 
 
-def _int_sign(a: int, b: int) -> int:
-    """Sign of a + b*sqrt(7) for integers a, b."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: the term with the larger square wins
-    lhs, rhs = a * a, 7 * b * b
-    if a > 0:  # b < 0
-        return 1 if lhs > rhs else -1 if lhs < rhs else 0
-    return 1 if rhs > lhs else -1 if rhs < lhs else 0
+def _by_sign(test):
+    """A comparison method that applies ``test`` to ``_cmp``'s sign and 0."""
+
+    def compare(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else test(c, 0)
+
+    return compare
 
 
 @dataclass(frozen=True)
 class QuadraticRational:
     """The real number a + b*sqrt(7) with rational a and b.
 
-    Field arithmetic is exact; ordering is decided by integer sign analysis,
-    so chained comparisons of nearby values such as 127 - 48*sqrt(7) versus 0
-    are always correct.
+    Field arithmetic is exact; ordering is decided by the sign of the
+    difference, read from its exact integer floor, so chained comparisons of
+    nearby values such as 127 - 48*sqrt(7) versus 0 are always correct.
     """
 
     a: Fraction = Fraction(0)
@@ -170,9 +164,11 @@ class QuadraticRational:
     # -- ordering ---------------------------------------------------------
     def sign(self) -> int:
         """-1, 0 or 1 according to the sign of the represented real."""
-        # clear denominators: sign(a + b*sqrt7) == sign(A + B*sqrt7)
-        da, db = self.a.denominator, self.b.denominator
-        return _int_sign(self.a.numerator * db, self.b.numerator * da)
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        # the value is irrational, so it is never 0, and it is > 0 exactly
+        # when its floor is >= 0
+        return 1 if self.floor_scaled(1) >= 0 else -1
 
     def _cmp(self, other) -> int:
         other = self._coerce(other)
@@ -180,25 +176,12 @@ class QuadraticRational:
             return NotImplemented
         return (self - other).sign()
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return c == 0 if c is not NotImplemented else NotImplemented
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return c < 0 if c is not NotImplemented else NotImplemented
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return c <= 0 if c is not NotImplemented else NotImplemented
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return c > 0 if c is not NotImplemented else NotImplemented
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return c >= 0 if c is not NotImplemented else NotImplemented
+    __eq__ = _by_sign(operator.eq)
+    __ne__ = _by_sign(operator.ne)
+    __lt__ = _by_sign(operator.lt)
+    __le__ = _by_sign(operator.le)
+    __gt__ = _by_sign(operator.gt)
+    __ge__ = _by_sign(operator.ge)
 
     def __hash__(self):
         # rational values hash like their Fraction so mixed dict keys work

@@ -34,7 +34,6 @@ line.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,26 +148,21 @@ def evaluate_scenario(scenario: Scenario) -> BoundEntry:
     return _grade(scenario, computed, result.nodes, scenario.id)
 
 
-def evaluate_scenarios(scenarios, jobs: int = 1) -> list[BoundEntry]:
-    """Evaluate many scenarios, one enumeration per isomorphism class.
+def evaluate_scenarios(scenarios) -> list[BoundEntry]:
+    """Evaluate many scenarios, one enumeration per isomorphism class, in
+    this process.
 
     Scenarios are grouped by ``canonical_key``; the first of each group, in
-    input order, is enumerated through ``evaluate_scenario`` (across up to
-    ``jobs`` worker processes), and every scenario is graded against its own
-    bound.  The entries come back in input order.
+    input order, is enumerated through ``evaluate_scenario``, and every
+    scenario is graded against its own bound.  The entries come back in
+    input order.
     """
     scenarios = list(scenarios)
     keys = [canonical_key(s) for s in scenarios]
     firsts: dict[tuple, int] = {}
     for i, key in enumerate(keys):
         firsts.setdefault(key, i)
-    reps = [scenarios[i] for i in firsts.values()]
-    if jobs > 1 and len(reps) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
-            evaluated = list(pool.map(evaluate_scenario, reps))
-    else:
-        evaluated = [evaluate_scenario(s) for s in reps]
-    by_key = dict(zip(firsts, evaluated))
+    by_key = {key: evaluate_scenario(scenarios[i]) for key, i in firsts.items()}
     return [
         by_key[key]
         if firsts[key] == i

@@ -173,9 +173,9 @@ def _first_three_colors(layers: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate(kept))
 
 
-def _kernel_pass(layers: np.ndarray, shapes) -> dict:
-    """One kernel pass over ``layers``: for each closing slot in ``shapes``
-    (True for directed triangles, False for transitive ones), the first row
+def _kernel_pass(layers: np.ndarray) -> dict:
+    """One kernel pass over ``layers``: for each closing slot (True for
+    directed triangles, False for transitive ones), the first row
     u of K with a nonzero entry, the columns w of that row's nonzero entries
     and the sum of K in int64; (None, (), 0) if K is zero."""
     pairs = layers.astype(np.float64)
@@ -186,7 +186,7 @@ def _kernel_pass(layers: np.ndarray, shapes) -> dict:
     counts += same
     counts -= np.add.reduce(same)
     out = {}
-    for directed in shapes:
+    for directed in (True, False):
         # the closing slot is read as bool, so no float (c, n, n) array is made
         k = np.einsum("kuw,kwu->uw" if directed else "kuw,kuw->uw", counts, layers)
         total = int(k.sum(dtype=np.int64))
@@ -202,7 +202,7 @@ def _graph_pass(g: ColoredDigraph, pattern: TrianglePattern):
     """The pattern's slot of ``_kernel_pass`` on g; the first call memoises both slots."""
     memo = g._rainbow_memo
     if not memo:
-        memo.update(_kernel_pass(g.layers, (True, False)))
+        memo.update(_kernel_pass(g.layers))
     return memo[pattern is TrianglePattern.DIRECTED]
 
 
@@ -221,7 +221,7 @@ def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness 
         return None
     directed = pattern is TrianglePattern.DIRECTED
     if g.c > 3 * g.n * (g.n - 1):
-        u, ws, _ = _kernel_pass(g.layers[_first_three_colors(g.layers)], (directed,))[directed]
+        u, ws, _ = _kernel_pass(g.layers[_first_three_colors(g.layers)])[directed]
     else:
         u, ws, _ = _graph_pass(g, pattern)
     if u is None:

@@ -16,7 +16,7 @@ def graded_catalogue():
     def grade(which):
         if which not in graded:
             started = time.perf_counter()
-            segment, _, entries = check_catalogues({which: load_catalogue(which)}, jobs=4)[which]
+            segment, _, entries = check_catalogues({which: load_catalogue(which)})[which]
             graded[which] = segment, entries, time.perf_counter() - started
         return graded[which]
 

@@ -24,7 +24,6 @@ from rtlab.localbounds import (
     evaluate_scenarios,
     load_catalogue,
 )
-from rtlab.localbounds import catalogues
 
 # the full ten-class all-colors bound table, rows and columns ordered
 # X12, X13, X23, Y1, Y2, Y3, Z1, Z2, Z3, R
@@ -171,7 +170,7 @@ def test_catalogues_graded_together_share_orbits(graded_catalogue):
     # verify-all grades the four catalogues in one call: every eq3 bullet is
     # a table10x10 orbit, so 135 entries take 41 enumerations, and each
     # catalogue's segment is the one it gets on its own
-    graded = check_catalogues({w: load_catalogue(w) for w in CATALOGUE_IDS}, jobs=4)
+    graded = check_catalogues({w: load_catalogue(w) for w in CATALOGUE_IDS})
     assert list(graded) == list(CATALOGUE_IDS)
     entries = [e for _, _, mine in graded.values() for e in mine]
     assert len(entries) == 135
@@ -186,39 +185,11 @@ def test_catalogues_graded_together_share_orbits(graded_catalogue):
             assert all(e.evaluated_as.startswith("table:") for e in mine)
 
 
-def test_parallel_evaluation_matches_sequential():
-    scenarios = load_catalogue("claims_local")
-    seq = evaluate_scenarios(scenarios, jobs=1)
-    par = evaluate_scenarios(scenarios, jobs=2)
-    assert seq == par
-
-
-def test_worker_pool_is_bounded_by_representatives(monkeypatch):
-    pools = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(catalogues, "ProcessPoolExecutor", InProcessPool)
-    eq1 = load_catalogue("eq1_bullets")
-    assert evaluate_scenarios(eq1, jobs=64) == evaluate_scenarios(eq1)
-    assert evaluate_scenarios(eq1, jobs=3) == evaluate_scenarios(eq1)
-    assert pools == [12, 3]
-
-    # two cells of one orbit: one representative, so no pool at all
+def test_one_orbit_is_enumerated_once():
+    # two cells of one orbit: the first is enumerated, the second reuses it
     table = {s.id: s for s in load_catalogue("table10x10")}
     orbit = [table["table:X12-R"], table["table:R-X23"]]
-    first, second = evaluate_scenarios(orbit, jobs=8)
-    assert pools == [12, 3]
+    first, second = evaluate_scenarios(orbit)
     assert (first.evaluated_as, first.nodes > 0) == ("table:X12-R", True)
     assert (second.evaluated_as, second.nodes) == ("table:X12-R", 0)
     assert second.computed_max == first.computed_max == 7

@@ -270,14 +270,14 @@ def test_find_and_count_agree_in_any_order_and_on_fresh_copies():
 
 
 def _spy_on_passes(monkeypatch):
-    """The closing slots of every kernel pass run from now on, one tuple
+    """The number of layers of every kernel pass run from now on, one entry
     per pass."""
     passes = []
     kernel = triangles._kernel_pass
 
-    def counted(layers, shapes):
-        passes.append(tuple(shapes))
-        return kernel(layers, shapes)
+    def counted(layers):
+        passes.append(len(layers))
+        return kernel(layers)
 
     monkeypatch.setattr(triangles, "_kernel_pass", counted)
     return passes
@@ -291,7 +291,7 @@ def test_count_after_find_runs_no_second_kernel_pass(monkeypatch):
     for pattern in (D, T):
         want = naive_find_rainbow(g, pattern), naive_count_rainbow(g, pattern)
         assert _find_then_count(g, pattern) == _count_then_find(g, pattern) == want
-    assert passes == [(True, False)]
+    assert passes == [3]
 
 
 def test_the_color_limit_and_many_colors_bypass_the_memo(monkeypatch):
@@ -305,7 +305,7 @@ def test_the_color_limit_and_many_colors_bypass_the_memo(monkeypatch):
         with pytest.raises(GraphInputError, match=r"2\*\*16 colors"):
             count_rainbow(g, pattern)
     assert g._rainbow_memo == {}
-    assert passes == [(True,), (False,)]  # one slot each, on the kept layers
+    assert passes == [3, 3]  # one pass per find, on the three kept layers
     g = _complete(3, 19)
     witnesses = [find_rainbow(g, pattern) for pattern in (D, T)]
     assert g._rainbow_memo == {}  # find added nothing
@@ -315,7 +315,7 @@ def test_the_color_limit_and_many_colors_bypass_the_memo(monkeypatch):
     assert count_rainbow(g, T) == naive_count_rainbow(g, T)
     assert [find_rainbow(g, pattern) for pattern in (D, T)] == witnesses
     # one pass for both counts; each find still runs its own on the kept layers
-    assert passes == [(True, False), (True,), (False,)]
+    assert passes == [19, 3, 3]
 
 
 def test_colors_beyond_64_are_seen():
