@@ -357,9 +357,10 @@ def check_detector_sanity(seed: int, graphs: int = 200) -> dict:
     """Seeded cross-check of the finder against the counter, the witness
     validator and the search's per-triple Hall test on random small graphs.
 
-    The finder and the counter read one memoised kernel pass, so their
-    agreement tests the pass's two readings, not the kernel; the Hall test,
-    which shares no code with the kernel, is the independent judge here."""
+    The finder and the counter read one memoised pass, and on these graphs
+    (n = 3..5, c = 3) it is the table pass, so their agreement tests the
+    pass's two readings, not the pass; ``rainbow_free_check``'s Hall test,
+    which shares no code with either pass, is the independent judge here."""
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(graphs):

@@ -159,7 +159,7 @@ def _set_edge_rows(layers: np.ndarray, rows: np.ndarray) -> bool:
 class ColoredDigraph:
     """An immutable c-colored directed graph on n vertices."""
 
-    # _rainbow_memo: per-graph results of the rainbow kernel, kept by ``triangles``
+    # _rainbow_memo: per-graph results of the rainbow pass, kept by ``triangles``
     __slots__ = ("n", "c", "_layers", "_rainbow_memo")
 
     def __init__(self, n: int, c: int, layers: np.ndarray):

@@ -25,14 +25,39 @@ row-major order over Python-int color masks of those columns (one packbits,
 bit i for color i + 1) to the first whose slots pass Hall's test, the one
 ``rainbow_free_check`` uses (at most (n - 1)(n - 2) O(1) tests, against 2c
 products of size n**3), and ``_lex_least_assignment`` colors it.  With
-more than 3n(n-1) colors, finding runs the pass only on the three lowest
-colors of each ordered pair, which decide the same triples
-(``_first_three_colors``).
+more than 3n(n-1) colors, finding runs on the graph of the layers that hold
+one of the three lowest colors of some ordered pair, which has the same
+first copy and the same least coloring (``_first_three_colors``), and
+names the colors of the whole graph.
 
-The first pass over all of a graph's layers runs for both shapes and is
-memoised on the graph (a value object with its own read-only layers), so
-finding and counting both patterns run the kernel once; the many-colors
-pass of ``find_rainbow`` neither reads nor fills the memo.
+Graphs of at most ``TABLE_MAX_N`` vertices and at most four colors take the
+table pass instead, one lookup per ordered triple.  One packbits makes each
+ordered pair a byte (bit i for color i + 1); a cached (2, T, 3) array of
+flat cell indices gathers the three slot masks of both shapes on every
+triple, in lexicographic order; and ``_ASSIGNMENTS``, indexed by the three
+4-bit masks, gives the number of pairwise distinct color assignments,
+|x||y||z| - |x&y||z| - |x&z||y| - |y&z||x| + 2|x&y&z| by inclusion-exclusion,
+nonzero exactly when Hall's condition holds.  The sum of a shape's entries
+is its total, and its first nonzero entry is the first copy with its slot
+masks, so finding needs no scan.  An entry is at most 4 * 3 * 2, a total at
+most 24 * 720, so every sum is exact.  ``TABLE_MAX_N`` is the measured
+crossover: in two timeit runs over random c = 3 and c = 4 graphs (2-vCPU
+Xeon, numpy 2.4) the table pass took 9-42 us for n = 3..10, against 21-43
+us for the kernel pass (within 1 us of it at n = 10), and was slower for
+every n from 11 on, as its T = n(n-1)(n-2) lookups grow where the kernel's
+cost barely moves at these sizes.
+
+Either pass fills a slot per shape (True for directed, False for
+transitive) with the same four fields, ``(u, ws, total, copy)``: ``total``
+is the sum of K, the number of rainbow (triple, colors) pairs, each
+directed cycle seen from its three vertices; ``copy`` is the first copy as
+((u, v, w), slot masks) when the pass has read it (the table pass), else
+None; ``u`` and ``ws``, read only when ``copy`` is None, are the first row
+of K with a nonzero entry and that row's nonzero columns, (None, ()) when
+the total is 0.  The first pass over a graph's own layers fills both slots
+and is memoised on the graph (a value object with its own read-only
+layers), so finding and counting both patterns run one pass; a many-colors
+find memoises on its graph of the kept layers, never on the whole graph.
 
 Every count is exact.  Under ``graphs.MAX_CELLS`` each product entry is at
 most c**2 * n <= 2**52.  The bracket counts (v, i, j) and K counts
@@ -51,6 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -176,8 +202,8 @@ def _first_three_colors(layers: np.ndarray) -> np.ndarray:
 def _kernel_pass(layers: np.ndarray) -> dict:
     """One kernel pass over ``layers``: for each closing slot (True for
     directed triangles, False for transitive ones), the first row
-    u of K with a nonzero entry, the columns w of that row's nonzero entries
-    and the sum of K in int64; (None, (), 0) if K is zero."""
+    u of K with a nonzero entry, the columns w of that row's nonzero entries,
+    the sum of K in int64 and no copy; (None, (), 0, None) if K is zero."""
     pairs = layers.astype(np.float64)
     same = pairs @ pairs  # color i on both of the first two slots
     np.subtract(np.add.reduce(pairs), pairs, out=pairs)  # now the layers other than k, summed
@@ -191,18 +217,78 @@ def _kernel_pass(layers: np.ndarray) -> dict:
         k = np.einsum("kuw,kwu->uw" if directed else "kuw,kuw->uw", counts, layers)
         total = int(k.sum(dtype=np.int64))
         if not total:  # K counts completions, so every entry is >= 0
-            out[directed] = None, (), 0
+            out[directed] = None, (), 0, None
         else:
             u = int(k.nonzero()[0][0])
-            out[directed] = u, k[u].nonzero()[0], total
+            out[directed] = u, k[u].nonzero()[0], total, None
     return out
 
 
-def _graph_pass(g: ColoredDigraph, pattern: TrianglePattern):
-    """The pattern's slot of ``_kernel_pass`` on g; the first call memoises both slots."""
+def _assignment_counts() -> np.ndarray:
+    """For three slot masks x, y, z of at most four colors each, the number of
+    pairwise distinct color assignments, at index x | y << 4 | z << 8.
+
+    By inclusion-exclusion over the three ways two slots can share a color:
+    |x||y||z| - |x&y||z| - |x&z||y| - |y&z||x| + 2|x&y&z|.  An entry is
+    nonzero exactly when Hall's condition holds, and is at most 4 * 3 * 2."""
+    size = np.array([m.bit_count() for m in range(16)], dtype=np.int16)
+    x = np.arange(16)
+    y, z = x[:, None], x[:, None, None]  # broadcast to the (z, y, x) grid
+    sx, sy, sz = size[x], size[y], size[z]
+    counts = sx * sy * sz - size[x & y] * sz - size[x & z] * sy - size[y & z] * sx
+    return (counts + 2 * size[x & y & z]).ravel()
+
+
+_ASSIGNMENTS = _assignment_counts()
+_FIELDS = np.array([1, 1 << 4, 1 << 8], dtype=np.int16)  # x, y, z to a table index
+# graphs of at most this many vertices (and four colors) take the table pass
+TABLE_MAX_N = 10
+
+
+@cache
+def _triple_cells(n: int):
+    """The ordered triples of range(n) in lexicographic order, and a (2, T, 3)
+    array of the flat cells u * n + v of their three slots: directed copies
+    first, transitive ones second."""
+    triples = list(permutations(range(n), 3))
+    cells = [
+        [[a * n + b for a, b in pattern_edges(pattern, *t)] for t in triples]
+        for pattern in (TrianglePattern.DIRECTED, TrianglePattern.TRANSITIVE)
+    ]
+    return triples, np.array(cells, dtype=np.intp)
+
+
+def _table_pass(layers: np.ndarray) -> dict:
+    """Both slots of the memo for at most four layers, from one lookup of
+    ``_ASSIGNMENTS`` per ordered triple and shape."""
+    triples, slots = _triple_cells(layers.shape[1])
+    cells = np.packbits(layers, axis=0, bitorder="little").ravel()  # one byte per pair
+    masks = cells.take(slots)
+    counts = _ASSIGNMENTS.take(masks @ _FIELDS)
+    totals, firsts = counts.sum(axis=1).tolist(), counts.astype(bool).argmax(axis=1).tolist()
+    out = {}
+    for s, directed in enumerate((True, False)):
+        if not totals[s]:
+            out[directed] = None, (), 0, None
+        else:
+            t = triples[firsts[s]]
+            out[directed] = t[0], (), totals[s], (t, masks[s, firsts[s]].tolist())
+    return out
+
+
+def _graph_pass(g: ColoredDigraph) -> dict:
+    """Both slots of g's memo from one pass, chosen by g.n and g.c alone: the
+    table pass when n <= TABLE_MAX_N and c <= 4, the kernel pass otherwise."""
+    if g.n <= TABLE_MAX_N and g.c <= 4:
+        return _table_pass(g.layers)
+    return _kernel_pass(g.layers)
+
+
+def _memo_slot(g: ColoredDigraph, pattern: TrianglePattern):
+    """The pattern's slot of g's memo; the first call fills both slots."""
     memo = g._rainbow_memo
     if not memo:
-        memo.update(_kernel_pass(g.layers))
+        memo.update(_graph_pass(g))
     return memo[pattern is TrianglePattern.DIRECTED]
 
 
@@ -214,32 +300,44 @@ def _masks(cells: np.ndarray) -> list[int]:
     return [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
 
 
+def _witness(pattern: TrianglePattern, vertices, masks) -> RainbowWitness:
+    """The copy of the pattern on ``vertices`` whose slots have color masks
+    ``masks``, colored by the lexicographically least assignment."""
+    (a1, b1), (a2, b2), (a3, b3) = pattern_edges(pattern, *vertices)
+    c1, c2, c3 = _lex_least_assignment(*masks)
+    return RainbowWitness(pattern, vertices, ((c1, a1, b1), (c2, a2, b2), (c3, a3, b3)))
+
+
 def find_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> RainbowWitness | None:
     """First rainbow copy of the pattern in lexicographic (u, v, w, colors)
     order, or None when the graph is pattern-free."""
     if g.n < 3 or g.c < 3:
         return None
-    directed = pattern is TrianglePattern.DIRECTED
     if g.c > 3 * g.n * (g.n - 1):
-        u, ws, _ = _kernel_pass(g.layers[_first_three_colors(g.layers)])[directed]
-    else:
-        u, ws, _ = _graph_pass(g, pattern)
+        # the graph on the kept layers has the same first copy, and its least
+        # assignment names the same colors (each is among its slot's lowest three)
+        kept = _first_three_colors(g.layers)
+        witness = find_rainbow(ColoredDigraph._adopt(g.n, len(kept), g.layers[kept]), pattern)
+        if witness is None:
+            return None
+        edges = tuple((int(kept[color - 1]) + 1, a, b) for color, a, b in witness.edges)
+        return RainbowWitness(pattern, witness.vertices, edges)
+    u, ws, _, copy = _memo_slot(g, pattern)
+    if copy is not None:  # the table pass has read the first copy already
+        return _witness(pattern, *copy)
     if u is None:
         return None
     # cells[a, b]: the colors of the edge a -> b, bit i for color i + 1
     cells = np.packbits(g.layers, axis=0, bitorder="little").transpose(1, 2, 0)
     first = _masks(cells[u])
-    close = _masks(cells[:, u]) if directed else first
+    close = _masks(cells[:, u]) if pattern is TrianglePattern.DIRECTED else first
     to_ws, ws = cells.take(ws, axis=1), ws.tolist()  # only the columns w of a copy on u are read
     for v, x in enumerate(first):
         if not x:
             continue
         for w, y in zip(ws, _masks(to_ws[v])):
             if _admits_rainbow(x, y, z := close[w]):
-                (a1, b1), (a2, b2), (a3, b3) = pattern_edges(pattern, u, v, w)
-                c1, c2, c3 = _lex_least_assignment(x, y, z)
-                edges = (c1, a1, b1), (c2, a2, b2), (c3, a3, b3)
-                return RainbowWitness(pattern, (u, v, w), edges)
+                return _witness(pattern, (u, v, w), (x, y, z))
     raise AssertionError(f"row {u} of K is nonzero, yet no (v, w) completes it")
 
 
@@ -251,8 +349,8 @@ def count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
         raise GraphInputError(f"count_rainbow is exact only below 2**16 colors, got c={g.c}")
     if g.n < 3 or g.c < 3:
         return 0
-    _, _, total = _graph_pass(g, pattern)
-    # the kernel sees a directed cycle once from each of its three vertices
+    _, _, total, _ = _memo_slot(g, pattern)
+    # the pass sees a directed cycle once from each of its three vertices
     return total // 3 if pattern is TrianglePattern.DIRECTED else total
 
 

@@ -44,6 +44,15 @@ def naive_masks_have_rainbow(m1: int, m2: int, m3: int) -> bool:
     )
 
 
+def naive_assignment_count(m1: int, m2: int, m3: int) -> int:
+    """The number of ordered triples of pairwise distinct colors, one from
+    each of three color masks (bit i - 1 for color i)."""
+    colors = range(max(m1, m2, m3).bit_length())
+    return sum(
+        bool(m1 >> i & 1 and m2 >> j & 1 and m3 >> k & 1) for i, j, k in permutations(colors, 3)
+    )
+
+
 def naive_count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
     total = 0
     for u, v, w in permutations(range(g.n), 3):

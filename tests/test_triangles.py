@@ -18,6 +18,7 @@ from rtlab.triangles import (
 
 from naive import (
     _slots,
+    naive_assignment_count,
     naive_count_rainbow,
     naive_find_rainbow,
     naive_masks_have_rainbow,
@@ -270,28 +271,74 @@ def test_find_and_count_agree_in_any_order_and_on_fresh_copies():
 
 
 def _spy_on_passes(monkeypatch):
-    """The number of layers of every kernel pass run from now on, one entry
-    per pass."""
+    """The number of layers of every graph whose memo is filled from now on,
+    one entry per pass, table or kernel."""
     passes = []
-    kernel = triangles._kernel_pass
+    graph_pass = triangles._graph_pass
 
-    def counted(layers):
-        passes.append(len(layers))
-        return kernel(layers)
+    def counted(g):
+        passes.append(len(g.layers))
+        return graph_pass(g)
 
-    monkeypatch.setattr(triangles, "_kernel_pass", counted)
+    monkeypatch.setattr(triangles, "_graph_pass", counted)
     return passes
 
 
 def test_count_after_find_runs_no_second_kernel_pass(monkeypatch):
     # one pass serves both closing slots: finding and counting both
-    # patterns, in either order and twice over, runs the kernel once
+    # patterns, in either order and twice over, runs one pass, the table
+    # pass on three vertices and the kernel pass past TABLE_MAX_N
     passes = _spy_on_passes(monkeypatch)
-    g = ColoredDigraph.from_edges(3, 3, CYCLE + [(1, 0, 2), (2, 1, 0)])
-    for pattern in (D, T):
-        want = naive_find_rainbow(g, pattern), naive_count_rainbow(g, pattern)
-        assert _find_then_count(g, pattern) == _count_then_find(g, pattern) == want
-    assert passes == [3]
+    n = triangles.TABLE_MAX_N + 1
+    a, b, c = n - 3, n - 2, n - 1  # a rainbow copy of each shape on the last triple
+    edges = [(1, v, v + 1) for v in range(n - 1)] + [(2, b, c), (3, c, a), (3, a, c)]
+    for g, table in (
+        (ColoredDigraph.from_edges(3, 3, CYCLE + [(1, 0, 2), (2, 1, 0)]), True),
+        (ColoredDigraph.from_edges(n, 3, edges), False),
+    ):
+        for pattern in (D, T):
+            want = naive_find_rainbow(g, pattern), naive_count_rainbow(g, pattern)
+            assert _find_then_count(g, pattern) == _count_then_find(g, pattern) == want
+        assert passes == [3]
+        # the table pass hands find its first copy; the kernel pass leaves it to the scan
+        assert (g._rainbow_memo[True][3] is not None) is table
+        del passes[:]
+
+
+def test_assignment_table_matches_brute_force():
+    # every entry of the table pass's lookup, against plain enumeration of
+    # the distinct color triples its three 4-color masks allow
+    table = triangles._ASSIGNMENTS
+    assert table.shape == (1 << 12,)
+    for x, y, z in product(range(16), repeat=3):
+        assert table[x | y << 4 | z << 8] == naive_assignment_count(x, y, z), (x, y, z)
+
+
+def test_table_pass_agrees_with_kernel_pass_and_scan(monkeypatch):
+    # the same graphs read through the table pass wherever c <= 4 and
+    # through the kernel pass and the witness scan everywhere, around the
+    # dispatch limit; the oracle judges every fifth graph
+    rng = random.Random(43)
+    graphs = [
+        random_graph(rng, n, c, p=p)
+        for n in range(3, triangles.TABLE_MAX_N + 3)
+        for c in range(1, 6)
+        for p in (0.2, 0.5, 0.8)
+    ]
+
+    def read(limit):
+        monkeypatch.setattr(triangles, "TABLE_MAX_N", limit)
+        return [
+            [_find_then_count(ColoredDigraph(g.n, g.c, g.layers), pattern) for pattern in (D, T)]
+            for g in graphs
+        ]
+
+    table = read(triangles.TABLE_MAX_N + 2)
+    assert read(2) == table
+    assert sum(key is not None for row in table for key, _ in row) > len(graphs) // 2
+    for g, row in list(zip(graphs, table))[::5]:
+        for pattern, got in zip((D, T), row):
+            assert got == (naive_find_rainbow(g, pattern), naive_count_rainbow(g, pattern))
 
 
 def test_the_color_limit_and_many_colors_bypass_the_memo(monkeypatch):
