@@ -91,6 +91,7 @@ from ..triangles import TrianglePattern, rainbow_free_check
 __all__ = [
     "MAX_FREE_SLOTS",
     "MAX_KEY_RELABELLINGS",
+    "MAX_SCENARIO_COLORS",
     "MAX_VERTICES",
     "SLOT_STATES",
     "CONSTRAINT_KINDS",
@@ -116,6 +117,7 @@ __all__ = [
 ]
 
 MAX_VERTICES = 6
+MAX_SCENARIO_COLORS = 8
 MAX_FREE_SLOTS = 36
 SLOT_STATES = ("present", "absent", "free")
 GROUP_KINDS = ("X", "Y", "Z", "R")
@@ -351,8 +353,11 @@ def validate_scenario(scenario: Scenario) -> None:
     s = scenario
     if not s.id:
         raise GraphInputError("scenario id must be nonempty")
-    if not 1 <= s.colors <= 8:
-        raise GraphInputError(f"color count must be in 1..8, got {s.colors}")
+    if not 1 <= s.colors <= MAX_SCENARIO_COLORS:
+        raise GraphInputError(
+            f"color count must be in 1..{MAX_SCENARIO_COLORS} (MAX_SCENARIO_COLORS), "
+            f"got {s.colors}"
+        )
     if not 1 <= len(s.vertices) <= MAX_VERTICES:
         raise GraphInputError(
             f"scenario needs 1..{MAX_VERTICES} vertices, got {len(s.vertices)}"

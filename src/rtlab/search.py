@@ -51,6 +51,7 @@ from .triangles import TrianglePattern, find_rainbow, rainbow_free_check
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
+    "MAX_SEARCH_COLORS",
     "MAX_SEARCH_VERTICES",
     "SearchObjective",
     "SearchProblem",
@@ -63,6 +64,9 @@ __all__ = [
 # solve allocates its pair list and n x n masks before the node budget counts
 # anything, so n is capped; an exhaustive search is out of reach far below.
 MAX_SEARCH_VERTICES = 64
+
+# a pair has 4**c states, or 3**c oriented: 65,536 at c = 8
+MAX_SEARCH_COLORS = 8
 
 # `rtlab search` stops here unless --budget says otherwise: about 1.4M nodes/s
 # on the c = 3 goldens and 2.3-2.6M/s on the n = 4, c = 5 and n = 5, c = 3
@@ -90,8 +94,10 @@ class SearchProblem:
             raise GraphInputError(
                 f"n must lie in 0..{MAX_SEARCH_VERTICES} (MAX_SEARCH_VERTICES), got {self.n}"
             )
-        if not 1 <= self.c <= 8:
-            raise GraphInputError("c must be between 1 and 8")
+        if not 1 <= self.c <= MAX_SEARCH_COLORS:
+            raise GraphInputError(
+                f"c must lie in 1..{MAX_SEARCH_COLORS} (MAX_SEARCH_COLORS), got {self.c}"
+            )
 
     @property
     def pair_capacity(self) -> int:

@@ -84,6 +84,7 @@ import numpy as np
 from .graphs import ColoredDigraph, GraphInputError
 
 __all__ = [
+    "COUNT_COLOR_LIMIT",
     "TrianglePattern",
     "RainbowWitness",
     "pattern_edges",
@@ -92,6 +93,9 @@ __all__ = [
     "rainbow_free_check",
     "witness_is_valid",
 ]
+
+# count_rainbow's sums are exact in float64 below this many colors (see above)
+COUNT_COLOR_LIMIT = 1 << 16
 
 
 class TrianglePattern(str, Enum):
@@ -345,8 +349,10 @@ def count_rainbow(g: ColoredDigraph, pattern: TrianglePattern) -> int:
     """Number of rainbow copies; directed copies counted up to rotation of
     the triple, transitive copies per role-labeled triple, and distinct
     color assignments counted separately in both cases."""
-    if g.c >= 1 << 16:
-        raise GraphInputError(f"count_rainbow is exact only below 2**16 colors, got c={g.c}")
+    if g.c >= COUNT_COLOR_LIMIT:
+        raise GraphInputError(
+            f"count_rainbow is exact only below COUNT_COLOR_LIMIT = 2**16 colors, got c={g.c}"
+        )
     if g.n < 3 or g.c < 3:
         return 0
     _, _, total, _ = _memo_slot(g, pattern)

@@ -16,6 +16,7 @@ from rtlab.cli import (
     check_constraint_scan,
     check_constructions,
     check_detector_sanity,
+    check_thresholds,
     check_two_set_edge_bound,
 )
 from rtlab.constructions import ConstructionId, build_construction, expected_count
@@ -24,7 +25,6 @@ from rtlab.exactmath import (
     QuadraticRational,
     lemma21_bound,
     lemma21_oracle,
-    threshold_identities,
     threshold_value,
     thresholds,
 )
@@ -160,26 +160,51 @@ def test_criterion_6_scan_confirms_unique_optimum():
     # the claimed optimum is a grid point, so the best one must be exactly it
     segment = check_constraint_scan()
     value, point = segment["grid_value"], segment["grid_point"]
-    at_optimum = point == [float(v) for v in ConstraintSystem.OPTIMUM]
+    at_optimum = point == [1 / 3, 0.0, 0.0, 0.0] == [float(v) for v in ConstraintSystem.OPTIMUM]
     exact_zero = ConstraintSystem().slacks(*ConstraintSystem.OPTIMUM) == (0, 0)
-    ok = value <= 0 and at_optimum and exact_zero and segment["pass"]
+    # every feasible point of the grid of step 1/498 graded, and only the
+    # optimum has both slacks >= 0, both exactly 0
+    counts = (segment["grid_points"], segment["nonnegative_points"])
+    exact = counts == (106_923_921, 1) and segment["exact_slacks_at_optimum"] == ["0", "0"]
+    # one fixed resolution and no polish: no step, iters or polished fields
+    fields = set(segment) == {
+        *("name", "pass", "grid_value", "grid_point"),
+        *("grid_points", "nonnegative_points", "exact_slacks_at_optimum"),
+    }
+    ok = value == 0.0 and at_optimum and exact_zero and exact and fields and segment["pass"]
     verdict(
         "criterion 6: constraint scan pins the unique zero-slack optimum",
         ok,
-        f"best grid value {value:.2e} at {tuple(round(v, 6) for v in point)}",
+        f"best grid value {value:.2e} at {tuple(round(v, 6) for v in point)}; "
+        f"{counts[1]} of {counts[0]} grid points nonnegative",
     )
 
 
 def test_criterion_7_exact_constant_identities():
-    table = thresholds()
-    identities = threshold_identities(table)
+    segment = check_thresholds()
+    identities = segment["identities"]
     failed = [i["check"] for i in identities if not i["holds"]]
     base = QuadraticRational(Fraction(26, 81), Fraction(-2, 81))
-    if table["undirected-per-color-3"].quad != base:
+    if thresholds()["undirected-per-color-3"].quad != base:
         failed.append("per-color base constant is not 26/81 - (2/81) sqrt 7")
+    entries = {e["name"]: e for e in segment["entries"]}
+    expected_names = {
+        "directed-per-color-3",
+        "transitive-per-color-3",
+        "transitive-pair-3",
+        "undirected-per-color-3",
+        "directed-total-4plus",
+    }
+    if not expected_names <= set(entries):
+        failed.append(f"entries missing: {sorted(expected_names - set(entries))}")
+    elif not entries["undirected-per-color-3"]["coefficient"]["decimal"].startswith("0.2556"):
+        failed.append("undirected-per-color-3 does not print as 0.2556...")
+    scaling = {name for name, e in entries.items() if e["scales_with_colors"]}
+    if scaling != {"directed-total-4plus", "transitive-total-4plus", "transitive-total-oriented"}:
+        failed.append(f"entries scaling with colors: {sorted(scaling)}")
     verdict(
         "criterion 7: exact square-root-of-7 constants satisfy their identities",
-        not failed,
+        segment["pass"] and not failed,
         "; ".join(failed) if failed else f"all {len(identities)} identities hold",
     )
 

@@ -15,6 +15,7 @@ import pytest
 import rtlab
 from rtlab import cli
 from rtlab.cli import main
+from rtlab.exactmath import QuadraticRational, thresholds
 from rtlab.graphs import graph_digest, load_graph
 from rtlab.localbounds import (
     Constraint,
@@ -242,6 +243,13 @@ def test_search_vertex_cap(capsys):
     assert code == 2 and report is None and "MAX_SEARCH_VERTICES" in err
 
 
+def test_search_color_cap(capsys):
+    code, report, _ = run_cli(capsys, "search", "--n", "2", "--c", "8", "--pattern", "directed")
+    assert code == 0 and report["results"]["value"] == 16
+    code, report, err = run_cli(capsys, "search", "--n", "2", "--c", "9", "--pattern", "directed")
+    assert code == 2 and report is None and "MAX_SEARCH_COLORS" in err
+
+
 def test_search_at_the_vertex_cap_walks_every_pair_without_recursion(capsys):
     # with one color the first path assigns all C(64, 2) = 2016 pairs, more
     # levels than Python's default recursion limit of 1000
@@ -296,9 +304,13 @@ def test_scenario_run_pass_and_violation(tmp_path, capsys):
     assert "pair-infeasible" in err and "pair-le-4" not in err
 
 
-def test_verify_table_clean(capsys):
-    code, report, _ = run_cli(capsys, "scenario", "verify-table")
+def test_verify_table_clean(tmp_path, capsys):
+    # the saved, unedited table passes `scenario run --file`
+    path = tmp_path / "table10x10.json"
+    save_scenarios(path, load_catalogue("table10x10"))
+    code, report, _ = run_cli(capsys, "scenario", "run", "--file", str(path))
     assert code == 0
+    assert report["results"]["file"] == str(path)
     assert report["results"]["scenarios"] == 100
     assert report["results"]["violated"] == []
     assert report["results"]["infeasible"] == []
@@ -367,6 +379,18 @@ def test_verify_table_grades_every_cell_against_its_own_bound(tmp_path, capsys):
     assert entries["table:Y2-X13"]["evaluated_as"] == "table:Y2-X13"
     assert entries["table:Y2-X13"]["nodes"] > 0
     assert sum(e["nodes"] > 0 for e in entries.values()) == 17
+
+
+def test_scenario_run_color_cap(tmp_path, capsys):
+    path = tmp_path / "colors.json"
+    save_scenarios(path, [replace(scenario_pair(4), colors=8)])
+    code, report, _ = run_cli(capsys, "scenario", "run", "--file", str(path))
+    assert code == 0 and report["results"]["tight"] == 1
+    cells = json.loads(path.read_text())
+    cells[0]["colors"] = 9
+    path.write_text(json.dumps(cells))
+    code, report, err = run_cli(capsys, "scenario", "run", "--file", str(path))
+    assert code == 2 and report is None and "MAX_SCENARIO_COLORS" in err
 
 
 @pytest.mark.parametrize(
@@ -471,10 +495,19 @@ def test_scenario_run_missing_file(tmp_path, capsys):
 def test_verify_commands_read_only_the_builders(capsys):
     # the shipped catalogues have one source, their builders: an edited
     # catalogue is graded with `scenario run --file`
-    for argv in (["verify-all"], ["scenario", "verify-table"]):
+    with pytest.raises(SystemExit) as info:
+        main(["verify-all", "--catalogue-dir", "."])
+    assert info.value.code == 2
+    capsys.readouterr()
+
+
+def test_deleted_subcommands_are_usage_errors(capsys):
+    # verify-all reports the scan and the threshold table, and `scenario run
+    # --file` grades a saved table: the commands that repeated them are gone
+    for argv in (["optscan"], ["thresholds"], ["scenario", "verify-table"]):
         with pytest.raises(SystemExit) as info:
-            main([*argv, "--catalogue-dir", "."])
-        assert info.value.code == 2
+            main(argv)
+        assert info.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -491,6 +524,7 @@ def test_verify_all_passes(capsys):
         "constraint-scan",
         "constructions",
         "detector-sanity",
+        "thresholds",
     }
     assert all(s["pass"] for s in segments.values())
     assert segments["two-set-edge-bound"]["cases"] == 36
@@ -539,6 +573,18 @@ def test_non_catalogue_checks_name_their_failures(monkeypatch):
         segment = cli.check_detector_sanity(seed=1, graphs=5)
     assert segment["pass"] is False and segment["mismatches"] > 0
 
+    def mutant_thresholds():
+        table = dict(thresholds())
+        table["directed-pair-3"] = replace(table["directed-pair-3"], quad=QuadraticRational(1))
+        return table
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "thresholds", mutant_thresholds)
+        segment = cli.check_thresholds()
+    assert segment["pass"] is False
+    failed = [i["check"] for i in segment["identities"] if not i["holds"]]
+    assert failed == ["directed-pair-3 = 2 * directed-per-color-3"]
+
 
 def test_detector_sanity_catches_a_blind_detector(monkeypatch):
     # a finder and a counter that agree on "no rainbow anywhere" must not
@@ -562,27 +608,6 @@ def test_lemma21_cli(capsys):
     # an empty side leaves a*b = 0, but the other side is capped as well
     code, report, err = run_cli(capsys, "lemma21", "--a", "21", "--b", "0")
     assert code == 2 and report is None and "MAX_LEMMA21_SIZE" in err
-
-
-def test_optscan_cli(capsys):
-    code, report, _ = run_cli(capsys, "optscan")
-    assert code == 0
-    results = report["results"]
-    assert "step" not in results and "iters" not in results
-    assert not any(key.startswith("polished") for key in results)
-    assert results["grid_points"] == 106_923_921
-    assert results["nonnegative_points"] == 1
-    assert results["grid_value"] == 0.0
-    assert results["grid_point"] == [1 / 3, 0.0, 0.0, 0.0]
-    assert results["optimum_confirmed"] is True
-    assert results["exact_slacks_at_optimum"] == ["0", "0"]
-
-    # the scan has one fixed resolution: the old knobs are usage errors
-    for argv in (["optscan", "--step", "0.01"], ["optscan", "--iters", "5"]):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-    capsys.readouterr()
 
 
 def _readme_sh_lines(prefix):
@@ -614,27 +639,6 @@ def test_readme_python_lines_run(tmp_path):
             argv, cwd=tmp_path, capture_output=True, text=True, env=_src_env()
         )
         assert proc.returncode == 0, (line, proc.stderr)
-
-
-def test_thresholds_cli(capsys):
-    code, report, _ = run_cli(capsys, "thresholds")
-    assert code == 0
-    names = {e["name"] for e in report["results"]["entries"]}
-    assert {
-        "directed-per-color-3",
-        "transitive-per-color-3",
-        "transitive-pair-3",
-        "undirected-per-color-3",
-        "directed-total-4plus",
-    } <= names
-    assert all(i["holds"] for i in report["results"]["identities"])
-    by_name = {e["name"]: e for e in report["results"]["entries"]}
-    assert by_name["undirected-per-color-3"]["coefficient"]["decimal"].startswith("0.2556")
-    assert {name for name, e in by_name.items() if e["scales_with_colors"]} == {
-        "directed-total-4plus",
-        "transitive-total-4plus",
-        "transitive-total-oriented",
-    }
 
 
 def test_jobs_is_accepted_only_as_one_on_verify_all(tmp_path, capsys):
@@ -729,10 +733,10 @@ def test_console_script_installed(tmp_path):
 
 def test_library_value_error_exits_3(capsys, monkeypatch):
     # a ValueError that is not an input error is a crash, not a usage error
-    def broken():
+    def broken(a, b):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(cli, "scan_constraint_system", broken)
-    code, report, err = run_cli(capsys, "optscan")
+    monkeypatch.setattr(cli, "lemma21_oracle", broken)
+    code, report, err = run_cli(capsys, "lemma21", "--a", "2", "--b", "2")
     assert code == 3 and report is None
     assert "internal error: ValueError" in err

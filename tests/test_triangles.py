@@ -349,7 +349,7 @@ def test_the_color_limit_and_many_colors_bypass_the_memo(monkeypatch):
     g = _complete(3, 1 << 16)
     for pattern in (D, T):
         assert _witness_key(find_rainbow(g, pattern)) == ((0, 1, 2), (1, 2, 3))
-        with pytest.raises(GraphInputError, match=r"2\*\*16 colors"):
+        with pytest.raises(GraphInputError, match=r"COUNT_COLOR_LIMIT = 2\*\*16 colors"):
             count_rainbow(g, pattern)
     assert g._rainbow_memo == {}
     assert passes == [3, 3]  # one pass per find, on the three kept layers
@@ -418,7 +418,7 @@ def test_count_rejects_colors_past_the_limit():
     # by 50,285,684 directed and 150,857,052 transitive copies
     g = _complete(3, 1_000_003)
     for pattern in (D, T):
-        with pytest.raises(GraphInputError, match=r"2\*\*16 colors"):
+        with pytest.raises(GraphInputError, match=r"COUNT_COLOR_LIMIT = 2\*\*16 colors"):
             count_rainbow(g, pattern)
         # finding needs no exact count: it runs on the lowest colors of each pair
         start = time.perf_counter()
