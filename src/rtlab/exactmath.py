@@ -30,7 +30,10 @@ the verification commands:
   once, in integers, for a point over a common denominator.  The scanner
   grades all 106,923,921 feasible points of the grid of step 1/498 exactly
   and checks that (1/3, 0, 0, 0) is the only one where both slacks are
-  >= 0, and that both vanish there.
+  >= 0, and that both vanish there.  It reads the grid as 849,378 rows in r:
+  along a row one slack never decreases and the other strictly decreases,
+  so each row's best point sits where they cross, found by bisection in
+  int64, about 2,048 rows per numpy pass.
 """
 
 from __future__ import annotations
@@ -542,44 +545,110 @@ class ScanResult:
 # The scan's grid: every coordinate is i / _GRID_DENOM for an integer i.
 # 498 = 3 * 166, so ConstraintSystem.OPTIMUM is itself a grid point.
 _GRID_DENOM = 498
+# rows per chunk of the scan, so its arrays stay a few hundred kB; larger
+# chunks run faster but raised the peak resident memory of verify-all
+_CHUNK_ROWS = 2048
 
 
-def _grid_columns(m):
-    """(iu, iy, nz, nr) for each (u, y) with nonnegative headroom on the grid
-    of step 1/m: its feasible grid z and r are i / m for i in range(nz) and
-    range(nr), since a grid step of z or r takes 4 off one scaled headroom."""
+def _grid_rows(m):
+    """The feasible rows of the grid of step 1/m in chunks of about
+    ``_CHUNK_ROWS`` rows within one grid u: iu, then int64 arrays of each
+    row's iy and iz and of nr, its count of grid r, rows in (y, z) order.
+    Row (u, y, z) holds the points (u, y, z, i/m) for i in range(nr): a grid
+    step of z or of r takes 4 off one scaled headroom, so nz and nr come
+    from the headrooms at z = r = 0."""
     for iu in range(m // 3 + 1):  # 3u <= 1
-        for iy in itertools.count():
-            *_, room1, room2 = _scaled_system(iu, iy, 0, 0, m)
-            if min(room1, room2) < 0:
-                break  # both shrink as y grows
-            yield iu, iy, room2 // 4 + 1, room1 // 4 + 1
+        iy = np.arange(2 * m + 1)  # y/2 <= 1
+        *_, room1, room2 = _scaled_system(iu, iy, 0, 0, m)
+        keep = np.minimum(room1, room2) >= 0  # both shrink as y grows
+        iy, nz, nr = iy[keep], room2[keep] // 4 + 1, room1[keep] // 4 + 1
+        # a chunk starts at each column that starts past a multiple of the size
+        starts = np.cumsum(nz) - nz
+        cuts = [0, *(np.flatnonzero(np.diff(starts // _CHUNK_ROWS)) + 1).tolist(), len(nz)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            counts = nz[lo:hi]
+            iz = np.arange(counts.sum()) - np.repeat(starts[lo:hi] - starts[lo], counts)
+            yield iu, np.repeat(iy[lo:hi], counts), iz, np.repeat(nr[lo:hi], counts)
+
+
+def _first_nonpositive(a, b, c, n):
+    """Elementwise over int64 arrays: the least integer r in [0, n] with
+    a r^2 + b r + c <= 0, or n if there is none, for a quadratic that does
+    not increase on [0, n - 1].  Bisection in exact integers."""
+    lo, hi = np.zeros_like(n), n.copy()
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) >> 1
+        done = (a * mid + b) * mid + c <= 0
+        hi -= (hi - mid) * done
+        lo += (mid + 1 - lo) * (open_ & ~done)
+
+
+def _row_maxima(iu, iy, iz, nr, m, bound1, bound2):
+    """For rows (u, y, z) of the grid of step 1/m, given as int64 arrays with
+    a scalar or array iu: each row's largest min(s1, s2) over its nr points
+    in units of 1/(144 m^2), the first r reaching it, and its count of
+    points with both slacks >= 0, for the integer scaled bounds.
+
+    On a row, with r the grid index of r, both scaled slacks are quadratics
+    in r, read off ``_scaled_system`` at r = 0, 1, 2.  In its terms
+    s1(r) = base (base + 2 w) - bound1 with w = 6 iz + 9 r, so s1 grows by
+    18 base >= 0 per step.  s2(r) holds lin(r)^2 with lin(r) = lin(0) - 12 r,
+    so s2(r + 1) - s2(r) = 144 - 24 lin(r); when r + 1 is feasible,
+    iy <= 2 (m - 3 iu - r - 1), so lin(r) >= 12 iu + 12 and s2 strictly
+    decreases along the row.  With k the least r where s1 >= s2 (nr if
+    none), min(s1, s2) is s1 below k and s2 from k on, so the row maximum is
+    max(s1(k - 1), s2(k)).  Its first argmax is k when s2(k) is larger, else
+    k - 1, or 0 when base = 0 and s1 is constant.  The points with both
+    slacks >= 0 run from the least r with s1 >= 0 up to the least with
+    s2 < 0.  Each crossing is found by bisection in int64: a float root
+    would do as well, but its float kernels raised the peak resident memory
+    of verify-all by about 0.6 MiB.
+    """
+    at = [_scaled_system(iu, iy, iz, r, m)[:2] for r in range(3)]
+    (a1, b1, c1), (a2, b2, c2) = (
+        ((f2 - 2 * f1 + f0) // 2, (4 * f1 - 3 * f0 - f2) // 2, f0 - bound)
+        for (f0, f1, f2), bound in zip(zip(*at), (bound1, bound2))
+    )
+    del at
+    k = _first_nonpositive(a2 - a1, b2 - b1, c2 - c1, nr)  # least r with s1 >= s2
+    low = np.iinfo(np.int64).min
+    left = np.where(k > 0, (a1 * (k - 1) + b1) * (k - 1) + c1, low)
+    right = np.where(k < nr, (a2 * k + b2) * k + c2, low)
+    peak = np.maximum(left, right)
+    first = np.where(right > left, k, (k - 1) * (b1 > 0))
+    count = np.zeros_like(nr)
+    rows = peak >= 0
+    if rows.any():
+        start = _first_nonpositive(-a1[rows], -b1[rows], -c1[rows], nr[rows])
+        stop = _first_nonpositive(a2[rows], b2[rows], c2[rows] + 1, nr[rows])
+        count[rows] = np.maximum(stop - start, 0)
+    return peak, first, count
 
 
 def scan_constraint_system() -> ScanResult:
     """Maximize the exact minimum slack over every feasible point of the grid
-    of step 1/498, one int64 (z, r) rectangle per grid (u, y), and count the
-    points with both slacks >= 0.  Neither slack has a z*r term, so each
-    rectangle is the outer sum of its r = 0 column and its z = 0 row, less
-    the corner they share."""
+    of step 1/498, and count the points with both slacks >= 0, one grid row
+    (u, y, z) at a time and each row in closed form (``_row_maxima``).  Rows
+    come in (u, y, z) order and a chunk replaces the best only when it beats
+    it, so the reported point is the first maximum in (u, y, z, r) order."""
     system = ConstraintSystem()
     m = _GRID_DENOM
     scale = 144 * m * m
     # the bounds 1/9 and 1/3 times 144 m^2 are the integers 16 m^2 and 48 m^2
-    bound1, bound2 = (int(b * scale) for b in (system.bound1, system.bound2))
-    steps = np.arange(m + 1, dtype=np.int64)
+    bound1, bound2 = (Fraction(b) * scale for b in (system.bound1, system.bound2))
+    if bound1.denominator != 1 or bound2.denominator != 1:
+        raise GraphInputError(f"the scan grades in units of 1/{scale}; the bounds must be multiples")
     best, best_index, total, nonnegative = None, None, 0, 0
-    for iu, iy, nz, nr in _grid_columns(m):
-        z1, z2, _, _ = _scaled_system(iu, iy, steps[:nz], 0, m)
-        r1, r2, _, _ = _scaled_system(iu, iy, 0, steps[:nr], m)
-        s1 = (z1 - bound1)[:, None] + (r1 - r1[0])
-        grid = np.minimum(s1, (z2 - bound2)[:, None] + (r2 - r2[0]))
-        total += grid.size
-        top = int(grid.max())
-        if top >= 0:
-            nonnegative += int(np.count_nonzero(grid >= 0))
-        if best is None or top > best:
-            best, best_index = top, (iu, iy, *divmod(int(grid.argmax()), nr))
+    for iu, iy, iz, nr in _grid_rows(m):
+        peak, first, count = _row_maxima(iu, iy, iz, nr, m, int(bound1), int(bound2))
+        total += int(nr.sum())
+        nonnegative += int(count.sum())
+        j = int(peak.argmax())
+        if best is None or peak[j] > best:
+            best, best_index = int(peak[j]), (iu, int(iy[j]), int(iz[j]), int(first[j]))
     return ScanResult(
         grid_value=Fraction(best, scale),
         grid_point=tuple(Fraction(i, m) for i in best_index),

@@ -69,9 +69,17 @@ reads.  A test that reads none is checked once before the search, and the
 scenario is infeasible if it fails.  A test that reads one filters that
 pair's options, the completions of its free slots.  A test that reads more
 fires when the last of its pairs is decided.  Pairs with no objective slot
-come first.  Options are tried highest objective gain first, and a pair's
-loop stops once its gain plus the top gains of the later pairs cannot beat
-the best value found.
+come first.  Once they are decided, the objective pairs are bounded two at a
+time, in blocks of two consecutive pairs: a block counts the top joint gain
+of the option pairs that pass every rule reading only the block and the
+decided pairs (forward checking in the sense of Haralick and Elliott, 1980,
+on a block of two).  Options are tried highest objective gain first, and a
+pair's loop stops once its gain plus the bound on the later pairs cannot
+beat the best value found.  A block's joint top is never above the sum of
+its pairs' top gains, so the blocks prune only subtrees with no better leaf
+and tighten the plain sum pointwise: the maximum, the feasibility and the
+witness (the first best leaf in search order) are those of the plain sum,
+and no option is tried that the plain sum would skip.
 """
 
 from __future__ import annotations
@@ -677,14 +685,10 @@ def load_scenarios(path) -> list[Scenario]:
 _OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
-def _top_two_color_load(f: int, b: int) -> int:
-    """Largest e_i + e_j over color pairs i < j for one vertex pair."""
-    counts = sorted(
-        ((f >> i & 1) + (b >> i & 1) for i in range((f | b).bit_length())),
-        reverse=True,
-    )
-    counts += [0, 0]
-    return counts[0] + counts[1]
+def _double_and_more(f: int, b: int) -> bool:
+    """A color in both directions and an edge in another color: more than 2
+    edges in some two colors, as a color carries at most 2."""
+    return f & b != 0 and (f | b).bit_count() >= 2
 
 
 # The group rules, as tests on the masks (f, b) of the two directions of one
@@ -694,14 +698,14 @@ def _top_two_color_load(f: int, b: int) -> int:
 _MAXIMALITY = {
     "x_maximality": ("X", lambda f, b: (f & b).bit_count() <= 1),
     "y_maximality": ("Y", lambda f, b: f.bit_count() + b.bit_count() <= 3),
-    "z_maximality": ("Z", lambda f, b: _top_two_color_load(f, b) <= 2),
+    "z_maximality": ("Z", lambda f, b: not _double_and_more(f, b)),
 }
 # <K>_trimmed: another vertex has a heavy link (the test) to at most one
 # member of each K group.
 _TRIMMED = {
     "x_trimmed": ("X", lambda f, b: (f & b).bit_count() >= 2),
     "y_trimmed": ("Y", lambda f, b: f.bit_count() + b.bit_count() >= 4),
-    "z_trimmed": ("Z", lambda f, b: (f & b) != 0 and (f | b).bit_count() >= 2),
+    "z_trimmed": ("Z", _double_and_more),
 }
 # The other rules that hold pair by pair, on every vertex pair.
 _PAIR_TESTS = {
@@ -850,14 +854,73 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
     # among the objective pairs; a rule on several pairs fires at the last
     order = sorted(options, key=lambda k: bool(obj[k[0]][k[1]] | obj[k[1]][k[0]]))
     pos = {key: idx for idx, key in enumerate(order)}
+    first = sum(1 for u, v in order if not obj[u][v] | obj[v][u])
+    decided = set(order[:first])
     fire: list[list] = [[] for _ in order]
+    # the objective pairs in blocks of two from `first` on, a last one
+    # maybe alone: the rules of the block at i that read only it and the
+    # pairs before `first`, split by whether they read its second pair
+    joint = {i: ([], []) for i in range(first, len(order), 2)}
     for scope, test in multi:
-        fire[max(pos[key] for key in scope)].append(test)
-    # reach[idx]: what the pairs from idx on can add to the objective at most
-    reach = [0] * (len(order) + 1)
+        last = max(pos[key] for key in scope)
+        fire[last].append(test)
+        i = last - (last - first) % 2
+        if last >= first and scope <= decided | set(order[i : i + 2]):
+            joint[i][last > i].append(test)
+    # reach[idx]: what the pairs from idx on can add to the objective at
+    # most, each at its top gain; after `first` block_bounds resets it to
+    # count each block at its joint top (one 0 past the end for a last block
+    # of one pair)
+    reach = [0] * (len(order) + 2)
     for idx in range(len(order) - 1, -1, -1):
         reach[idx] = reach[idx + 1] + options[order[idx]][0][2]
     nodes, best, witness = 0, -1, None  # best stays -1 until a leaf is reached
+
+    def block_top(i: int, floor: int) -> int:
+        """The top joint gain of the block at i, over the option pairs that
+        pass its rules with the pairs before `first` as set, if above
+        ``floor``; else ``floor``.  Options come highest gain first, so each
+        loop stops once it cannot beat the best found."""
+        tests_a, tests_ab = joint[i]
+        # a block of one pair gets the empty diagonal slot as its second
+        u, v = order[i]
+        x, y = order[i + 1] if i + 1 < len(order) else (u, u)
+        opts_b = options.get((x, y), [(0, 0, 0)])
+        saved = m[u][v], m[v][u], m[x][y], m[y][x]
+        for f, b, gain in options[u, v]:
+            if gain + opts_b[0][2] <= floor:
+                break
+            m[u][v], m[v][u] = f, b
+            for test in tests_a:
+                if not test():
+                    break
+            else:
+                for fb, bb, gain_b in opts_b:
+                    if gain + gain_b <= floor:
+                        break
+                    m[x][y], m[y][x] = fb, bb
+                    for test in tests_ab:
+                        if not test():
+                            break
+                    else:
+                        floor = gain + gain_b
+                        break
+        m[u][v], m[v][u], m[x][y], m[y][x] = saved
+        return floor
+
+    def block_bounds() -> int:
+        """Reset reach after `first` for the pairs before it as now set, and
+        bound what the pairs from `first` on add: -1 when a block has no
+        option pair left, and at most the best found when the first block
+        cannot beat it (its top is sought only above that)."""
+        for i in range(len(order) - 1, first, -1):
+            reach[i] = reach[i + 1] + options[order[i]][0][2]
+            if i in joint:
+                top = block_top(i, -1)
+                if top < 0:
+                    return -1
+                reach[i] = top + reach[i + 2]
+        return block_top(first, best - reach[first + 2]) + reach[first + 2]
 
     def rec(idx: int, current: int) -> None:
         nonlocal nodes, best, witness
@@ -873,6 +936,10 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
             ]
             witness = tuple(sorted(edges))
             return
+        # block_bounds leaves reach[first] to the pairs before `first`
+        most = block_bounds() if idx == first else reach[idx]
+        if current + most <= best:
+            return
         u, v = key = order[idx]
         checks, rest = fire[idx], reach[idx + 1]
         base = m[u][v], m[v][u]
@@ -886,6 +953,8 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
                     break
             else:
                 rec(idx + 1, current + gain)
+                if current + most <= best:
+                    break  # a block's joint top can sit below its first gain
         m[u][v], m[v][u] = base
 
     rec(0, 0)

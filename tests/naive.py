@@ -6,7 +6,9 @@ test.  Keep it that way — these functions are the reference the fast paths
 are judged against.
 """
 
-from itertools import permutations
+from fractions import Fraction
+from functools import cache
+from itertools import permutations, product
 
 from rtlab.graphs import ColoredDigraph
 from rtlab.triangles import TrianglePattern
@@ -278,3 +280,34 @@ def naive_two_sided_triangle_free_max(a: int, b: int) -> int:
         if ok:
             best = bits.bit_count()
     return best
+
+
+@cache
+def _constraint_grid(m: int):
+    """Every feasible point of the grid of step 1/m in (u, y, z, r) order,
+    with q1 and q2 in Fraction, straight from the system's definition."""
+    points = []
+    for iu, iy, iz, ir in product(range(m + 1), range(2 * m + 1), range(m + 1), range(m + 1)):
+        # 3u + y/2 + r <= 1 and u - 3y/4 - z >= 0, times 2m and 4m
+        if 6 * iu + iy + 2 * ir > 2 * m or 4 * iu - 3 * iy - 4 * iz < 0:
+            continue
+        u, y, z, r = (Fraction(i, m) for i in (iu, iy, iz, ir))
+        q1 = (u + 7 * y / 12 + z / 2 + 3 * r / 4) ** 2 - (z / 2 + 3 * r / 4) ** 2
+        q2 = 2 * u**2 + (1 - r - y / 2 - 2 * u) ** 2 - y * z / 2 - 3 * z**2 / 2
+        points.append(((u, y, z, r), q1, q2))
+    return points
+
+
+def naive_constraint_slacks(m: int, bound1, bound2):
+    """(point, min(q1 - bound1, q2 - bound2)) for every feasible point of
+    the grid of step 1/m, in (u, y, z, r) order."""
+    return [(p, min(q1 - bound1, q2 - bound2)) for p, q1, q2 in _constraint_grid(m)]
+
+
+def naive_constraint_scan(m: int, bound1, bound2):
+    """The grid scan by visiting every point: (best minimum slack, the first
+    point reaching it, feasible points, points with both slacks >= 0)."""
+    slacks = naive_constraint_slacks(m, bound1, bound2)
+    best = max(value for _, value in slacks)
+    first = next(p for p, value in slacks if value == best)
+    return best, first, len(slacks), sum(value >= 0 for _, value in slacks)

@@ -7,6 +7,7 @@ no entry is ever violated or infeasible.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from rtlab.localbounds import (
     Scenario,
     canonical_key,
     dumps_scenarios,
+    enumerate_max,
     evaluate_scenario,
     evaluate_scenarios,
     load_catalogue,
@@ -183,6 +185,75 @@ def test_catalogues_graded_together_share_orbits(graded_catalogue):
         ], which
         if which == "eq3_bullets":
             assert all(e.evaluated_as.startswith("table:") for e in mine)
+
+
+# SHA-256 of the JSON list of [id, feasible, maximum, witness,
+# free_slot_count] of the 41 orbit representatives of the four catalogues,
+# in verify-all's order; frozen from the plain per-pair bound of
+# enumerate_max, which a tighter bound must reproduce exactly
+REPRESENTATIVE_RESULTS_SHA256 = "9890afc44b78b9219258f8a54c8a667dfe6ec5c97f0f902f1e8bfe17fc7dbc09"
+# nodes of each representative under that plain bound: a tighter bound may
+# only prune more, so these are ceilings
+REPRESENTATIVE_NODE_CEILINGS = {
+    "table:X12-X12": 14_306,
+    "table:X12-X13": 249_963,
+    "table:X12-Y1": 486_671,
+    "table:X12-Y3": 417_653,
+    "table:X12-Z1": 124_642,
+    "table:X12-Z3": 595_628,
+    "table:X12-R": 2_171,
+    "table:Y1-Y1": 40_340,
+    "table:Y1-Y2": 127_216,
+    "table:Y1-Z1": 63_426,
+    "table:Y1-Z2": 205_740,
+    "table:Y1-R": 744,
+    "table:Z1-Z1": 6,
+    "table:Z1-Z2": 6,
+    "table:Z1-R": 3,
+    "table:R-R": 1,
+    "eq1:01-xx": 6,
+    "eq1:02-xy": 2_062,
+    "eq1:03-xz": 278,
+    "eq1:04-yy": 537,
+    "eq1:05-yz": 8,
+    "eq1:06-zz": 6,
+    "eq1:07-other": 25_666,
+    "eq1:08-xr": 10,
+    "eq1:09-yr": 4,
+    "eq1:10-zr": 85,
+    "eq1:11-other-r": 328,
+    "eq1:12-rr": 1,
+    "double-double:adjacent-colors:c4": 109,
+    "double-double:adjacent-colors-wrap:c5": 109,
+    "heavy-fan:third-pair:c4": 180_712,
+    "full-pair:two-colors:c3": 109,
+    "double-pair:other-colors:c3": 109,
+    "single-edge:other-colors:c3": 16,
+    "two-doubles:touched-both:c4": 32_813,
+    "one-double:shared-link:c4": 14_914,
+    "one-double:no-shared-link:c4": 12_953,
+    "thick-path:fan:c3": 839,
+    "thick-path:fan:c4": 199_231,
+    "thick-pair:no-path:c3": 2_200,
+    "thick-pair:no-path:c4": 142_802,
+}
+
+
+def test_representatives_keep_their_results_under_their_node_ceilings():
+    firsts = {}
+    for s in (s for which in CATALOGUE_IDS for s in load_catalogue(which)):
+        firsts.setdefault(canonical_key(s), s)
+    assert [s.id for s in firsts.values()] == list(REPRESENTATIVE_NODE_CEILINGS)
+    rows, nodes = [], {}
+    for s in firsts.values():
+        r = enumerate_max(s)
+        witness = [list(slot) for slot in r.witness] if r.witness else None
+        rows.append([s.id, r.feasible, r.maximum, witness, r.free_slot_count])
+        nodes[s.id] = r.nodes
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == REPRESENTATIVE_RESULTS_SHA256
+    over = {sid: n for sid, n in nodes.items() if n > REPRESENTATIVE_NODE_CEILINGS[sid]}
+    assert not over
 
 
 def test_one_orbit_is_enumerated_once():

@@ -1,6 +1,7 @@
 import itertools
 import random
-from dataclasses import replace
+import tracemalloc
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -14,8 +15,9 @@ from rtlab.exactmath import (
     ConstraintSystem,
     QuadraticRational,
     ScanResult,
-    _grid_columns,
+    _grid_rows,
     _GRID_DENOM,
+    _row_maxima,
     _scaled_system,
     lemma21_bound,
     lemma21_oracle,
@@ -24,7 +26,7 @@ from rtlab.exactmath import (
     threshold_value,
     thresholds,
 )
-from naive import naive_two_sided_triangle_free_max
+from naive import naive_constraint_scan, naive_constraint_slacks, naive_two_sided_triangle_free_max
 
 QR = QuadraticRational
 
@@ -239,8 +241,8 @@ def test_scan_grades_exactly_the_feasible_grid_points(monkeypatch):
     ]
     visited = [
         (iu, iy, iz, ir)
-        for iu, iy, nz, nr in _grid_columns(m)
-        for iz in range(nz)
+        for iu, *rows in _grid_rows(m)
+        for iy, iz, nr in zip(*(row.tolist() for row in rows))
         for ir in range(nr)
     ]
     assert visited == feasible
@@ -254,6 +256,93 @@ def test_scan_grades_exactly_the_feasible_grid_points(monkeypatch):
     assert result.grid_point == tuple(Fraction(i, m) for i in first)
     assert result.nonnegative_points == sum(min(pair) >= 0 for pair in slacks) == 1
     assert result.optimum_confirmed
+
+
+# bound pairs for the scan against the naive grid: the system's own, and
+# lower ones under which many points are >= 0 and many row maxima tie; under
+# (1/4, 0) the row at the origin, the only one with base = 0, ties on all
+# its points
+SCAN_BOUNDS = [
+    (Fraction(1, 9), Fraction(1, 3)),
+    (Fraction(1, 9), Fraction(1, 4)),
+    (Fraction(1, 9), Fraction(0)),
+    (Fraction(1, 10), Fraction(1, 4)),
+    (Fraction(1, 10), Fraction(0)),
+    (Fraction(0), Fraction(1, 4)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(1, 4), Fraction(0)),
+]
+
+
+def _scan_cases():
+    """(m, bound1, bound2) for the small grids, where both bounds times
+    144 m^2 are integers, as the scan needs."""
+    for m in (3, 6, 10, 12, 20, 30):
+        for bounds in SCAN_BOUNDS:
+            if all((b * 144 * m * m).denominator == 1 for b in bounds):
+                yield m, *bounds
+
+
+def test_each_row_agrees_with_its_points_on_the_naive_grid():
+    # every row's maximum, first argmax and nonnegative count against the
+    # slacks of all its points, and the rows against the naive grid's
+    for m, bound1, bound2 in _scan_cases():
+        scale = 144 * m * m
+        want = {}
+        for point, value in naive_constraint_slacks(m, bound1, bound2):
+            want.setdefault(tuple(int(x * m) for x in point[:3]), []).append(value * scale)
+        got = {}
+        for iu, iy, iz, nr in _grid_rows(m):
+            rows = _row_maxima(iu, iy, iz, nr, m, int(bound1 * scale), int(bound2 * scale))
+            for key, *row in zip(zip(itertools.repeat(iu), iy.tolist(), iz.tolist()), nr.tolist(), *rows):
+                got[key] = tuple(row)
+        assert list(got) == list(want), m
+        for key, values in want.items():
+            top = max(values)
+            expect = (len(values), top, values.index(top), sum(v >= 0 for v in values))
+            assert got[key] == expect, (m, bound1, bound2, key)
+
+
+def test_scan_matches_the_naive_scan_under_lower_bounds(monkeypatch):
+    for m, low1, low2 in _scan_cases():
+
+        @dataclass(frozen=True)
+        class Lowered(ConstraintSystem):
+            bound1: Fraction = low1
+            bound2: Fraction = low2
+
+        monkeypatch.setattr(exactmath, "ConstraintSystem", Lowered)
+        monkeypatch.setattr(exactmath, "_GRID_DENOM", m)
+        result = scan_constraint_system()
+        got = (result.grid_value, result.grid_point, result.grid_points, result.nonnegative_points)
+        assert got == naive_constraint_scan(m, low1, low2), (m, low1, low2)
+        # q1 = 1/9 and q2 = 1/3 at the optimum
+        slacks = (Fraction(1, 9) - low1, Fraction(1, 3) - low2)
+        assert result.exact_slacks_at_optimum == slacks
+
+    # 144 m^2 / 10 is not an integer at m = 3, and a truncated bound1 = 1/10
+    # would grade against another bound, so the scan refuses
+    @dataclass(frozen=True)
+    class Off(ConstraintSystem):
+        bound1: Fraction = Fraction(1, 10)
+
+    monkeypatch.setattr(exactmath, "ConstraintSystem", Off)
+    monkeypatch.setattr(exactmath, "_GRID_DENOM", 3)
+    with pytest.raises(ValueError, match="units of 1/1296"):
+        scan_constraint_system()
+
+
+def test_scan_memory_stays_within_a_few_chunks():
+    # the scan holds one chunk of rows at a time, a few hundred kB; the whole
+    # grid's rows in flat arrays would take over 100 MiB
+    tracemalloc.start()
+    try:
+        result = scan_constraint_system()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.optimum_confirmed
+    assert peak < 1 << 20, peak
 
 
 def test_scan_at_the_fixed_resolution():

@@ -279,6 +279,44 @@ def test_engine_agrees_with_naive_on_random_scenarios():
     assert seen >= {"X", "Y", "Z", "slot_sum", "no_shared_color_link", *GROUP_RULES}
 
 
+# two random scenarios (test_engine_agrees_with_naive_on_random_scenarios's
+# generator, seeds 70 and 112) whose objective blocks' joint tops depend on
+# how the pairs before them are set: a bound kept from an earlier setting
+# of those pairs cuts off their maxima, 7 and 5 by naive_scenario_max (the
+# bounds below; about 4 s to recompute)
+PREFIX_DEPENDENT_BLOCKS = """[
+  {"id": "rand2", "colors": 3, "vertices": ["p", "q", "r", "s"],
+   "groups": [{"kind": "Y", "colors": [3], "members": ["r", "s"]},
+              {"kind": "R", "colors": [], "members": ["p"]}],
+   "fixed_edges": [{"color": 1, "from": "r", "to": "q", "state": "free"},
+                   {"color": 2, "from": "q", "to": "r", "state": "present"},
+                   {"color": 2, "from": "r", "to": "q", "state": "free"}],
+   "constraints": [{"kind": "no_rainbow", "pattern": "transitive"},
+                   {"kind": "slot_sum", "op": "==", "value": 0, "slots": [[2, "p", "q"], [1, "q", "r"]]},
+                   {"kind": "no_shared_color_link", "vertex": "q", "pair": ["p", "r"], "colors": [3, 2]},
+                   {"kind": "x_maximality"}, {"kind": "y_maximality"}, {"kind": "no_double_double"}],
+   "objective": {"colors": [3], "between": [["p", "q"], ["r", "s"]]}, "bound": {"num": 7, "den": 1}},
+  {"id": "rand17", "colors": 3, "vertices": ["p", "q", "r", "s"],
+   "groups": [{"kind": "Z", "colors": [3], "members": ["p", "q"]},
+              {"kind": "Z", "colors": [2], "members": ["r", "s"]}],
+   "fixed_edges": [{"color": 1, "from": "q", "to": "r", "state": "present"},
+                   {"color": 3, "from": "p", "to": "s", "state": "present"},
+                   {"color": 3, "from": "q", "to": "r", "state": "present"}],
+   "constraints": [{"kind": "no_rainbow", "pattern": "transitive"}, {"kind": "no_thick_path"},
+                   {"kind": "slot_sum", "op": "==", "value": 1, "slots": [[1, "r", "s"], [1, "s", "r"]]},
+                   {"kind": "x_maximality"}, {"kind": "x_trimmed"}, {"kind": "y_trimmed"},
+                   {"kind": "no_double_double"}],
+   "objective": {"colors": [2], "between": [["p", "q"], ["r", "s"]]}, "bound": {"num": 5, "den": 1}}
+]"""
+
+
+def test_block_bounds_follow_the_pairs_before_them():
+    for s in loads_scenarios(PREFIX_DEPENDENT_BLOCKS):
+        r = enumerate_max(s)
+        assert (r.feasible, r.maximum) == (True, s.bound), s.id
+        _check_witness(s, r)
+
+
 def test_witnesses_satisfy_all_rules():
     for s in load_catalogue("claims_local"):
         r = enumerate_max(s)
