@@ -61,8 +61,15 @@ the engine reads each as a set.
 Free slots not reachable by the objective or by an ``==`` / ``>=`` slot sum
 stay absent by default: every rule above is preserved under edge deletion,
 so the maximum over such reduced configurations equals the maximum over all
-of them.  The enumerator is one branch-and-bound over the *undecided* pairs,
-the unordered vertex pairs that hold free slots.  Every rule, fixtures
+of them.  ``enumerate_max`` applies the same argument to the free slots an
+X fixture or an explicit ``free`` fixed edge leaves outside the objective
+and every ``==`` / ``>=`` sum (``_NOT_CLOSED_UNDER_DELETION``): it fixes
+them absent, and ``free_slot_count`` still counts them.  Each option keeps
+its gain when they are cleared and its cleared form comes first among the
+options of that gain, so the first best leaf, the witness, has them absent
+anyway (dominance pruning, as in Chu and Stuckey, CP 2012).  The enumerator
+is one branch-and-bound over the *undecided* pairs, the unordered vertex
+pairs that hold the remaining free slots.  Every rule, fixtures
 included, becomes tests of the live color masks, one per vertex pair or
 triple it applies to, and each test is sorted by how many undecided pairs it
 reads.  A test that reads none is checked once before the search, and the
@@ -182,8 +189,11 @@ class Scenario:
 @dataclass(frozen=True)
 class EnumerationResult:
     """Outcome of ``enumerate_max``: infeasibility is reported distinctly
-    from a feasible scenario whose best objective value is 0.  ``nodes``
-    counts the pair options tried, the unit of ``SearchResult.nodes``."""
+    from a feasible scenario whose best objective value is 0.
+    ``free_slot_count`` is the scenario's count of free slots, those the
+    engine fixes absent included.  ``nodes`` counts only the pair options
+    tried, the unit of ``SearchResult.nodes``: not the option pairs a block
+    bound scans nor the rule tests."""
 
     feasible: bool
     maximum: int | None
@@ -683,6 +693,11 @@ def load_scenarios(path) -> list[Scenario]:
 
 
 _OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
+# The rules that an edge deletion can break, as (kind, op): a slot sum held
+# at or above its value.  Every other constraint kind holds again after any
+# deletion, so enumerate_max keeps absent each free slot that neither the
+# objective nor one of these reads.
+_NOT_CLOSED_UNDER_DELETION = frozenset({("slot_sum", "=="), ("slot_sum", ">=")})
 
 
 def _double_and_more(f: int, b: int) -> bool:
@@ -794,14 +809,22 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
     index = {v: i for i, v in enumerate(labels)}
     m = [[0] * n for _ in range(n)]  # live masks, from the fixed-present edges
     obj = [[0] * n for _ in range(n)]  # objective masks
+    # only the free slots in `kept` are enumerated, the others stay absent
+    # (module docstring); a pair left with none is decided
+    kept = set(objective_slots(scenario)).union(*(
+        con.slots for con in scenario.constraints + fixture_constraints(scenario)
+        if (con.kind, con.op) in _NOT_CLOSED_UNDER_DELETION
+    ))
     free: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    free_count = 0
     for (color, src, dst), state in scenario_slot_states(scenario).items():
         u, v = index[src], index[dst]
         if state == "present":
             m[u][v] |= 1 << (color - 1)
         elif state == "free":
-            free.setdefault((min(u, v), max(u, v)), []).append((color, u < v))
-    free_count = sum(len(slots) for slots in free.values())
+            free_count += 1
+            if (color, src, dst) in kept:
+                free.setdefault((min(u, v), max(u, v)), []).append((color, u < v))
     for color, src, dst in objective_slots(scenario):
         obj[index[src]][index[dst]] |= 1 << (color - 1)
     infeasible = EnumerationResult(False, None, None, 0, free_count)

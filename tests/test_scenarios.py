@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from naive import naive_scenario_max, naive_scenario_rules_hold
+from naive import _rule_holds, naive_scenario_max, naive_scenario_rules_hold
 from rtlab.graphs import GraphInputError
 from rtlab.localbounds import (
     CATALOGUE_IDS,
@@ -26,6 +26,7 @@ from rtlab.localbounds import (
     canonical_key,
     dumps_scenarios,
     enumerate_max,
+    fixture_constraints,
     load_catalogue,
     loads_scenarios,
     objective_slots,
@@ -35,7 +36,14 @@ from rtlab.localbounds import (
     slots_between,
 )
 from rtlab.localbounds.catalogues import CLASS_NAMES, TABLE_BOUNDS
-from rtlab.localbounds.scenarios import _ARRAYS, _CONSTRAINTS, _RECORDS, _SCALARS, _entries
+from rtlab.localbounds.scenarios import (
+    _ARRAYS,
+    _CONSTRAINTS,
+    _NOT_CLOSED_UNDER_DELETION,
+    _RECORDS,
+    _SCALARS,
+    _entries,
+)
 
 
 def make(vertices=("u", "v", "w"), colors=3, obj_colors=(1, 2),
@@ -264,9 +272,19 @@ def _check_witness(s: Scenario, r) -> None:
     assert len(edges & set(objective_slots(s))) == r.maximum, s.id
 
 
+def _cleared_slots(s: Scenario) -> set:
+    """The free slots that neither the objective nor an ``==`` / ``>=`` slot
+    sum reads, fixtures' sums included: those enumerate_max fixes absent."""
+    read = set(objective_slots(s))
+    for con in s.constraints + fixture_constraints(s):
+        if con.kind == "slot_sum" and con.op in ("==", ">="):
+            read.update(con.slots)
+    return {slot for slot, st in scenario_slot_states(s).items() if st == "free"} - read
+
+
 def test_engine_agrees_with_naive_on_random_scenarios():
     rng = random.Random(20260817)
-    seen = set()
+    seen, cleared = set(), 0
     for tag in range(25):
         s = _random_scenario(rng, tag)
         feasible, best = naive_scenario_max(s)
@@ -276,7 +294,94 @@ def test_engine_agrees_with_naive_on_random_scenarios():
             _check_witness(s, r)
         seen.update(g.kind for g in s.groups)
         seen.update(c.kind for c in s.constraints)
+        cleared += bool(_cleared_slots(s))
     assert seen >= {"X", "Y", "Z", "slot_sum", "no_shared_color_link", *GROUP_RULES}
+    assert cleared >= 1
+
+
+# free slots of both kinds the engine leaves absent, an X pair's third color
+# (p-q) and explicit free edges (q->s, r->s, read only by a <= sum), next to
+# a >= sum whose slots it must keep: it forces a color-3 edge between q and
+# r, outside the objective
+DROPPED_SLOTS_SCENARIO = Scenario(
+    id="cut", source="test", colors=3, vertices=("p", "q", "r", "s"),
+    objective=Objective((1, 2), ("p",), ("r", "s")), bound=Fraction(4),
+    groups=(Group("X", (1, 2), ("p", "q")),),
+    fixed_edges=((3, "q", "s", "free"), (3, "r", "s", "free"), (1, "q", "r", "present")),
+    constraints=(
+        rainbow("directed"), rainbow("transitive"),
+        Constraint("slot_sum", op=">=", value=1, slots=((3, "q", "r"), (3, "r", "q"))),
+        Constraint("slot_sum", op="<=", value=1, slots=((3, "q", "s"), (3, "r", "s"))),
+    ),
+)
+
+
+def test_slots_outside_the_objective_and_required_sums_stay_absent():
+    s = DROPPED_SLOTS_SCENARIO
+    assert _cleared_slots(s) == {(3, "p", "q"), (3, "q", "p"), (3, "q", "s"), (3, "r", "s")}
+    r = enumerate_max(s)
+    assert (r.feasible, r.maximum) == naive_scenario_max(s) == (True, s.bound)
+    _check_witness(s, r)
+    assert not set(r.witness) & _cleared_slots(s)
+    assert r.free_slot_count == 14  # 8 objective, 2 X, 2 explicit, 2 in the >= sum
+
+
+# the constraint kinds, with the slot_sum op, that hold again after any edge
+# is deleted; enumerate_max's _NOT_CLOSED_UNDER_DELETION names the others,
+# and a new kind must join one of the two
+CLOSED_UNDER_DELETION = {("slot_sum", "<=")} | {(kind, "") for kind in (
+    "no_rainbow oriented pair_edge_cap no_shared_color_link no_double_double"
+    " no_thick_path x_maximality y_maximality z_maximality"
+    " x_trimmed y_trimmed z_trimmed"
+).split()}
+
+
+def _random_rule(rng: random.Random, kind: str, op: str, vertices, slots) -> Constraint:
+    if kind == "no_rainbow":
+        return rainbow(rng.choice(("directed", "transitive")))
+    if kind == "pair_edge_cap":
+        return Constraint(kind, value=rng.randrange(9))
+    if kind == "slot_sum":
+        picked = tuple(rng.sample(slots, rng.randrange(1, 7)))
+        return Constraint(kind, op=op, value=rng.randrange(len(picked) + 1), slots=picked)
+    if kind == "no_shared_color_link":
+        x, u, v = rng.sample(vertices, 3)
+        return Constraint(kind, vertex=x, pair=(u, v),
+                          colors=tuple(rng.sample((1, 2, 3, 4), rng.randrange(1, 5))))
+    return Constraint(kind)
+
+
+def test_rules_survive_edge_deletion_but_required_sums():
+    assert CLOSED_UNDER_DELETION.isdisjoint(_NOT_CLOSED_UNDER_DELETION)
+    assert CLOSED_UNDER_DELETION | _NOT_CLOSED_UNDER_DELETION == {
+        (kind, op) for kind in CONSTRAINT_KINDS
+        for op in (("==", "<=", ">=") if kind == "slot_sum" else ("",))
+    }
+    rng = random.Random(29)
+    vertices = tuple("abcdef")
+    slots = [(col, a, b) for col in range(1, 5) for a, b in itertools.permutations(vertices, 2)]
+    broken = set()
+    for kind, op in sorted(CLOSED_UNDER_DELETION | _NOT_CLOSED_UNDER_DELETION):
+        held = failed = 0
+        for _ in range(60):
+            # typed pairs on (a, b) and maybe (c, d); e and f stay ungrouped
+            groups = [Group(k, (1, 2)[: 2 if k == "X" else 1], pair)
+                      for k, pair in zip(rng.choices("XYZR", k=2), (("a", "b"), ("c", "d")))
+                      if k != "R"]
+            s = make(vertices=vertices, colors=4, side_a=("e",), side_b=("f",),
+                     groups=tuple(groups))
+            rule = _random_rule(rng, kind, op, vertices, slots)
+            density = rng.choice((0.1, 0.25, 0.4, 0.6))
+            edges = {slot for slot in slots if rng.random() < density}
+            if not _rule_holds(s, rule, edges):
+                failed += 1
+                continue
+            held += 1
+            for edge in edges:
+                if not _rule_holds(s, rule, edges - {edge}):
+                    broken.add((kind, op))
+        assert held and failed, (kind, op)
+    assert broken == _NOT_CLOSED_UNDER_DELETION
 
 
 # two random scenarios (test_engine_agrees_with_naive_on_random_scenarios's
