@@ -29,7 +29,7 @@ text of ``json.dumps(..., separators=(",", ":"))``.  Dumping writes that
 text straight from the edge array, with no Python object per edge: each
 edge is three fixed-width byte cells (``[color,``, ``from,`` and ``to],``,
 taken from token tables of the vertices and of the colors in use) padded
-with zero bytes, which are dropped before the bytes are joined.
+with zero bytes, which one ``bytes.translate`` of the cell bytes drops.
 
 Loading first reads every run of ASCII digits in the text as a number (n,
 c, then three per edge), range-checks the numbers as one array, builds the
@@ -45,6 +45,11 @@ entry (an ``EdgeRef``, a numpy integer, a bool, a bad entry) through the
 checks.  It costs about 0.3 us per plain entry: on a 2-vCPU Xeon the 598,800
 edges of ``directed3(600)`` take 0.16-0.26 s, and loading that graph from
 non-canonical text 0.8-1.1 s.
+
+A graph keeps its ``graph_digest`` once known: the canonical load hashes
+the text it has just checked and ``save_graph`` the bytes it writes, so a
+load or a save and then the digest render the text once.  Layers are
+frozen, so the digest cannot go stale.  ``dumps_graph`` does not hash.
 
 A graph's n, c and layer cells (c * n**2) are each at most ``MAX_CELLS``;
 larger sizes are rejected before anything is allocated.
@@ -159,8 +164,9 @@ def _set_edge_rows(layers: np.ndarray, rows: np.ndarray) -> bool:
 class ColoredDigraph:
     """An immutable c-colored directed graph on n vertices."""
 
-    # _rainbow_memo: per-graph results of the rainbow pass, kept by ``triangles``
-    __slots__ = ("n", "c", "_layers", "_rainbow_memo")
+    # _rainbow_memo: per-graph results of the rainbow pass, kept by ``triangles``;
+    # _digest: ``graph_digest`` once hashed; the hex digest, not the text, is kept
+    __slots__ = ("n", "c", "_layers", "_rainbow_memo", "_digest")
 
     def __init__(self, n: int, c: int, layers: np.ndarray):
         check_size(n, c)
@@ -174,6 +180,7 @@ class ColoredDigraph:
         self.c = c
         self._layers = layers
         self._rainbow_memo = {}
+        self._digest = None
 
     # -- constructors -------------------------------------------------
 
@@ -208,7 +215,7 @@ class ColoredDigraph:
         and checked: frozen in place, with no second check or copy."""
         layers.setflags(write=False)
         g = object.__new__(cls)
-        g.n, g.c, g._layers, g._rainbow_memo = n, c, layers, {}
+        g.n, g.c, g._layers, g._rainbow_memo, g._digest = n, c, layers, {}, None
         return g
 
     # -- queries ------------------------------------------------------
@@ -306,14 +313,15 @@ def _canonical_bytes(layers: np.ndarray) -> bytes:
     colors = np.flatnonzero(per_color)
     if not colors.size:
         return head + b"]}"
-    _, src, dst = np.nonzero(layers)  # edges in (color, src, dst) order
+    src, dst = np.nonzero(layers)[1:]  # edges in (color, src, dst) order
     vertices = np.arange(n)
     cells = np.empty((src.size, 3), dtype=f"S{len(str(max(n, c))) + 2}")
     cells[:, 0] = np.repeat(_tokens(b"[", colors + 1, b","), per_color[colors])
     cells[:, 1] = _tokens(b"", vertices, b",")[src]
     cells[:, 2] = _tokens(b"", vertices, b"],")[dst]
-    text = cells.view(np.uint8)
-    return head + text[text != 0].tobytes()[:-1] + b"]}"  # no comma after the last edge
+    del src, dst  # views of one (edges, 3) int64 array: free it before the copies
+    body = cells.tobytes().translate(None, b"\0")
+    return b"".join((head, memoryview(body)[:-1], b"]}"))  # no comma after the last edge
 
 
 # Every byte but the ASCII digits read as a space, so that the text parses
@@ -338,9 +346,12 @@ def _load_canonical(text) -> ColoredDigraph | None:
     layers = np.zeros((c, n, n), dtype=bool)
     if not _set_edge_rows(layers, numbers[2:].reshape(-1, 3)):
         return None
-    if _canonical_bytes(layers) != data.removesuffix(b"\n"):
+    canonical = _canonical_bytes(layers)
+    if canonical != data.removesuffix(b"\n"):
         return None
-    return ColoredDigraph._adopt(n, c, layers)
+    g = ColoredDigraph._adopt(n, c, layers)
+    g._digest = hashlib.sha256(canonical).hexdigest()
+    return g
 
 
 def dumps_graph(g: ColoredDigraph) -> str:
@@ -368,8 +379,11 @@ def loads_graph(text: str) -> ColoredDigraph:
 
 
 def save_graph(g: ColoredDigraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_graph(g) + "\n")
+    data = _canonical_bytes(g.layers)
+    with open(path, "wb") as fh:
+        fh.write(data)
+        fh.write(b"\n")
+    g._digest = hashlib.sha256(data).hexdigest()
 
 
 def load_graph(path) -> ColoredDigraph:
@@ -378,5 +392,7 @@ def load_graph(path) -> ColoredDigraph:
 
 
 def graph_digest(g: ColoredDigraph) -> str:
-    """SHA-256 of the canonical serialization."""
-    return hashlib.sha256(dumps_graph(g).encode()).hexdigest()
+    """SHA-256 of the canonical serialization, kept on the graph once known."""
+    if g._digest is None:
+        g._digest = hashlib.sha256(_canonical_bytes(g.layers)).hexdigest()
+    return g._digest

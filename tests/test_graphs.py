@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -21,7 +22,7 @@ from rtlab.graphs import (
     loads_graph,
     save_graph,
 )
-from rtlab import graphs
+from rtlab import cli, graphs
 from rtlab.constructions import ConstructionId, build_construction
 
 from naive import random_graph
@@ -441,4 +442,71 @@ def test_graph_checks_do_not_loop_over_colors():
         layers[-1, n - 1, n - 1] = True
         with pytest.raises(GraphInputError, match="loops are not allowed"):
             ColoredDigraph(n, c, layers)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_each_leg_of_a_round_trip_renders_the_text_once(monkeypatch, tmp_path, capsys):
+    renders = []
+    real_render = graphs._canonical_bytes
+
+    def counting_render(layers):
+        renders.append(layers.shape)
+        return real_render(layers)
+
+    monkeypatch.setattr(graphs, "_canonical_bytes", counting_render)
+    g = build_construction(ConstructionId.DIRECTED3, 9)
+    graph_digest(loads_graph(dumps_graph(g)))
+    assert len(renders) == 2
+    renders.clear()
+    save_graph(g, tmp_path / "g.json")
+    digest = graph_digest(g)
+    assert len(renders) == 1
+    renders.clear()
+    assert graph_digest(load_graph(tmp_path / "g.json")) == digest
+    assert len(renders) == 1
+    out = str(tmp_path / "built.json")
+    reports = []
+    for argv in (
+        ["construct", "--id", "directed3", "--n", "9", "--out", out],
+        ["detect", "--graph", out, "--pattern", "directed"],
+    ):
+        renders.clear()
+        assert cli.main(argv) == 0
+        assert len(renders) == 1, argv
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["input_digest"] == reports[1]["input_digest"] == digest
+
+
+def test_digest_is_the_hash_of_the_dump_after_every_route(tmp_path):
+    rng = random.Random(37)
+    cases = [random_graph(rng, n, c, p=rng.choice((0.0, 0.3, 0.8))) for n in range(13) for c in range(6)]
+    path = tmp_path / "g.json"
+    for g in cases:
+        text = dumps_graph(g)
+        want = hashlib.sha256(text.encode()).hexdigest()
+        saved = ColoredDigraph(g.n, g.c, g.layers)
+        save_graph(saved, path)
+        routes = {
+            "fresh": g,
+            "canonical": loads_graph(text),
+            "canonical and newline": loads_graph(text + "\n"),
+            "json.loads": loads_graph(text.replace(",", ", ")),
+            "saved": saved,
+            "saved and loaded": load_graph(path),
+        }
+        for route, h in routes.items():
+            assert h == g and graph_digest(h) == want, (route, text)
+
+
+def test_graph_text_does_not_loop_over_colors():
+    # the dump, the digest and the canonical load handle the color axis as
+    # whole-array operations, like the checks of the test above
+    start = time.perf_counter()
+    for n, c, edges in ((1, 1 << 22, []), (2, 1 << 20, [(1 << 20, 0, 1)])):
+        g = ColoredDigraph.from_edges(n, c, edges)
+        text = dumps_graph(g)
+        assert text == _json_dumps(g)
+        assert graph_digest(g) == hashlib.sha256(text.encode()).hexdigest()
+        back = loads_graph(text)
+        assert back == g and graph_digest(back) == graph_digest(g)
     assert time.perf_counter() - start < 1.0
