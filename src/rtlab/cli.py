@@ -264,12 +264,12 @@ def check_catalogues(catalogues: dict[str, list]) -> dict:
     return graded
 
 
-def check_two_set_edge_bound(max_sum: int = 7) -> dict:
-    """The two-set edge bound against exhaustive enumeration for a + b <= max_sum."""
+def check_two_set_edge_bound() -> dict:
+    """The two-set edge bound against exhaustive enumeration for a + b <= 7."""
     failures = []
     cases = 0
-    for a in range(max_sum + 1):
-        for b in range(max_sum + 1 - a):
+    for a in range(8):
+        for b in range(8 - a):
             maximum = lemma21_oracle(a, b)
             if maximum > lemma21_bound(a, b):
                 failures.append({"a": a, "b": b, "maximum": maximum})
@@ -296,13 +296,13 @@ def check_constraint_scan() -> dict:
     }
 
 
-def check_constructions(sizes=range(3, 31)) -> dict:
-    """Every construction family at each n in ``sizes``: per-color counts
-    equal the closed form, and no avoided pattern occurs rainbow."""
+def check_constructions() -> dict:
+    """Every construction family at each n = 3..30: per-color counts equal
+    the closed form, and no avoided pattern occurs rainbow."""
     failures = []
     cases = 0
     for cid, patterns in AVOIDED_PATTERNS.items():
-        for n in sizes:
+        for n in range(3, 31):
             graph = build_construction(cid, n)
             for color in range(1, graph.c + 1):
                 if count_color(graph, color) != expected_count(cid, n, color):
@@ -319,16 +319,16 @@ def check_constructions(sizes=range(3, 31)) -> dict:
     }
 
 
-def check_detector_sanity(seed: int, graphs: int = 200) -> dict:
+def check_detector_sanity(seed: int) -> dict:
     """Seeded cross-check of the finder against the counter, the witness
-    validator and the search's per-triple Hall test on random small graphs.
+    validator and the search's per-triple Hall test on 200 random small graphs.
 
     The finder and the counter read one memoised pass, and on these graphs
     (n = 3..5, c = 3) it is the table pass, so their agreement tests the
     pass's two readings, not the pass; ``rainbow_free_check``'s Hall test,
     which shares no code with either pass, is the independent judge here."""
     rng = random.Random(seed)
-    mismatches = 0
+    graphs, mismatches = 200, 0
     for _ in range(graphs):
         graph = _random_small_graph(rng)
         masks = np.tensordot(1 << np.arange(graph.c), graph.layers, axes=1).tolist()

@@ -42,8 +42,8 @@ sizes rather than from the built graph.
 Every part is a contiguous vertex range, so each generator fills whole
 blocks of a (c, n, n) bool array by slice assignment and then clears the
 diagonal; a build costs O(c * n**2) array writes and no Python loop over
-edges.  Sizes above ``graphs.MAX_CELLS`` are rejected before the array is
-allocated.
+edges, and makes one array, which the graph adopts as its layers.  Sizes
+above ``graphs.MAX_CELLS`` are rejected before the array is allocated.
 """
 
 from __future__ import annotations
@@ -122,10 +122,11 @@ def _blank(n: int, c: int) -> np.ndarray:
 
 
 def _finish(layers: np.ndarray) -> ColoredDigraph:
-    """Clear the diagonal of every layer (block fills include loops)."""
+    """Clear the diagonal of every layer (block fills include loops); the
+    graph adopts the array, whose size ``_blank`` checked, with no copy."""
     c, n, _ = layers.shape
     layers[:, np.arange(n), np.arange(n)] = False
-    return ColoredDigraph(n, c, layers)
+    return ColoredDigraph._adopt(n, c, layers)
 
 
 def bipartite_double(n: int, c: int) -> ColoredDigraph:

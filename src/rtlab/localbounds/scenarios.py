@@ -56,7 +56,8 @@ each value's type by its kind and rejects unknown and missing keys, the writer
 emits the keys in table order, ``validate_scenario`` checks that each label is
 a vertex and each color lies in 1..c, and ``canonical_key`` maps labels to
 positions and colors to permuted colors and sorts every array but a slot, as
-the engine reads each as a set.
+the engine reads each as a set.  Every ``Scenario`` runs ``validate_scenario``
+once, as it is built, so ``canonical_key`` and ``enumerate_max`` trust it.
 
 Free slots not reachable by the objective or by an ``==`` / ``>=`` slot sum
 stay absent by default: every rule above is preserved under edge deletion,
@@ -184,6 +185,9 @@ class Scenario:
     groups: tuple[Group, ...] = ()
     fixed_edges: tuple[tuple[int, str, str, str], ...] = ()  # (color, from, to, state)
     constraints: tuple[Constraint, ...] = ()
+
+    def __post_init__(self) -> None:
+        validate_scenario(self)
 
 
 @dataclass(frozen=True)
@@ -352,18 +356,6 @@ def _check_ranges(value, kind: str, colors: int, labels: set[str], what: str) ->
             _check_ranges(val, field_kind, colors, labels, f"{table.name} {key}")
 
 
-def _group_vertex_sets(scenario: Scenario) -> dict[str, set[str]]:
-    """For each group kind X, Y, Z: the vertex labels in a group of that kind
-    or of an earlier one (so "Y" maps to the vertices in X or Y groups)."""
-    out, seen = {}, set()
-    for kind in ("X", "Y", "Z"):
-        for g in scenario.groups:
-            if g.kind == kind:
-                seen.update(g.members)
-        out[kind] = set(seen)
-    return out
-
-
 def validate_scenario(scenario: Scenario) -> None:
     """Raise GraphInputError when the scenario is malformed: the range
     checks of the record tables fail, or a record breaks a rule of its own
@@ -506,7 +498,7 @@ def scenario_slot_states(scenario: Scenario) -> dict[Slot, str]:
     for slot in objective_slots(scenario):
         states.setdefault(slot, "free")
     for con in scenario.constraints:
-        if con.kind == "slot_sum" and con.op in ("==", ">="):
+        if (con.kind, con.op) in _NOT_CLOSED_UNDER_DELETION:
             for slot in con.slots:
                 states.setdefault(slot, "free")
     for color in range(1, scenario.colors + 1):
@@ -557,10 +549,8 @@ def canonical_key(scenario: Scenario) -> tuple:
 
     When c! * n! exceeds ``MAX_KEY_RELABELLINGS`` (up to 8! * 6!, about 29M,
     passes validation) the key is the identity normal form: it merges fewer
-    scenarios but is still exact.  Raises ``GraphInputError`` for a
-    malformed scenario.
+    scenarios but is still exact.
     """
-    validate_scenario(scenario)
     n, c = len(scenario.vertices), scenario.colors
     form = _normal_form(scenario, "scenario")
     if math.factorial(c) * math.factorial(n) > MAX_KEY_RELABELLINGS:
@@ -613,15 +603,22 @@ def _typed(value, kind: type, what: str):
 
 
 def _read(value, kind: str, what: str):
-    """The Python value of the JSON ``value`` of field kind ``kind``.  In a
-    record, a key outside its table, a misspelled one say, would silently
-    change what the record checks, and so would a default for a missing one,
-    such as cap 0: both raise GraphInputError, bar the table's optional keys."""
+    """The Python value of the JSON ``value`` of field kind ``kind``."""
     if kind in _SCALARS:
         return _typed(value, _SCALARS[kind], what)
     if kind in _ARRAYS:
         entries = _entries(_typed(value, list, what), kind, what)
         return tuple([_read(entry, entry_kind, what) for entry, entry_kind in entries])
+    table, fields = _read_record(value, kind, what)
+    return table.build(fields)
+
+
+def _read_record(value, kind: str, what: str) -> tuple[_Record, tuple]:
+    """The table of the JSON record ``value``, of record kind ``kind``, and
+    its field values in key order.  A key outside the table, a misspelled one
+    say, would silently change what the record checks, and so would a default
+    for a missing one, such as cap 0: both raise GraphInputError, bar the
+    table's optional keys."""
     _typed(value, dict, what)
     if kind == "constraint":
         table = _constraint_table(_typed(value.get("kind"), str, "constraint kind"))
@@ -633,10 +630,10 @@ def _read(value, kind: str, what: str):
     missing = [key for key in table.keys if key not in value and key not in table.optional]
     if missing:
         raise GraphInputError(f"{table.name} needs key {', '.join(map(repr, missing))}")
-    return table.build(tuple([
+    return table, tuple([
         _read(value.get(key, table.optional.get(key)), field_kind, f"{table.name} {key}")
         for key, field_kind in table.keys.items()
-    ]))
+    ])
 
 
 def _write(value, kind: str):
@@ -658,15 +655,15 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Parse one JSON scenario record and validate it.  A value that is not
-    of its field kind's JSON type, a key its record does not read and a
-    missing key raise GraphInputError; nothing is converted."""
+    """Parse one JSON scenario record.  A value that is not of its field
+    kind's JSON type, a key its record does not read and a missing key
+    raise GraphInputError as a malformed record; nothing is converted.  The
+    checks the built ``Scenario`` runs keep their own messages."""
     try:
-        scenario = _read(d, "scenario", "scenario")
+        table, fields = _read_record(d, "scenario", "scenario")
     except (TypeError, ValueError) as exc:
         raise GraphInputError(f"malformed scenario record: {exc}") from exc
-    validate_scenario(scenario)
-    return scenario
+    return table.build(fields)
 
 
 def dumps_scenarios(scenarios) -> str:
@@ -708,7 +705,7 @@ def _double_and_more(f: int, b: int) -> bool:
 
 # The group rules, as tests on the masks (f, b) of the two directions of one
 # vertex pair.  Each rule names a group kind K and leaves alone every vertex
-# in a group of kind K or of an earlier kind (``_group_vertex_sets``).
+# in a group of kind K or of an earlier kind (``exempt`` in ``_rules``).
 # <K>_maximality: every pair of two other vertices passes the test.
 _MAXIMALITY = {
     "x_maximality": ("X", lambda f, b: (f & b).bit_count() <= 1),
@@ -731,21 +728,23 @@ _PAIR_TESTS = {
 
 def _rules(
     scenario: Scenario,
+    constraints: tuple[Constraint, ...],
     index: dict[str, int],
     m: list[list[int]],
-    exempt: dict[str, set[int]],
 ):
-    """Yield every rule of the scenario, group fixtures included, as
-    (the vertex pairs it reads, a test of the live masks ``m``).
+    """Yield every rule in ``constraints``, the scenario's own and its group
+    fixtures', as (the vertex pairs it reads, a test of the live masks ``m``).
 
     ``m[u][v]`` is the color mask of the edges u -> v; a test reads ``m``
     on every call, so the caller mutates it in place between calls.  A rule
     that holds pair by pair yields one test per vertex pair it applies to.
-    ``exempt[K]`` holds the vertex indices the rules of group kind K leave
-    alone.
     """
     n = len(scenario.vertices)
-    for con in scenario.constraints + fixture_constraints(scenario):
+    exempt, seen = {}, set()  # exempt[K]: the vertices the rules of group kind K leave alone
+    for group_kind in ("X", "Y", "Z"):
+        seen |= {index[v] for g in scenario.groups if g.kind == group_kind for v in g.members}
+        exempt[group_kind] = set(seen)
+    for con in constraints:
         kind = con.kind
         if kind == "no_rainbow":
             pattern = TrianglePattern(con.pattern)
@@ -802,18 +801,19 @@ def _rules(
 def enumerate_max(scenario: Scenario) -> EnumerationResult:
     """Exact maximum of the scenario objective over all admissible
     completions of the free slots, with a witness configuration; scenarios
-    with no admissible completion are reported as infeasible."""
-    validate_scenario(scenario)
+    with no admissible completion are reported as infeasible.  The scenario
+    was validated as it was built, and is not checked again."""
     labels = scenario.vertices
     n = len(labels)
     index = {v: i for i, v in enumerate(labels)}
     m = [[0] * n for _ in range(n)]  # live masks, from the fixed-present edges
     obj = [[0] * n for _ in range(n)]  # objective masks
+    targets = objective_slots(scenario)
+    constraints = scenario.constraints + fixture_constraints(scenario)
     # only the free slots in `kept` are enumerated, the others stay absent
     # (module docstring); a pair left with none is decided
-    kept = set(objective_slots(scenario)).union(*(
-        con.slots for con in scenario.constraints + fixture_constraints(scenario)
-        if (con.kind, con.op) in _NOT_CLOSED_UNDER_DELETION
+    kept = set(targets).union(*(
+        con.slots for con in constraints if (con.kind, con.op) in _NOT_CLOSED_UNDER_DELETION
     ))
     free: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     free_count = 0
@@ -825,17 +825,14 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
             free_count += 1
             if (color, src, dst) in kept:
                 free.setdefault((min(u, v), max(u, v)), []).append((color, u < v))
-    for color, src, dst in objective_slots(scenario):
+    for color, src, dst in targets:
         obj[index[src]][index[dst]] |= 1 << (color - 1)
     infeasible = EnumerationResult(False, None, None, 0, free_count)
 
     # sort each rule by the undecided pairs (those with free slots) it reads
-    exempt = {
-        kind: {index[v] for v in vs} for kind, vs in _group_vertex_sets(scenario).items()
-    }
     filters: dict[tuple[int, int], list] = {key: [] for key in free}
     multi = []
-    for pairs, test in _rules(scenario, index, m, exempt):
+    for pairs, test in _rules(scenario, constraints, index, m):
         scope = {(min(a, b), max(a, b)) for a, b in pairs} & free.keys()
         if not scope:
             if not test():

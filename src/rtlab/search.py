@@ -170,10 +170,7 @@ def solve(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     """
     if budget is not None and budget < 0:
         raise GraphInputError(f"budget must be non-negative, got {budget}")
-    return _solve(problem, float("inf") if budget is None else budget)
-
-
-def _solve(problem: SearchProblem, limit: float) -> SearchResult:
+    limit = float("inf") if budget is None else budget
     n = problem.n
     # One mask matrix and one list of triple checks serve the whole chain of
     # runs: pairs go by larger endpoint, so a run on fewer vertices uses a
@@ -272,12 +269,13 @@ def _run(problem, limit, nodes, cap, masks, checks, first, profiles) -> SearchRe
 
 def _to_graph(problem: SearchProblem, masks: list[list[int]]) -> ColoredDigraph:
     """The graph whose color i edges are the set bits i - 1 of the masks'
-    top-left n x n corner."""
+    top-left n x n corner.  The search sets no diagonal mask and the problem
+    bounds n and c, so the new array is adopted with no check or copy."""
     n, c = problem.n, problem.c
     size = len(masks)
     corner = np.array(masks, dtype=np.int64).reshape(size, size)[:n, :n]
     bits = corner >> np.arange(c).reshape(c, 1, 1)
-    return ColoredDigraph(n, c, (bits & 1).astype(bool))
+    return ColoredDigraph._adopt(n, c, (bits & 1).astype(bool))
 
 
 def verify_witness(problem: SearchProblem, g: ColoredDigraph, value: int) -> bool:

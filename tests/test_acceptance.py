@@ -5,8 +5,8 @@ Each test prints a single ``[PASS]``/``[FAIL]`` line naming its criterion
 so the suite is green exactly when every criterion holds.
 
 The criteria grade through the same ``rtlab.cli.check_*`` functions that
-build the ``rtlab verify-all`` segments, at their own sizes where they
-differ, and assert only what they add on top.
+build the ``rtlab verify-all`` segments, and assert only what they add on
+top.
 """
 
 import time
@@ -19,7 +19,12 @@ from rtlab.cli import (
     check_thresholds,
     check_two_set_edge_bound,
 )
-from rtlab.constructions import ConstructionId, build_construction, expected_count
+from rtlab.constructions import (
+    AVOIDED_PATTERNS,
+    ConstructionId,
+    build_construction,
+    expected_count,
+)
 from rtlab.exactmath import (
     ConstraintSystem,
     QuadraticRational,
@@ -104,13 +109,18 @@ def test_criterion_3_local_claim_catalogue(graded_catalogue):
 
 def test_criterion_4_construction_suite():
     started = time.perf_counter()
-    segment = check_constructions(list(range(3, 31)) + [600])
+    segment = check_constructions()
     problems = list(segment["failures"])
-    for cid in ConstructionId:
-        g = build_construction(cid, 3000)
-        for color in range(1, g.c + 1):
-            if count_color(g, color) != expected_count(cid, 3000, color):
-                problems.append(f"{cid.value} n=3000 color {color}: count mismatch")
+    for cid, patterns in AVOIDED_PATTERNS.items():
+        for n in (600, 3000):
+            g = build_construction(cid, n)
+            for color in range(1, g.c + 1):
+                if count_color(g, color) != expected_count(cid, n, color):
+                    problems.append(f"{cid.value} n={n} color {color}: count mismatch")
+            if n == 600:  # the detectors at n = 600, the counts alone at n = 3000
+                for pattern in patterns:
+                    if find_rainbow(g, pattern) is not None:
+                        problems.append(f"{cid.value} n=600: rainbow {pattern.value}")
     # exact densities: every color class at or below its threshold, and the
     # sparsest class within 4n of it
     table = thresholds()
@@ -125,7 +135,7 @@ def test_criterion_4_construction_suite():
             if not limit - min(counts) <= 4 * n:
                 problems.append(f"{cid.value} n={n}: {min(counts)} more than 4n below {name}")
     elapsed = time.perf_counter() - started
-    ok = segment["pass"] and segment["cases"] == 5 * 29 and not problems and elapsed < 60
+    ok = segment["pass"] and segment["cases"] == 5 * 28 and not problems and elapsed < 60
     verdict(
         "criterion 4: constructions exact and pattern-free for n <= 30 and n = 600, "
         "counts exact at n = 3000, densities within 4n below their thresholds",
@@ -136,7 +146,7 @@ def test_criterion_4_construction_suite():
 
 def test_criterion_5_two_set_edge_bound():
     started = time.perf_counter()
-    segment = check_two_set_edge_bound(7)
+    segment = check_two_set_edge_bound()
     problems = [f"({f['a']},{f['b']}): {f['maximum']} above the bound" for f in segment["failures"]]
     for b in range(8):
         if lemma21_oracle(0, b) != lemma21_bound(0, b):

@@ -24,6 +24,7 @@ from rtlab.localbounds import (
     dumps_scenarios,
     load_catalogue,
     save_scenarios,
+    scenarios,
 )
 from rtlab.search import DEFAULT_NODE_BUDGET
 
@@ -304,12 +305,26 @@ def test_scenario_run_pass_and_violation(tmp_path, capsys):
     assert "pair-infeasible" in err and "pair-le-4" not in err
 
 
-def test_verify_table_clean(tmp_path, capsys):
+def count_validations(monkeypatch) -> list:
+    """The scenarios validated from here on: one entry per Scenario built."""
+    seen, validate = [], scenarios.validate_scenario
+
+    def spy(scenario):
+        seen.append(scenario)
+        validate(scenario)
+
+    monkeypatch.setattr(scenarios, "validate_scenario", spy)
+    return seen
+
+
+def test_verify_table_clean(tmp_path, capsys, monkeypatch):
     # the saved, unedited table passes `scenario run --file`
     path = tmp_path / "table10x10.json"
     save_scenarios(path, load_catalogue("table10x10"))
+    validated = count_validations(monkeypatch)
     code, report, _ = run_cli(capsys, "scenario", "run", "--file", str(path))
     assert code == 0
+    assert len(validated) == 100  # each cell once, as it is read
     assert report["results"]["file"] == str(path)
     assert report["results"]["scenarios"] == 100
     assert report["results"]["violated"] == []
@@ -485,6 +500,44 @@ def test_scenario_run_requires_the_keys_a_constraint_reads(tmp_path, capsys):
         assert "input error" in err and f"needs key {key!r}" in err
 
 
+def _ceiling(record):
+    # 54 free slots between two sides of three vertices in three colors
+    record.update(colors=3, vertices=list("abcdef"))
+    record["objective"] = {"colors": [1, 2, 3], "between": [["a", "b", "c"], ["d", "e", "f"]]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: r["bound"].update(den=0),
+         "malformed scenario record: bound den must be nonzero, got 0"),
+        (lambda r: r.update(colors="3"),
+         "malformed scenario record: scenario colors must be of type int, got '3'"),
+        (lambda r: r.update(constraint=r.pop("constraints")),
+         "malformed scenario record: scenario has unknown key 'constraint'"),
+        (lambda r: r.pop("objective"),
+         "malformed scenario record: scenario needs key 'objective'"),
+        (lambda r: r["objective"].update(colors=[1, 3]),
+         "objective colors: color 3 out of range 1..2"),
+        (_ceiling, "54 free slots exceed the ceiling of 36"),
+        (lambda r: r.update(fixed_edges=[{"color": 1, "from": "u", "to": "v", "state": "present"}]),
+         "objective slot (1, 'u', 'v') must stay free"),
+    ],
+    ids=["den-0", "typed-field", "unknown-key", "missing-key", "color-range",
+         "free-slot-ceiling", "fixed-objective-slot"],
+)
+def test_scenario_run_error_lines(tmp_path, capsys, edit, message):
+    # the reader's errors name the malformed record; the checks a Scenario
+    # runs on itself keep their own words
+    record = json.loads(dumps_scenarios([scenario_pair(4)]))[0]
+    edit(record)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([record]))
+    code, report, err = run_cli(capsys, "scenario", "run", "--file", str(path))
+    assert code == 2 and report is None
+    assert err == f"input error: {message}\n"
+
+
 def test_scenario_run_missing_file(tmp_path, capsys):
     absent = tmp_path / "absent.json"
     code, report, err = run_cli(capsys, "scenario", "run", "--file", str(absent))
@@ -511,9 +564,11 @@ def test_deleted_subcommands_are_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_verify_all_passes(capsys):
+def test_verify_all_passes(capsys, monkeypatch):
+    validated = count_validations(monkeypatch)
     code, report, _ = run_cli(capsys, "verify-all")
     assert code == 0
+    assert len(validated) == 135  # each catalogue scenario once, as it is built
     segments = {s["name"]: s for s in report["results"]["segments"]}
     assert set(segments) == {
         "catalogue:table10x10",
@@ -558,19 +613,19 @@ def test_non_catalogue_checks_name_their_failures(monkeypatch):
     # library function must turn that check red
     with monkeypatch.context() as m:
         m.setattr(cli, "lemma21_bound", lambda a, b: -1)
-        segment = cli.check_two_set_edge_bound(max_sum=2)
-    assert segment["pass"] is False and segment["cases"] == 6
+        segment = cli.check_two_set_edge_bound()
+    assert segment["pass"] is False and segment["cases"] == 36
     assert {"a": 1, "b": 1, "maximum": 1} in segment["failures"]
 
     with monkeypatch.context() as m:
         m.setattr(cli, "expected_count", lambda cid, n, color, c=None: -1)
-        segment = cli.check_constructions(sizes=[3])
-    assert segment["pass"] is False and segment["cases"] == 5
+        segment = cli.check_constructions()
+    assert segment["pass"] is False and segment["cases"] == 140
     assert "directed3 n=3 color 1 count" in segment["failures"]
 
     with monkeypatch.context() as m:
         m.setattr(cli, "count_rainbow", lambda g, pattern: -1)
-        segment = cli.check_detector_sanity(seed=1, graphs=5)
+        segment = cli.check_detector_sanity(seed=1)
     assert segment["pass"] is False and segment["mismatches"] > 0
 
     def mutant_thresholds():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -231,3 +232,16 @@ def test_size_limit_rejected_before_building():
             build_construction(cid, 10**9)
     with pytest.raises(GraphInputError, match="MAX_CELLS"):
         bipartite_double(100, MAX_CELLS // 10**4 + 1)
+
+
+@pytest.mark.parametrize("cid", list(ConstructionId))
+def test_build_makes_one_layer_array(cid):
+    # the graph adopts the array its generator filled: no second copy
+    build_construction(cid, 10)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        g = build_construction(cid, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * g.layers.nbytes

@@ -10,6 +10,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -795,9 +796,18 @@ def test_malformed_records_are_rejected():
     ],
 )
 def test_validation_rejects_bad_scenarios(breakage):
+    # a Scenario checks itself however it is built: directly, by replace
+    # and from its JSON record
     with pytest.raises(GraphInputError):
-        s = make(**breakage)
-        enumerate_max(s)
+        make(**breakage)
+    with pytest.raises(GraphInputError):
+        replace(make(), **breakage)
+    if breakage.get("constraints") == (Constraint("bogus"),):  # no table to write it by
+        record = dict(scenario_to_dict(make()), constraints=[{"kind": "bogus"}])
+    else:
+        record = scenario_to_dict(SimpleNamespace(**{**vars(make()), **breakage}))
+    with pytest.raises(GraphInputError):
+        scenario_from_dict(record)
 
 
 def test_objective_slots_must_stay_free():
@@ -814,11 +824,10 @@ def test_group_fixture_slots_cannot_be_overridden():
 
 
 def test_free_slot_ceiling_is_enforced():
-    s = make(
-        vertices=("a", "b", "c", "d", "e", "f"),
-        obj_colors=(1, 2, 3),
-        side_a=("a", "b", "c"),
-        side_b=("d", "e", "f"),
-    )
-    with pytest.raises(GraphInputError):
-        enumerate_max(s)
+    with pytest.raises(GraphInputError, match="54 free slots exceed the ceiling of 36"):
+        make(
+            vertices=("a", "b", "c", "d", "e", "f"),
+            obj_colors=(1, 2, 3),
+            side_a=("a", "b", "c"),
+            side_b=("d", "e", "f"),
+        )
