@@ -56,38 +56,45 @@ each value's type by its kind and rejects unknown and missing keys, the writer
 emits the keys in table order, ``validate_scenario`` checks that each label is
 a vertex and each color lies in 1..c, and ``canonical_key`` maps labels to
 positions and colors to permuted colors and sorts every array but a slot, as
-the engine reads each as a set.  Every ``Scenario`` runs ``validate_scenario``
-once, as it is built, so ``canonical_key`` and ``enumerate_max`` trust it.
+the engine reads each as a set; after each top-level part of the form, in
+order, ``canonical_key`` keeps only the maps that give that part its least
+value, which leaves the lexicographic minimum unchanged.  Every ``Scenario``
+runs ``validate_scenario`` once, as it is built, so ``canonical_key`` and
+``enumerate_max`` trust it.
 
 Free slots not reachable by the objective or by an ``==`` / ``>=`` slot sum
-stay absent by default: every rule above is preserved under edge deletion,
-so the maximum over such reduced configurations equals the maximum over all
-of them.  ``enumerate_max`` applies the same argument to the free slots an
-X fixture or an explicit ``free`` fixed edge leaves outside the objective
-and every ``==`` / ``>=`` sum (``_NOT_CLOSED_UNDER_DELETION``): it fixes
-them absent, and ``free_slot_count`` still counts them.  Each option keeps
-its gain when they are cleared and its cleared form comes first among the
-options of that gain, so the first best leaf, the witness, has them absent
-anyway (dominance pruning, as in Chu and Stuckey, CP 2012).  The enumerator
-is one branch-and-bound over the *undecided* pairs, the unordered vertex
-pairs that hold the remaining free slots.  Every rule, fixtures
-included, becomes tests of the live color masks, one per vertex pair or
-triple it applies to, and each test is sorted by how many undecided pairs it
-reads.  A test that reads none is checked once before the search, and the
-scenario is infeasible if it fails.  A test that reads one filters that
-pair's options, the completions of its free slots.  A test that reads more
-fires when the last of its pairs is decided.  Pairs with no objective slot
-come first.  Once they are decided, the objective pairs are bounded two at a
-time, in blocks of two consecutive pairs: a block counts the top joint gain
-of the option pairs that pass every rule reading only the block and the
-decided pairs (forward checking in the sense of Haralick and Elliott, 1980,
-on a block of two).  Options are tried highest objective gain first, and a
-pair's loop stops once its gain plus the bound on the later pairs cannot
-beat the best value found.  A block's joint top is never above the sum of
-its pairs' top gains, so the blocks prune only subtrees with no better leaf
-and tighten the plain sum pointwise: the maximum, the feasibility and the
-witness (the first best leaf in search order) are those of the plain sum,
-and no option is tried that the plain sum would skip.
+stay absent by default: every rule above is preserved under edge deletion, so
+the maximum over such reduced configurations equals the maximum over all of
+them.  ``enumerate_max`` applies the same argument to the free slots an X
+fixture or an explicit ``free`` fixed edge leaves outside the objective and
+every ``==`` / ``>=`` sum (``_NOT_CLOSED_UNDER_DELETION``): it fixes them
+absent, and ``free_slot_count`` still counts them.  Each option keeps its gain
+when they are cleared and its cleared form comes first among the options of
+that gain, so the first best leaf, the witness, has them absent anyway
+(dominance pruning, as in Chu and Stuckey, CP 2012).  The enumerator is one
+branch-and-bound over the *undecided* pairs, the unordered vertex pairs that
+hold the remaining free slots.  Every rule, fixtures included, becomes tests
+of the live color masks, one per vertex pair or triple it applies to, and each
+test is sorted by how many undecided pairs it reads.  A test that reads none
+is checked once before the search, and the scenario is infeasible if it fails.
+A test that reads one filters that pair's options, the completions of its free
+slots.  A test that reads more fires when the last of its pairs is decided, as
+a bitmask of the options of that pair that pass it, memoised for the call on
+the masks of its other undecided pairs (packed into one int, 8 bits per
+direction as c <= 8) and built on a miss by testing each option once.  A test
+reads only the masks of the pairs it declares and the pairs without free slots
+never change during the call, so a memoised bitmask is exactly what the tests
+would give.  Pairs with no objective slot come first.  Once they are decided,
+the objective pairs are bounded two at a time, in blocks of two consecutive
+pairs: a block counts the top joint gain of the option pairs that pass every
+rule reading only the block and the decided pairs (forward checking in the
+sense of Haralick and Elliott, 1980, on a block of two).  Options are tried
+highest objective gain first, and a pair's loop stops once its gain plus the
+bound on the later pairs cannot beat the best value found.  A block's joint
+top is never above the sum of its pairs' top gains, so the blocks prune only
+subtrees with no better leaf and tighten the plain sum pointwise: the maximum,
+the feasibility and the witness (the first best leaf in search order) are
+those of the plain sum, and no option is tried that the plain sum would skip.
 """
 
 from __future__ import annotations
@@ -208,13 +215,8 @@ class EnumerationResult:
 
 def slots_between(colors, side_a, side_b) -> tuple[Slot, ...]:
     """All ordered slots in the given colors running between the two sides."""
-    out = []
-    for color in colors:
-        for a in side_a:
-            for b in side_b:
-                out.append((color, a, b))
-                out.append((color, b, a))
-    return tuple(sorted(set(out)))
+    ends = [end for a in side_a for b in side_b for end in ((a, b), (b, a))]
+    return tuple(sorted({(color, *end) for color in colors for end in ends}))
 
 
 def pair_sum(colors, a: str, b: str, op: str, value: int) -> Constraint:
@@ -369,9 +371,7 @@ def validate_scenario(scenario: Scenario) -> None:
             f"got {s.colors}"
         )
     if not 1 <= len(s.vertices) <= MAX_VERTICES:
-        raise GraphInputError(
-            f"scenario needs 1..{MAX_VERTICES} vertices, got {len(s.vertices)}"
-        )
+        raise GraphInputError(f"scenario needs 1..{MAX_VERTICES} vertices, got {len(s.vertices)}")
     if len(set(s.vertices)) != len(s.vertices):
         raise GraphInputError("vertex labels must be distinct")
     _check_ranges(s, "scenario", s.colors, set(s.vertices), "scenario")
@@ -403,9 +403,7 @@ def validate_scenario(scenario: Scenario) -> None:
             raise GraphInputError(f"duplicate fixed edge {(color, src, dst)}")
         seen_fixed.add((color, src, dst))
         if frozenset((src, dst)) in fixture_pairs:
-            raise GraphInputError(
-                "fixed_edges may not touch a slot inside a typed group pair"
-            )
+            raise GraphInputError("fixed_edges may not touch a slot inside a typed group pair")
 
     for con in s.constraints:
         _validate_constraint(con)
@@ -424,9 +422,7 @@ def validate_scenario(scenario: Scenario) -> None:
             raise GraphInputError(f"objective slot {slot} must stay free")
     free = sum(1 for st in states.values() if st == "free")
     if free > MAX_FREE_SLOTS:
-        raise GraphInputError(
-            f"{free} free slots exceed the ceiling of {MAX_FREE_SLOTS}"
-        )
+        raise GraphInputError(f"{free} free slots exceed the ceiling of {MAX_FREE_SLOTS}")
 
 
 def _validate_constraint(con: Constraint) -> None:
@@ -465,12 +461,9 @@ def fixture_constraints(scenario: Scenario) -> tuple[Constraint, ...]:
             continue
         a, b = g.members
         others = [col for col in range(1, scenario.colors + 1) if col not in g.colors]
-        if g.kind == "X":
-            for col in others:
-                out.append(pair_sum((col,), a, b, "<=", 1))
-        elif g.kind == "Y":
-            for col in others:
-                out.append(pair_sum((col,), a, b, "==", 1))
+        if g.kind in ("X", "Y"):
+            op = "<=" if g.kind == "X" else "=="
+            out += [pair_sum((col,), a, b, op, 1) for col in others]
         elif g.kind == "Z":
             out.append(pair_sum(others, a, b, "==", 1))
     return tuple(out)
@@ -489,10 +482,8 @@ def scenario_slot_states(scenario: Scenario) -> dict[Slot, str]:
             continue
         a, b = g.members
         for col in range(1, scenario.colors + 1):
-            if col in g.colors:
-                states[(col, a, b)] = states[(col, b, a)] = "present"
-            else:
-                states[(col, a, b)] = states[(col, b, a)] = "free"
+            state = "present" if col in g.colors else "free"
+            states[(col, a, b)] = states[(col, b, a)] = state
     for color, src, dst, state in scenario.fixed_edges:
         states[(color, src, dst)] = state
     for slot in objective_slots(scenario):
@@ -545,14 +536,15 @@ def canonical_key(scenario: Scenario) -> tuple:
 
     Duplicates are kept.  The form leaves out the keys of a table's
     ``unread`` (``id``, ``source`` and ``bound``) and the label strings,
-    which no rule reads.
+    which no rule reads.  The least form is found part by part: each
+    top-level part is evaluated only under the maps that minimise the parts
+    before it, and the key is the tuple of those least parts.
 
     When c! * n! exceeds ``MAX_KEY_RELABELLINGS`` (up to 8! * 6!, about 29M,
     passes validation) the key is the identity normal form: it merges fewer
     scenarios but is still exact.
     """
     n, c = len(scenario.vertices), scenario.colors
-    form = _normal_form(scenario, "scenario")
     if math.factorial(c) * math.factorial(n) > MAX_KEY_RELABELLINGS:
         sigmas, positions = [range(1, c + 1)], [range(n)]
     else:
@@ -560,7 +552,28 @@ def canonical_key(scenario: Scenario) -> tuple:
         positions = itertools.permutations(range(n))
     colors = [dict(zip(range(1, c + 1), sigma)) for sigma in sigmas]
     labels = [dict(zip(scenario.vertices, pi)) for pi in positions]
-    return min(form(sigma | pi) for sigma in colors for pi in labels)
+    maps = [sigma | pi for sigma in colors for pi in labels]
+    key = []
+    for part in _parts(scenario, "scenario"):  # the least form, part by part
+        if callable(part):
+            forms = [part(m) for m in maps]
+            part = min(forms)
+            maps = [m for m, form in zip(maps, forms) if form == part]
+        key.append(part)
+    return tuple(key)
+
+
+def _parts(value, kind: str) -> list:
+    """The normal forms of the entries of ``value``, of array or record kind
+    ``kind``: of a record, those of its fields outside ``unread``."""
+    if kind in _ARRAYS:
+        return [_normal_form(entry, entry_kind) for entry, entry_kind in _entries(value, kind)]
+    table = _table(kind, value)
+    return [
+        _normal_form(val, field_kind)
+        for (key, field_kind), val in zip(table.keys.items(), table.fields(value))
+        if key not in table.unread
+    ]
 
 
 def _normal_form(value, kind: str):
@@ -572,15 +585,7 @@ def _normal_form(value, kind: str):
     if kind in _SCALARS:
         return value
     read_as_set = kind in _ARRAYS and kind != "slot"
-    if kind in _ARRAYS:
-        parts = [_normal_form(entry, entry_kind) for entry, entry_kind in _entries(value, kind)]
-    else:
-        table = _table(kind, value)
-        parts = [
-            _normal_form(val, field_kind)
-            for (key, field_kind), val in zip(table.keys.items(), table.fields(value))
-            if key not in table.unread
-        ]
+    parts = _parts(value, kind)
     if not any(map(callable, parts)):
         return tuple(sorted(parts) if read_as_set else parts)
     if read_as_set:  # the fixed parts once, and the others under each map
@@ -736,8 +741,11 @@ def _rules(
     fixtures', as (the vertex pairs it reads, a test of the live masks ``m``).
 
     ``m[u][v]`` is the color mask of the edges u -> v; a test reads ``m``
-    on every call, so the caller mutates it in place between calls.  A rule
-    that holds pair by pair yields one test per vertex pair it applies to.
+    on every call, so the caller mutates ``m[u][v]`` in place between calls
+    and never rebinds a row.  A test reads only ``m[a][b]`` and ``m[b][a]``
+    for the pairs (a, b) it yields, which ``enumerate_max``'s memos rely on.
+    A rule that holds pair by pair yields one test per vertex pair it
+    applies to.
     """
     n = len(scenario.vertices)
     exempt, seen = {}, set()  # exempt[K]: the vertices the rules of group kind K leave alone
@@ -757,16 +765,12 @@ def _rules(
                 yield [(a, b), (b, c)], test
         elif kind in _TRIMMED:
             group_kind, heavy = _TRIMMED[kind]
-            for g in scenario.groups:
-                if g.kind != group_kind:
-                    continue
-                ga, gb = (index[x] for x in g.members)
-                for w in range(n):
-                    if w in exempt[group_kind]:
-                        continue
-                    def test(w=w, ga=ga, gb=gb, heavy=heavy):
-                        return not (heavy(m[w][ga], m[ga][w]) and heavy(m[w][gb], m[gb][w]))
-                    yield [(w, ga), (w, gb)], test
+            ends = [[index[x] for x in g.members] for g in scenario.groups if g.kind == group_kind]
+            outside = [w for w in range(n) if w not in exempt[group_kind]]
+            for (ga, gb), w in itertools.product(ends, outside):
+                def test(w=w, ga=ga, gb=gb, heavy=heavy):
+                    return not (heavy(m[w][ga], m[ga][w]) and heavy(m[w][gb], m[gb][w]))
+                yield [(w, ga), (w, gb)], test
         elif kind == "no_shared_color_link":
             x = index[con.vertex]
             u, v = (index[p] for p in con.pair)
@@ -846,18 +850,13 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
     # filters, highest objective gain first
     options = {}
     for (u, v), slots in sorted(free.items()):
-        slots.sort()
+        # each free slot as its bit of f << 8 | b, in (color, forward) order
+        bits = [1 << (color - 1) << 8 * is_fwd for color, is_fwd in sorted(slots)]
         base = m[u][v], m[v][u]
         opts = []
-        for bits in range(1 << len(slots)):
-            f, b = base
-            for k, (color, is_fwd) in enumerate(slots):
-                if bits >> k & 1:
-                    if is_fwd:
-                        f |= 1 << (color - 1)
-                    else:
-                        b |= 1 << (color - 1)
-            m[u][v], m[v][u] = f, b
+        for subset in range(1 << len(bits)):
+            fb = sum(bit for k, bit in enumerate(bits) if subset >> k & 1)
+            m[u][v], m[v][u] = f, b = base[0] | fb >> 8, base[1] | fb & 255
             for test in filters[u, v]:
                 if not test():
                     break
@@ -876,6 +875,9 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
     pos = {key: idx for idx, key in enumerate(order)}
     first = sum(1 for u, v in order if not obj[u][v] | obj[v][u])
     decided = set(order[:first])
+    # fire[idx]: (the rule's other undecided pairs, its test, a memo of
+    # their masks -> the options of order[idx] that pass) per rule whose
+    # last pair is order[idx]
     fire: list[list] = [[] for _ in order]
     # the objective pairs in blocks of two from `first` on, a last one
     # maybe alone: the rules of the block at i that read only it and the
@@ -883,10 +885,11 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
     joint = {i: ([], []) for i in range(first, len(order), 2)}
     for scope, test in multi:
         last = max(pos[key] for key in scope)
-        fire[last].append(test)
+        entry = (tuple(sorted(scope - {order[last]})), test, {})
+        fire[last].append(entry)
         i = last - (last - first) % 2
         if last >= first and scope <= decided | set(order[i : i + 2]):
-            joint[i][last > i].append(test)
+            joint[i][last > i].append(entry)
     # reach[idx]: what the pairs from idx on can add to the objective at
     # most, each at its top gain; after `first` block_bounds resets it to
     # count each block at its joint top (one 0 past the end for a last block
@@ -911,7 +914,7 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
             if gain + opts_b[0][2] <= floor:
                 break
             m[u][v], m[v][u] = f, b
-            for test in tests_a:
+            for _, test, _ in tests_a:
                 if not test():
                     break
             else:
@@ -919,7 +922,7 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
                     if gain + gain_b <= floor:
                         break
                     m[x][y], m[y][x] = fb, bb
-                    for test in tests_ab:
+                    for _, test, _ in tests_ab:
                         if not test():
                             break
                     else:
@@ -947,37 +950,43 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
         if idx == len(order):
             # the bound lets a leaf through only when it beats the best
             best = current
-            edges = [
-                (color, labels[u], labels[v])
-                for color in range(1, scenario.colors + 1)
-                for u in range(n)
-                for v in range(n)
-                if m[u][v] >> (color - 1) & 1
-            ]
-            witness = tuple(sorted(edges))
+            witness = tuple(sorted(
+                (color, labels[u], labels[v]) for color in range(1, scenario.colors + 1)
+                for u in range(n) for v in range(n) if m[u][v] >> (color - 1) & 1
+            ))
             return
         # block_bounds leaves reach[first] to the pairs before `first`
         most = block_bounds() if idx == first else reach[idx]
         if current + most <= best:
             return
         u, v = key = order[idx]
-        checks, rest = fire[idx], reach[idx + 1]
+        opts, rest = options[key], reach[idx + 1]
         base = m[u][v], m[v][u]
-        for f, b, gain in options[key]:
+        allowed = -1  # bit j: option j passes every rule that fires here
+        for others, test, memo in fire[idx]:
+            masks = 0
+            for x, y in others:
+                masks = masks << 16 | m[x][y] << 8 | m[y][x]
+            passing = memo.get(masks)
+            if passing is None:
+                passing = 0
+                for j, (f, b, _) in enumerate(opts):
+                    m[u][v], m[v][u] = f, b
+                    if test():
+                        passing |= 1 << j
+                memo[masks] = passing
+            allowed &= passing
+        for j, (f, b, gain) in enumerate(opts):
             if current + gain + rest <= best:
                 break  # options are sorted by decreasing gain
             nodes += 1
-            m[u][v], m[v][u] = f, b
-            for check in checks:
-                if not check():
-                    break
-            else:
+            if allowed >> j & 1:
+                m[u][v], m[v][u] = f, b
                 rec(idx + 1, current + gain)
                 if current + most <= best:
                     break  # a block's joint top can sit below its first gain
         m[u][v], m[v][u] = base
 
     rec(0, 0)
-    if best < 0:
-        return EnumerationResult(False, None, None, nodes, free_count)
-    return EnumerationResult(True, best, witness, nodes, free_count)
+    feasible = best >= 0
+    return EnumerationResult(feasible, best if feasible else None, witness, nodes, free_count)

@@ -131,27 +131,35 @@ def rainbow_free_check(m, pattern: TrianglePattern, a: int, b: int, c: int):
     of the pattern?" against the live mask matrix ``m``.
 
     ``m[u][v]`` is the bitmask of colors carrying the edge u -> v (bit i-1
-    for color i).  The closure reads ``m`` on every call, so callers mutate
-    it in place between calls.  It tests every copy of the pattern on the
-    triple: both orientations of a directed cycle, or all six role
-    assignments of a transitive triangle.
+    for color i).  The closure takes the rows ``m[a]``, ``m[b]`` and
+    ``m[c]`` once, when it is built, and reads their entries on every call:
+    callers mutate ``m[u][v]`` in place between calls and never rebind a
+    row.  It tests every copy of the pattern on the triple: both
+    orientations of a directed cycle, or all six role assignments of a
+    transitive triangle, over the six slot masks read once.
 
     A copy is rainbow when its three slot masks x, y, z admit pairwise
     distinct representatives.  By Hall's condition for three sets that is:
     each mask nonempty, each union of two masks at least 2 colors, the union
     of all three at least 3; so no color assignment is enumerated.
     """
+    ra, rb, rc = m[a], m[b], m[c]
     if pattern is TrianglePattern.DIRECTED:
-        orders = ((a, b, c), (a, c, b))
-    else:
-        orders = tuple(permutations((a, b, c)))
-    copies = tuple(pattern_edges(pattern, *order) for order in orders)
 
-    def check() -> bool:
-        for (p, q), (r, s), (t, u) in copies:
-            if _admits_rainbow(m[p][q], m[r][s], m[t][u]):
-                return False
-        return True
+        def check() -> bool:  # the cycles a->b->c->a and a->c->b->a
+            return not (
+                _admits_rainbow(ra[b], rb[c], rc[a]) or _admits_rainbow(ra[c], rc[b], rb[a])
+            )
+
+        return check
+
+    def check() -> bool:  # source -> middle, middle -> sink, source -> sink
+        ab, ba, ac, ca, bc, cb = ra[b], rb[a], ra[c], rc[a], rb[c], rc[b]
+        return not (
+            _admits_rainbow(ab, bc, ac) or _admits_rainbow(ac, cb, ab)
+            or _admits_rainbow(ba, ac, bc) or _admits_rainbow(bc, ca, ba)
+            or _admits_rainbow(ca, ab, cb) or _admits_rainbow(cb, ba, ca)
+        )
 
     return check
 

@@ -6,6 +6,7 @@ completion of the free slots with straight-line rule checks.
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import replace
@@ -19,6 +20,7 @@ from rtlab.graphs import GraphInputError
 from rtlab.localbounds import (
     CATALOGUE_IDS,
     CONSTRAINT_KINDS,
+    MAX_KEY_RELABELLINGS,
     SLOT_STATES,
     Constraint,
     Group,
@@ -44,6 +46,8 @@ from rtlab.localbounds.scenarios import (
     _RECORDS,
     _SCALARS,
     _entries,
+    _normal_form,
+    _rules,
 )
 
 
@@ -430,6 +434,52 @@ def test_witnesses_satisfy_all_rules():
         _check_witness(s, r)
 
 
+def _representatives() -> list[Scenario]:
+    """The first catalogue scenario of each canonical key: the 41 that
+    verify-all enumerates."""
+    firsts = {}
+    for s in (s for which in CATALOGUE_IDS for s in load_catalogue(which)):
+        firsts.setdefault(canonical_key(s), s)
+    return list(firsts.values())
+
+
+class _LoggedRow(list):
+    """Row u of a mask matrix that logs (u, v) for each entry v read."""
+
+    def __init__(self, u: int, n: int, log: list):
+        super().__init__([0] * n)
+        self.u, self.log = u, log
+
+    def __getitem__(self, v):
+        self.log.append((self.u, v))
+        return super().__getitem__(v)
+
+
+def test_rules_read_only_the_pairs_they_declare():
+    # enumerate_max memoises a rule on the masks of the pairs it declares,
+    # which is exact only if its test reads no other entry of m
+    rng = random.Random(20261020)
+    scenarios = _representatives() + [_random_scenario(rng, t) for t in range(40)]
+    assert len(scenarios) == 81
+    reads = 0
+    for s in scenarios:
+        n, log = len(s.vertices), []
+        m = [_LoggedRow(u, n, log) for u in range(n)]
+        index = {v: i for i, v in enumerate(s.vertices)}
+        rules = list(_rules(s, s.constraints + fixture_constraints(s), index, m))
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):  # fillings that pass and fail
+            for u, v in itertools.permutations(range(n), 2):
+                colors = [k for k in range(s.colors) if rng.random() < density]
+                list.__setitem__(m[u], v, sum(1 << k for k in colors))
+            for pairs, test in rules:
+                log.clear()
+                test()
+                declared = {frozenset(pair) for pair in pairs}
+                assert {frozenset(read) for read in log} <= declared, (s.id, pairs, log)
+                reads += len(log)
+    assert reads > 10_000
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 
@@ -548,6 +598,46 @@ def test_canonical_key_is_invariant_under_relabelling():
     for s in scenarios:
         copy = _shuffled_copy(s, rng)
         assert canonical_key(copy) == canonical_key(s), s.id
+
+
+def _least_form(s: Scenario) -> tuple:
+    """min(form(sigma | pi)) over every color permutation and vertex
+    relabelling: the whole normal form under each map, no refinement."""
+    n, c = len(s.vertices), s.colors
+    assert math.factorial(c) * math.factorial(n) <= MAX_KEY_RELABELLINGS, s.id
+    form = _normal_form(s, "scenario")
+    return min(
+        form(dict(zip(range(1, c + 1), sigma)) | dict(zip(s.vertices, pi)))
+        for sigma in itertools.permutations(range(1, c + 1))
+        for pi in itertools.permutations(range(n))
+    )
+
+
+# five colors on three vertices, 5! * 3! = 720 maps, with a group, fixed
+# edges and constraints that name colors and labels
+FIVE_COLORS = Scenario(
+    id="five", source="test", colors=5, vertices=("p", "q", "r"),
+    objective=Objective((3, 4), ("r",), ("p", "q")), bound=Fraction(99),
+    groups=(Group("Y", (5,), ("p", "q")),),
+    fixed_edges=((1, "r", "p", "present"), (2, "q", "r", "absent")),
+    constraints=(
+        rainbow("directed"), rainbow("transitive"),
+        Constraint("slot_sum", op=">=", value=1, slots=((2, "r", "q"), (1, "q", "r"))),
+        Constraint("no_shared_color_link", vertex="r", pair=("p", "q"), colors=(1, 3)),
+    ),
+)
+
+
+def test_canonical_key_is_the_least_whole_form():
+    # refining part by part keeps the lexicographic minimum over every map
+    rng = random.Random(1020)
+    scenarios = [s for which in CATALOGUE_IDS for s in load_catalogue(which)]
+    scenarios += [_random_scenario(rng, t) for t in range(40)]
+    for s in (*scenarios, FIVE_COLORS, SINK):
+        assert canonical_key(s) == _least_form(s), s.id
+    # and the copies of the five-color scenario keep its key
+    for _ in range(5):
+        assert canonical_key(_shuffled_copy(FIVE_COLORS, rng)) == canonical_key(FIVE_COLORS)
 
 
 # One scenario with a record of every table: an X, a Y and a free vertex,

@@ -457,12 +457,12 @@ def test_pattern_edges_shapes():
     assert pattern_edges(T, 0, 1, 2) == ((0, 1), (1, 2), (0, 2))
 
 
-def test_rainbow_free_check_is_halls_condition_on_every_mask_triple():
-    # every triple of color masks with c <= 4, set on the slots of one copy
-    # of the pattern; the other three pairs stay empty, so no other copy can
-    # be rainbow, and the closures of all six vertex orders must agree with
+def _assert_halls_condition(triples):
+    # each triple of color masks is set on the slots of one copy of the
+    # pattern; the other three pairs stay empty, so no other copy can be
+    # rainbow, and the closures of all six vertex orders must agree with
     # brute force over distinct color triples
-    rainbow = {t: naive_masks_have_rainbow(*t) for t in product(range(16), repeat=3)}
+    rainbow = {t: naive_masks_have_rainbow(*t) for t in triples}
     assert 0 < sum(rainbow.values()) < len(rainbow)
     for pattern in (D, T):
         masks = [[0] * 3 for _ in range(3)]
@@ -475,6 +475,40 @@ def test_rainbow_free_check_is_halls_condition_on_every_mask_triple():
                 assert [check() for check in checks] == [not want] * 6, (pattern, order, triple)
             for u, v in slots:
                 masks[u][v] = 0
+
+
+def test_rainbow_free_check_is_halls_condition_on_every_mask_triple():
+    _assert_halls_condition(product(range(16), repeat=3))  # c <= 4
+
+
+def test_rainbow_free_check_is_halls_condition_on_eight_bit_masks():
+    # a seeded sample with c = 8, most masks of at most three colors so that
+    # both outcomes are common
+    rng = random.Random(8)
+
+    def mask():
+        size = rng.choice((0, 1, 1, 2, 2, 3, 8))
+        return rng.randrange(256) if size == 8 else sum(1 << i for i in rng.sample(range(8), size))
+
+    _assert_halls_condition({(mask(), mask(), mask()) for _ in range(1500)})
+
+
+def test_rainbow_free_check_sees_writes_made_after_it_was_built():
+    # the closure keeps the rows of m, so writes to m[u][v], one entry or a
+    # whole row in place, show on its next call
+    for pattern in (D, T):
+        masks = [[0] * 3 for _ in range(3)]
+        checks = [rainbow_free_check(masks, pattern, *order) for order in permutations(range(3))]
+        assert all(check() for check in checks)
+        slots = _slots(pattern, 0, 1, 2)
+        for (u, v), color in zip(slots, (1, 2, 4)):
+            masks[u][v] = color
+        assert not any(check() for check in checks)
+        masks[u][v] = 1  # the last slot now repeats the first slot's color
+        assert all(check() for check in checks)
+        for row in masks:
+            row[:] = [7, 7, 7]
+        assert not any(check() for check in checks)
 
 
 def test_rainbow_free_check_matches_oracle_on_live_masks():
