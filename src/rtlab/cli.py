@@ -494,10 +494,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         return args.handler(args, echo, started)
-    except GraphInputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (GraphInputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -82,16 +82,6 @@ class ConstructionId(str, Enum):
     TWO_COLOR_HEAVY = "two-color-heavy"
 
 
-# the rainbow pattern(s) each family is built to avoid
-AVOIDED_PATTERNS = {
-    ConstructionId.BIPARTITE_DOUBLE: (TrianglePattern.DIRECTED, TrianglePattern.TRANSITIVE),
-    ConstructionId.DIRECTED3: (TrianglePattern.DIRECTED,),
-    ConstructionId.TRANSITIVE3: (TrianglePattern.TRANSITIVE,),
-    ConstructionId.ORIENTED_CYCLIC: (TrianglePattern.TRANSITIVE,),
-    ConstructionId.TWO_COLOR_HEAVY: (TrianglePattern.DIRECTED,),
-}
-
-
 def _part_sizes(n: int, k: int) -> list[int]:
     base, rem = divmod(n, k)
     return [base] * (k - rem) + [base + 1] * rem
@@ -186,25 +176,28 @@ def two_color_heavy(n: int) -> ColoredDigraph:
     return _finish(layers)
 
 
+# one row per family: its generator, its default color count where the family
+# takes one (None: c = 3 only) and the rainbow pattern(s) it is built to avoid
+_D, _T = TrianglePattern.DIRECTED, TrianglePattern.TRANSITIVE
+_FAMILIES = {
+    ConstructionId.BIPARTITE_DOUBLE: (bipartite_double, 4, (_D, _T)),
+    ConstructionId.DIRECTED3: (directed3, None, (_D,)),
+    ConstructionId.TRANSITIVE3: (transitive3, None, (_T,)),
+    ConstructionId.ORIENTED_CYCLIC: (oriented_cyclic, 3, (_T,)),
+    ConstructionId.TWO_COLOR_HEAVY: (two_color_heavy, None, (_D,)),
+}
+
+AVOIDED_PATTERNS = {cid: avoids for cid, (_, _, avoids) in _FAMILIES.items()}
+
+
 def build_construction(cid: ConstructionId | str, n: int, c: int | None = None) -> ColoredDigraph:
     cid = ConstructionId(cid)
-    if cid is ConstructionId.BIPARTITE_DOUBLE:
-        return bipartite_double(n, c if c is not None else 4)
-    if cid is ConstructionId.DIRECTED3:
-        _reject_c(cid, c)
-        return directed3(n)
-    if cid is ConstructionId.TRANSITIVE3:
-        _reject_c(cid, c)
-        return transitive3(n)
-    if cid is ConstructionId.ORIENTED_CYCLIC:
-        return oriented_cyclic(n, c if c is not None else 3)
-    _reject_c(cid, c)
-    return two_color_heavy(n)
-
-
-def _reject_c(cid: ConstructionId, c: int | None) -> None:
+    generator, default_c, _ = _FAMILIES[cid]
+    if default_c is not None:
+        return generator(n, default_c if c is None else c)
     if c is not None and c != 3:
         raise GraphInputError(f"{cid.value} is defined for c = 3 only")
+    return generator(n)
 
 
 def expected_count(cid: ConstructionId | str, n: int, color: int) -> int:

@@ -6,7 +6,9 @@ Four catalogues are built by the code in this module:
                    X12, X13, X23, Y1, Y2, Y3, Z1, Z2, Z3, R
     eq1_bullets    twelve two-color bounds between class pairs
     eq3_bullets    ten all-colors bounds between class pairs
-    claims_local   thirteen neighborhood bounds with explicit premises
+    claims_local   thirteen neighborhood bounds with explicit premises: ten
+                   count edges between a third vertex and the pair (u, v),
+                   three (a heavy fan, two thick paths) have their own shape
 
 Every entry pairs a scenario with the bound it has to satisfy.  Evaluation
 recomputes the exact maximum with ``enumerate_max``, one enumeration per
@@ -287,8 +289,9 @@ def _build_eq3_bullets() -> list[Scenario]:
     return _bullet_scenarios("eq3_bullets", (1, 2, 3), "all colors", entries)
 
 
-def _double(color: int, a: str, b: str):
-    return ((color, a, b, "present"), (color, b, a, "present"))
+def _doubles(*colors: int):
+    """Fixed double edges on the pair (u, v), one in each given color."""
+    return tuple((k, a, b, "present") for k in colors for a, b in (("u", "v"), ("v", "u")))
 
 
 def _one_way_sum(colors, a: str, b: str, value: int) -> Constraint:
@@ -296,219 +299,133 @@ def _one_way_sum(colors, a: str, b: str, value: int) -> Constraint:
     return Constraint("slot_sum", op=">=", value=value, slots=tuple((c, a, b) for c in colors))
 
 
+# the premises that open a claim's constraints, by the kind its source names
+_CLAIM_PREMISES = {
+    "": (Constraint("no_rainbow", pattern="directed"),),
+    "transitive": (Constraint("no_rainbow", pattern="transitive"),),
+    "single-direction": (Constraint("no_rainbow", pattern="transitive"), Constraint("oriented")),
+}
+
+
+def _claim(
+    name, what, *, c, bound, vertices, side_a, side_b, colors=None, fixed=(), rules=(), kind=""
+) -> Scenario:
+    """One claims_local scenario on ``c`` colors, whose id ends ``:c<c>`` and
+    whose source ends ``(c=<c>)``, or ``(c=<c>, <kind>)`` for a named kind;
+    the objective counts every color unless ``colors`` names some."""
+    return Scenario(
+        f"{name}:c{c}",
+        f"claims_local: {what} (c={c}{', ' + kind if kind else ''})",
+        c,
+        vertices,
+        Objective(colors=colors or tuple(range(1, c + 1)), side_a=side_a, side_b=side_b),
+        Fraction(bound),
+        fixed_edges=fixed,
+        constraints=_CLAIM_PREMISES[kind] + rules,
+    )
+
+
+def _third_vertex_claim(name, what, *, third="x", **shape) -> Scenario:
+    """A claim counted between a third vertex and the pair (u, v)."""
+    uv = ("u", "v")
+    return _claim(name, what, vertices=uv + (third,), side_a=(third,), side_b=uv, **shape)
+
+
 def _build_claims_local() -> list[Scenario]:
-    rainbow_d = Constraint("no_rainbow", pattern="directed")
-    rainbow_t = Constraint("no_rainbow", pattern="transitive")
-    oriented = Constraint("oriented")
-
-    out = []
-
-    # a pair with double edges in two colors caps every adjacent color pair
-    # at a third vertex
-    out.append(
-        Scenario(
-            "double-double:adjacent-colors:c4",
-            "claims_local: two double colors on a pair, adjacent-color count"
-            " at a third vertex (c=4)",
-            4,
-            ("u", "v", "x"),
-            Objective(colors=(1, 2), side_a=("x",), side_b=("u", "v")),
-            Fraction(4),
-            fixed_edges=_double(1, "u", "v") + _double(3, "u", "v"),
-            constraints=(rainbow_d,),
-        )
-    )
-    out.append(
-        Scenario(
-            "double-double:adjacent-colors-wrap:c5",
-            "claims_local: two double colors on a pair, wrap-around color"
-            " pair at a third vertex (c=5)",
-            5,
-            ("u", "v", "x"),
-            Objective(colors=(5, 1), side_a=("x",), side_b=("u", "v")),
-            Fraction(4),
-            fixed_edges=_double(1, "u", "v") + _double(3, "u", "v"),
-            constraints=(rainbow_d,),
-        )
-    )
-
-    # two heavy pairs out of one vertex force the third pair to stay sparse
     all4 = (1, 2, 3, 4)
-    out.append(
-        Scenario(
-            "heavy-fan:third-pair:c4",
-            "claims_local: two heavy pairs from one vertex, edges on the"
-            " opposite pair (c=4)",
-            4,
-            ("u", "v", "w"),
-            Objective(colors=all4, side_a=("v",), side_b=("w",)),
-            Fraction(2),
-            constraints=(
-                rainbow_d,
+    return [
+        # a pair with double edges in two colors caps every adjacent color
+        # pair at a third vertex
+        _third_vertex_claim(
+            "double-double:adjacent-colors",
+            "two double colors on a pair, adjacent-color count at a third vertex",
+            c=4, bound=4, colors=(1, 2), fixed=_doubles(1, 3),
+        ),
+        _third_vertex_claim(
+            "double-double:adjacent-colors-wrap",
+            "two double colors on a pair, wrap-around color pair at a third vertex",
+            c=5, bound=4, colors=(5, 1), fixed=_doubles(1, 3),
+        ),
+        # two heavy pairs out of one vertex force the third pair to stay sparse
+        _claim(
+            "heavy-fan:third-pair",
+            "two heavy pairs from one vertex, edges on the opposite pair",
+            c=4, bound=2, vertices=("u", "v", "w"), side_a=("v",), side_b=("w",),
+            rules=(
                 pair_sum(all4, "u", "v", "==", 5),
                 _one_way_sum(all4, "u", "v", 3),
                 pair_sum(all4, "u", "w", "==", 5),
                 _one_way_sum(all4, "u", "w", 3),
             ),
-        )
-    )
-
-    # a fully occupied pair seen from a third vertex in two colors
-    out.append(
-        Scenario(
-            "full-pair:two-colors:c3",
-            "claims_local: all six edges on a pair, two-color count at a"
-            " third vertex (c=3)",
-            3,
-            ("u", "v", "w"),
-            Objective(colors=(1, 2), side_a=("w",), side_b=("u", "v")),
-            Fraction(4),
-            fixed_edges=tuple(
-                (c, a, b, "present")
-                for c in (1, 2, 3)
-                for a, b in (("u", "v"), ("v", "u"))
-            ),
-            constraints=(rainbow_d,),
-        )
-    )
-
-    # a double edge in the remaining color seen from a third vertex
-    out.append(
-        Scenario(
-            "double-pair:other-colors:c3",
-            "claims_local: double edge in one color, other-color count at a"
-            " third vertex (c=3)",
-            3,
-            ("u", "v", "w"),
-            Objective(colors=(1, 2), side_a=("w",), side_b=("u", "v")),
-            Fraction(4),
-            fixed_edges=_double(3, "u", "v"),
-            constraints=(rainbow_d,),
-        )
-    )
-
-    # a single edge in the remaining color seen from a third vertex
-    out.append(
-        Scenario(
-            "single-edge:other-colors:c3",
-            "claims_local: single edge in one color, other-color count at a"
-            " third vertex (c=3)",
-            3,
-            ("u", "v", "w"),
-            Objective(colors=(1, 2), side_a=("w",), side_b=("u", "v")),
-            Fraction(6),
-            fixed_edges=((3, "u", "v", "present"),),
-            constraints=(rainbow_d,),
-        )
-    )
-
-    # transitive pattern: a pair with two double colors, a vertex touching
-    # both endpoints
-    out.append(
-        Scenario(
-            "two-doubles:touched-both:c4",
-            "claims_local: two double colors on a pair, all edges at a vertex"
-            " touching both endpoints (c=4, transitive)",
-            4,
-            ("u", "v", "x"),
-            Objective(colors=all4, side_a=("x",), side_b=("u", "v")),
-            Fraction(8),
-            fixed_edges=_double(1, "u", "v") + _double(2, "u", "v"),
-            constraints=(
-                rainbow_t,
-                pair_sum(all4, "x", "u", ">=", 1),
-                pair_sum(all4, "x", "v", ">=", 1),
-            ),
-        )
-    )
-
-    # transitive pattern: one double color, no pair anywhere with two double
-    # colors, a color shared by both links
-    out.append(
-        Scenario(
-            "one-double:shared-link:c4",
-            "claims_local: one double color, a second color on both links"
-            " (c=4, transitive)",
-            4,
-            ("u", "v", "x"),
-            Objective(colors=all4, side_a=("x",), side_b=("u", "v")),
-            Fraction(6),
-            fixed_edges=_double(1, "u", "v"),
-            constraints=(
-                rainbow_t,
+        ),
+        # a fully occupied pair, a double edge or a single edge in the
+        # remaining color, seen from a third vertex
+        _third_vertex_claim(
+            "full-pair:two-colors",
+            "all six edges on a pair, two-color count at a third vertex",
+            c=3, bound=4, third="w", colors=(1, 2), fixed=_doubles(1, 2, 3),
+        ),
+        _third_vertex_claim(
+            "double-pair:other-colors",
+            "double edge in one color, other-color count at a third vertex",
+            c=3, bound=4, third="w", colors=(1, 2), fixed=_doubles(3),
+        ),
+        _third_vertex_claim(
+            "single-edge:other-colors",
+            "single edge in one color, other-color count at a third vertex",
+            c=3, bound=6, third="w", colors=(1, 2), fixed=((3, "u", "v", "present"),),
+        ),
+        # transitive pattern: a pair with two double colors, a vertex touching
+        # both endpoints
+        _third_vertex_claim(
+            "two-doubles:touched-both",
+            "two double colors on a pair, all edges at a vertex touching both endpoints",
+            c=4, bound=8, kind="transitive", fixed=_doubles(1, 2),
+            rules=(pair_sum(all4, "x", "u", ">=", 1), pair_sum(all4, "x", "v", ">=", 1)),
+        ),
+        # transitive pattern: one double color, no pair anywhere with two
+        # double colors, a color shared by both links or none
+        _third_vertex_claim(
+            "one-double:shared-link",
+            "one double color, a second color on both links",
+            c=4, bound=6, kind="transitive", fixed=_doubles(1),
+            rules=(
                 Constraint("no_double_double"),
                 pair_sum((2,), "x", "u", ">=", 1),
                 pair_sum((2,), "x", "v", ">=", 1),
             ),
-        )
-    )
-    out.append(
-        Scenario(
-            "one-double:no-shared-link:c4",
-            "claims_local: one double color, no color on both links"
-            " (c=4, transitive)",
-            4,
-            ("u", "v", "x"),
-            Objective(colors=all4, side_a=("x",), side_b=("u", "v")),
-            Fraction(7),
-            fixed_edges=_double(1, "u", "v"),
-            constraints=(
-                rainbow_t,
+        ),
+        _third_vertex_claim(
+            "one-double:no-shared-link",
+            "one double color, no color on both links",
+            c=4, bound=7, kind="transitive", fixed=_doubles(1),
+            rules=(
                 Constraint("no_double_double"),
-                Constraint(
-                    "no_shared_color_link",
-                    vertex="x",
-                    pair=("u", "v"),
-                    colors=(2, 3, 4),
-                ),
+                Constraint("no_shared_color_link", vertex="x", pair=("u", "v"), colors=(2, 3, 4)),
             ),
-        )
-    )
-
-    # single-direction graphs: a path of two thick arcs seen from a fourth
-    # vertex
-    for c in (3, 4):
-        cols = tuple(range(1, c + 1))
-        out.append(
-            Scenario(
-                f"thick-path:fan:c{c}",
-                "claims_local: two consecutive thick arcs, all edges at a"
-                f" fourth vertex (c={c}, single-direction)",
-                c,
-                ("u", "v", "w", "x"),
-                Objective(colors=cols, side_a=("x",), side_b=("u", "v", "w")),
-                Fraction(2 * c),
-                constraints=(
-                    rainbow_t,
-                    oriented,
-                    _one_way_sum(cols, "u", "v", 3),
-                    _one_way_sum(cols, "v", "w", 3),
-                ),
+        ),
+        # single-direction graphs: a path of two thick arcs seen from a fourth vertex
+        *(
+            _claim(
+                "thick-path:fan",
+                "two consecutive thick arcs, all edges at a fourth vertex",
+                c=c, bound=2 * c, kind="single-direction",
+                vertices=("u", "v", "w", "x"), side_a=("x",), side_b=("u", "v", "w"),
+                rules=tuple(_one_way_sum(range(1, c + 1), a, b, 3) for a, b in ("uv", "vw")),
             )
-        )
-
-    # single-direction graphs: a thick pair not on any thick path
-    for c in (3, 4):
-        cols = tuple(range(1, c + 1))
-        out.append(
-            Scenario(
-                f"thick-pair:no-path:c{c}",
-                "claims_local: three edges on a pair, no two consecutive"
-                f" thick arcs, edges at a third vertex (c={c},"
-                " single-direction)",
-                c,
-                ("u", "v", "x"),
-                Objective(colors=cols, side_a=("x",), side_b=("u", "v")),
-                Fraction(c + 1),
-                constraints=(
-                    rainbow_t,
-                    oriented,
-                    Constraint("no_thick_path"),
-                    pair_sum(cols, "u", "v", ">=", 3),
-                ),
+            for c in (3, 4)
+        ),
+        # single-direction graphs: a thick pair not on any thick path
+        *(
+            _third_vertex_claim(
+                "thick-pair:no-path",
+                "three edges on a pair, no two consecutive thick arcs, edges at a third vertex",
+                c=c, bound=c + 1, kind="single-direction",
+                rules=(Constraint("no_thick_path"), pair_sum(range(1, c + 1), "u", "v", ">=", 3)),
             )
-        )
-    return out
+            for c in (3, 4)
+        ),
+    ]
 
 
 _BUILDERS = {

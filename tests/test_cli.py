@@ -665,6 +665,41 @@ def test_lemma21_cli(capsys):
     assert code == 2 and report is None and "MAX_LEMMA21_SIZE" in err
 
 
+# small valid command lines; each fuzz case replaces one size field's value
+_SIZED_COMMANDS = {
+    "construct": ["construct", "--id", "bipartite-double", "--n", "3", "--c", "2"],
+    "search": ["search", "--n", "3", "--c", "1", "--pattern", "directed", "--budget", "1000"],
+    "lemma21": ["lemma21", "--a", "2", "--b", "2"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", str(2**40), "1.5", "true"])
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("construct", "--n"),
+        ("construct", "--c"),
+        ("search", "--n"),
+        ("search", "--c"),
+        ("search", "--budget"),
+        ("lemma21", "--a"),
+        ("lemma21", "--b"),
+    ],
+)
+def test_no_size_field_value_exits_3(capsys, tmp_path, command, field, value):
+    # a size field either runs or is refused as input: exit 3 means a crash
+    argv = list(_SIZED_COMMANDS[command])
+    argv[argv.index(field) + 1] = value
+    if command == "construct":
+        argv += ["--out", str(tmp_path / "g.json")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error for a value that is not an int
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "internal error" not in err, (argv, code, err)
+
+
 def _readme_sh_lines(prefix):
     """The lines of the README's sh blocks that start with ``prefix``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -35,14 +35,6 @@ CLAIMED_FREE = {
 }
 
 
-def build(cid, n):
-    if cid is ConstructionId.BIPARTITE_DOUBLE:
-        return bipartite_double(n, 4)
-    if cid is ConstructionId.ORIENTED_CYCLIC:
-        return oriented_cyclic(n, 3)
-    return build_construction(cid, n)
-
-
 def test_equal_parts_largest_last():
     assert [len(p) for p in equal_parts(10, 3)] == [3, 3, 4]
     assert [len(p) for p in equal_parts(11, 3)] == [3, 4, 4]
@@ -161,7 +153,7 @@ def test_pattern_freeness_exhaustive_small_n():
         for n in range(0, 31):
             if cid is ConstructionId.TRANSITIVE3 and n < 1:
                 continue
-            g = build(cid, n)
+            g = build_construction(cid, n)
             for pattern in patterns:
                 assert find_rainbow(g, pattern) is None, (cid, n, pattern)
 
