@@ -25,25 +25,36 @@ Interchange format (JSON)::
 
 with edges deduplicated and sorted lexicographically by (color, from, to),
 so serializing the same graph always yields byte-identical output: the
-text of ``json.dumps(..., separators=(",", ":"))``.  Dumping writes that
-text straight from the edge array, with no Python object per edge: each
-edge is three fixed-width byte cells (``[color,``, ``from,`` and ``to],``,
-taken from token tables of the vertices and of the colors in use) padded
-with zero bytes, which one ``bytes.translate`` of the cell bytes drops.
+text of ``json.dumps(..., separators=(",", ":"))``.  Dumping renders that
+text straight from the layer array, with no Python object per edge, as a
+stream of byte pieces: one for each block of about ``_STEP`` cells of the
+(c * n, n) row view (a row is one color and source) that holds an edge.  In
+a block each edge is three fixed-width byte cells (``[color,``, ``from,``
+and ``to],``, taken from token tables of the vertices and of the colors the
+block's edges hold) padded with zero bytes, which one ``bytes.translate``
+of the block's cell bytes drops.  ``dumps_graph`` joins the pieces;
+``graph_digest`` and ``save_graph`` hash and write them as they come, so
+they never hold the whole text.
 
-Loading first reads every run of ASCII digits in the text as a number (n,
-c, then three per edge), range-checks the numbers as one array, builds the
-graph and dumps it again.  It returns that graph only if the dump equals
-the text byte for byte, or the text is the dump and one newline, as
-``save_graph`` writes it.  Such text is JSON, and ``json.loads`` would
-have read exactly these edges from it.  Any other text goes to
+Loading reads the text in steps of about ``_STEP`` bytes, each ending just
+after the ``]`` of an edge that another edge follows, so that no number is
+split.  Every run of ASCII digits in a step is a number (n and c in the
+first step, then three per edge); a step's numbers are range-checked as one
+array and set as edges.  The load then renders the graph's pieces and
+compares them with the text piece by piece, hashing them as it goes, and
+returns that graph only if the pieces equal the text byte for byte, or the
+text is the pieces and one newline, as ``save_graph`` writes it.  Such text
+is JSON, and ``json.loads`` would have read exactly these edges from it.
+Any other text (a mismatch, a short text, anything left over) goes to
 ``json.loads``, which checks the object, and its edge list to
 ``from_edges``, which checks the entries one by one and names the first bad
-one; that route is the only source of error messages.  The walk accepts a
-list or tuple of three in-range plain ints at once and sends every other
-entry (an ``EdgeRef``, a numpy integer, a bool, a bad entry) through the
-checks.  It costs about 0.3 us per plain entry: on a 2-vCPU Xeon the 598,800
-edges of ``directed3(600)`` take 0.16-0.26 s, and loading that graph from
+one; that route is the only source of error messages.  ``load_graph`` gives
+the canonical route the file's bytes as they are and ``json.loads`` the
+bytes decoded as UTF-8.  The walk of ``from_edges`` accepts a list or tuple
+of three in-range plain ints at once and sends every other entry (an
+``EdgeRef``, a numpy integer, a bool, a bad entry) through the checks.  It
+costs about 0.3 us per plain entry: on a 2-vCPU Xeon the 598,800 edges of
+``directed3(600)`` take 0.16-0.26 s, and loading that graph from
 non-canonical text 0.8-1.1 s.
 
 A graph keeps its ``graph_digest`` once known: the canonical load hashes
@@ -59,7 +70,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -305,23 +316,42 @@ def _tokens(prefix: bytes, values: np.ndarray, suffix: bytes) -> np.ndarray:
     return np.char.add(np.char.add(prefix, values.astype("S")), suffix)
 
 
-def _canonical_bytes(layers: np.ndarray) -> bytes:
-    """The canonical JSON of the graph with this layer array, as ASCII bytes."""
+# The canonical text is rendered in blocks of about this many layer cells
+# and parsed in steps of about this many bytes, so that the scratch of a
+# dump, digest, save or canonical load stays bounded as the text grows.
+_STEP = 1 << 16
+
+
+def _canonical_pieces(layers: np.ndarray) -> Iterator[bytes]:
+    """The canonical JSON of the graph with this layer array, as ASCII byte
+    pieces: the head, the edges of each block of rows of the (c * n, n) row
+    view that holds any, and the tail."""
     c, n, _ = layers.shape
-    head = b'{"n":%d,"c":%d,"edges":[' % (n, c)
-    per_color = np.count_nonzero(layers.reshape(c, n * n), axis=1)
-    colors = np.flatnonzero(per_color)
-    if not colors.size:
-        return head + b"]}"
-    src, dst = np.nonzero(layers)[1:]  # edges in (color, src, dst) order
+    yield b'{"n":%d,"c":%d,"edges":[' % (n, c)
+    rows = layers.reshape(c * n, n)
+    height = max(1, _STEP // max(n, 1))  # rows per block
     vertices = np.arange(n)
-    cells = np.empty((src.size, 3), dtype=f"S{len(str(max(n, c))) + 2}")
-    cells[:, 0] = np.repeat(_tokens(b"[", colors + 1, b","), per_color[colors])
-    cells[:, 1] = _tokens(b"", vertices, b",")[src]
-    cells[:, 2] = _tokens(b"", vertices, b"],")[dst]
-    del src, dst  # views of one (edges, 3) int64 array: free it before the copies
-    body = cells.tobytes().translate(None, b"\0")
-    return b"".join((head, memoryview(body)[:-1], b"]}"))  # no comma after the last edge
+    sources, targets = _tokens(b"", vertices, b","), _tokens(b"", vertices, b"],")
+    width = f"S{len(str(max(n, c))) + 2}"
+    body = b""  # held back one block, so that the last one can drop its comma
+    for top in range(0, c * n, height):
+        block = rows[top : top + height]
+        per_row = np.count_nonzero(block, axis=1)
+        held = np.flatnonzero(per_row)  # the block's rows that hold an edge
+        if not held.size:
+            continue
+        if body:
+            yield body
+        count = per_row[held]
+        color, src = np.divmod(held + top, n)
+        colors, of_row = np.unique(color, return_inverse=True)
+        cells = np.empty((count.sum(), 3), dtype=width)  # edges in (color, src, dst) order
+        cells[:, 0] = np.repeat(_tokens(b"[", colors + 1, b",")[of_row], count)
+        cells[:, 1] = np.repeat(sources[src], count)
+        cells[:, 2] = targets[np.nonzero(block)[1]]
+        body = cells.tobytes().translate(None, b"\0")
+    yield body[:-1]  # no comma after the last edge
+    yield b"]}"
 
 
 # Every byte but the ASCII digits read as a space, so that the text parses
@@ -329,41 +359,68 @@ def _canonical_bytes(layers: np.ndarray) -> bytes:
 _DIGITS_ONLY = bytes(b if 0x30 <= b <= 0x39 else 0x20 for b in range(256))
 
 
-def _load_canonical(text) -> ColoredDigraph | None:
+def _span(text: str | bytes, start: int, stop: int) -> bytes:
+    """``text[start:stop]`` as bytes; a str is ASCII here."""
+    part = text[start:stop]
+    return part.encode() if isinstance(part, str) else part
+
+
+def _load_canonical(text: str | bytes) -> ColoredDigraph | None:
     """The graph whose canonical JSON is ``text``, alone or followed by one
     newline; None for any other text."""
-    if not (isinstance(text, str) and text.isascii()):
+    if isinstance(text, str) and not text.isascii():
         return None
-    data = text.encode()
-    numbers = np.fromstring(data.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
-    if numbers.size % 3 != 2:
+    # end each step just after the ']' of an edge that another edge follows:
+    # no number is split, and no step of a canonical text lacks numbers
+    cut = "]," if isinstance(text, str) else b"],"
+    layers, start = None, 0
+    while start < len(text):
+        stop = text.rfind(cut, start, start + _STEP) + 1 or text.find(cut, start) + 1 or len(text)
+        step = _span(text, start, stop).translate(_DIGITS_ONLY)
+        numbers = np.fromstring(step, dtype=np.int64, sep=" ")
+        if layers is None:
+            if numbers.size % 3 != 2:
+                return None
+            n, c = numbers[:2].tolist()
+            try:
+                check_size(n, c)
+            except GraphInputError:  # left to the checked route, which names the limit
+                return None
+            layers = np.zeros((c, n, n), dtype=bool)
+            numbers = numbers[2:]
+        if numbers.size % 3 or not _set_edge_rows(layers, numbers.reshape(-1, 3)):
+            return None
+        start = stop
+    if layers is None:
         return None
-    n, c = numbers[:2].tolist()
-    try:
-        check_size(n, c)
-    except GraphInputError:  # left to the checked route, which names the limit
-        return None
-    layers = np.zeros((c, n, n), dtype=bool)
-    if not _set_edge_rows(layers, numbers[2:].reshape(-1, 3)):
-        return None
-    canonical = _canonical_bytes(layers)
-    if canonical != data.removesuffix(b"\n"):
+    digest, start = hashlib.sha256(), 0
+    for piece in _canonical_pieces(layers):
+        stop = start + len(piece)
+        if _span(text, start, stop) != piece:
+            return None
+        digest.update(piece)
+        start = stop
+    if _span(text, start, start + 2) not in (b"", b"\n"):
         return None
     g = ColoredDigraph._adopt(n, c, layers)
-    g._digest = hashlib.sha256(canonical).hexdigest()
+    g._digest = digest.hexdigest()
     return g
 
 
 def dumps_graph(g: ColoredDigraph) -> str:
     """Canonical JSON serialization (sorted, compact, byte-reproducible)."""
-    return _canonical_bytes(g.layers).decode("ascii")
+    return b"".join(_canonical_pieces(g.layers)).decode("ascii")
 
 
 def loads_graph(text: str) -> ColoredDigraph:
     """The graph a graph JSON text describes; GraphInputError if it is not one."""
     g = _load_canonical(text)
-    if g is not None:
-        return g
+    return g if g is not None else _load_json(text)
+
+
+def _load_json(text: str) -> ColoredDigraph:
+    """The graph ``json.loads`` and ``from_edges`` read from ``text``, the
+    route that words every error."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -379,20 +436,29 @@ def loads_graph(text: str) -> ColoredDigraph:
 
 
 def save_graph(g: ColoredDigraph, path) -> None:
-    data = _canonical_bytes(g.layers)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
+        for piece in _canonical_pieces(g.layers):
+            fh.write(piece)
+            digest.update(piece)
         fh.write(b"\n")
-    g._digest = hashlib.sha256(data).hexdigest()
+    g._digest = digest.hexdigest()
 
 
 def load_graph(path) -> ColoredDigraph:
-    with open(path) as fh:
-        return loads_graph(fh.read())
+    """The graph a graph JSON file describes; its bytes go to the canonical
+    route as they are and to ``json.loads`` decoded as UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    g = _load_canonical(data)
+    return g if g is not None else _load_json(data.decode())
 
 
 def graph_digest(g: ColoredDigraph) -> str:
     """SHA-256 of the canonical serialization, kept on the graph once known."""
     if g._digest is None:
-        g._digest = hashlib.sha256(_canonical_bytes(g.layers)).hexdigest()
+        digest = hashlib.sha256()
+        for piece in _canonical_pieces(g.layers):
+            digest.update(piece)
+        g._digest = digest.hexdigest()
     return g._digest

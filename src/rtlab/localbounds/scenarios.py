@@ -371,7 +371,9 @@ def validate_scenario(scenario: Scenario) -> None:
             f"got {s.colors}"
         )
     if not 1 <= len(s.vertices) <= MAX_VERTICES:
-        raise GraphInputError(f"scenario needs 1..{MAX_VERTICES} vertices, got {len(s.vertices)}")
+        raise GraphInputError(
+            f"scenario needs 1..{MAX_VERTICES} vertices (MAX_VERTICES), got {len(s.vertices)}"
+        )
     if len(set(s.vertices)) != len(s.vertices):
         raise GraphInputError("vertex labels must be distinct")
     _check_ranges(s, "scenario", s.colors, set(s.vertices), "scenario")
@@ -422,7 +424,9 @@ def validate_scenario(scenario: Scenario) -> None:
             raise GraphInputError(f"objective slot {slot} must stay free")
     free = sum(1 for st in states.values() if st == "free")
     if free > MAX_FREE_SLOTS:
-        raise GraphInputError(f"{free} free slots exceed the ceiling of {MAX_FREE_SLOTS}")
+        raise GraphInputError(
+            f"{free} free slots exceed the ceiling of {MAX_FREE_SLOTS} (MAX_FREE_SLOTS)"
+        )
 
 
 def _validate_constraint(con: Constraint) -> None:

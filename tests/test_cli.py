@@ -86,6 +86,12 @@ def test_detect_input_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "detect", "--graph", str(bad), "--pattern", "directed")
     assert code == 2 and "input error" in err
 
+    latin1 = tmp_path / "latin1.json"  # its e-acute is one byte that is not UTF-8
+    latin1.write_bytes('{"n":3,"c":3,"edges":[],"note":"\u00e9"}'.encode("latin-1"))
+    code, report, err = run_cli(capsys, "detect", "--graph", str(latin1), "--pattern", "directed")
+    assert code == 2 and report is None
+    assert err.startswith("input error: 'utf-8' codec can't decode byte 0xe9")
+
     out_of_range = tmp_path / "range.json"
     out_of_range.write_text(json.dumps({"n": 3, "c": 3, "edges": [[5, 0, 1]]}))
     code, _, err = run_cli(
@@ -519,12 +525,14 @@ def _ceiling(record):
          "malformed scenario record: scenario needs key 'objective'"),
         (lambda r: r["objective"].update(colors=[1, 3]),
          "objective colors: color 3 out of range 1..2"),
-        (_ceiling, "54 free slots exceed the ceiling of 36"),
+        (lambda r: r.update(vertices=list("uvwxyzt")),
+         "scenario needs 1..6 vertices (MAX_VERTICES), got 7"),
+        (_ceiling, "54 free slots exceed the ceiling of 36 (MAX_FREE_SLOTS)"),
         (lambda r: r.update(fixed_edges=[{"color": 1, "from": "u", "to": "v", "state": "present"}]),
          "objective slot (1, 'u', 'v') must stay free"),
     ],
     ids=["den-0", "typed-field", "unknown-key", "missing-key", "color-range",
-         "free-slot-ceiling", "fixed-objective-slot"],
+         "vertex-ceiling", "free-slot-ceiling", "fixed-objective-slot"],
 )
 def test_scenario_run_error_lines(tmp_path, capsys, edit, message):
     # the reader's errors name the malformed record; the checks a Scenario

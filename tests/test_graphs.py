@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,13 +449,13 @@ def test_graph_checks_do_not_loop_over_colors():
 
 def test_each_leg_of_a_round_trip_renders_the_text_once(monkeypatch, tmp_path, capsys):
     renders = []
-    real_render = graphs._canonical_bytes
+    real_render = graphs._canonical_pieces
 
     def counting_render(layers):
         renders.append(layers.shape)
         return real_render(layers)
 
-    monkeypatch.setattr(graphs, "_canonical_bytes", counting_render)
+    monkeypatch.setattr(graphs, "_canonical_pieces", counting_render)
     g = build_construction(ConstructionId.DIRECTED3, 9)
     graph_digest(loads_graph(dumps_graph(g)))
     assert len(renders) == 2
@@ -477,25 +479,110 @@ def test_each_leg_of_a_round_trip_renders_the_text_once(monkeypatch, tmp_path, c
     assert reports[0]["input_digest"] == reports[1]["input_digest"] == digest
 
 
+def _check_every_route(g, path):
+    """Each way to g, through the text or the file, gives g with the hash of
+    its dump as the digest."""
+    text = dumps_graph(g)
+    want = hashlib.sha256(text.encode()).hexdigest()
+    saved = ColoredDigraph(g.n, g.c, g.layers)
+    save_graph(saved, path)
+    routes = {
+        "fresh": g,
+        "canonical": loads_graph(text),
+        "canonical and newline": loads_graph(text + "\n"),
+        "json.loads": loads_graph(text.replace(",", ", ")),
+        "saved": saved,
+        "saved and loaded": load_graph(path),
+    }
+    for route, h in routes.items():
+        assert h == g and graph_digest(h) == want, (route, text)
+
+
 def test_digest_is_the_hash_of_the_dump_after_every_route(tmp_path):
     rng = random.Random(37)
-    cases = [random_graph(rng, n, c, p=rng.choice((0.0, 0.3, 0.8))) for n in range(13) for c in range(6)]
-    path = tmp_path / "g.json"
+    for n in range(13):
+        for c in range(6):
+            g = random_graph(rng, n, c, p=rng.choice((0.0, 0.3, 0.8)))
+            _check_every_route(g, tmp_path / "g.json")
+
+
+def _near_misses(text, rng):
+    """Texts one edit away from a canonical text, which only json.loads may
+    read: each a graph or an error."""
+    commas = [k for k, ch in enumerate(text) if ch == ","]
+    numbers = [m.start() for m in re.finditer(r"\d+", text)]
+    edges = [m.span() for m in re.finditer(r"\[\d+,\d+,\d+\]", text)]
+    # just after an edge that another edge follows, where a step may end
+    ends = [m.start() + 1 for m in re.finditer(r"\],", text)] + [len(text) - 1]
+    k, d = rng.choice(commas), rng.choice(numbers)
+    texts = [
+        text[: k + 1] + " " + text[k + 1 :],
+        text[:d] + "0" + text[d:],
+        text[:-2] + ",]}",
+        text[: rng.choice(ends)],
+    ]
+    if edges:
+        a, b = rng.choice(edges)
+        texts.append(text[:b] + "," + text[a:b] + text[b:])
+    if len(edges) > 1:
+        i = rng.randrange(len(edges) - 1)
+        (a, b), (e, f) = edges[i], edges[i + 1]
+        texts.append(text[:a] + text[e:f] + "," + text[a:b] + text[f:])
+    return texts
+
+
+def test_a_tiny_step_gives_the_same_text_graphs_and_errors(monkeypatch, tmp_path):
+    # blocks of one row, or of a few rows for n <= 4, and steps that end at
+    # the last edge of 8 bytes or, where no edge ends that soon, at the next
+    # one: the text, the digests and the json.loads route all hold
+    monkeypatch.setattr(graphs, "_STEP", 8)
+    calls = []
+    real_loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        calls.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.json, "loads", counting_loads)
+    rng = random.Random(41)
+    cases = [
+        random_graph(rng, n, c, p=rng.choice((0.0, 0.3, 0.8))) for n in range(13) for c in range(7)
+    ]
+    cases.append(random_graph(rng, 3, 40, p=0.5))
     for g in cases:
         text = dumps_graph(g)
-        want = hashlib.sha256(text.encode()).hexdigest()
-        saved = ColoredDigraph(g.n, g.c, g.layers)
-        save_graph(saved, path)
-        routes = {
-            "fresh": g,
-            "canonical": loads_graph(text),
-            "canonical and newline": loads_graph(text + "\n"),
-            "json.loads": loads_graph(text.replace(",", ", ")),
-            "saved": saved,
-            "saved and loaded": load_graph(path),
-        }
-        for route, h in routes.items():
-            assert h == g and graph_digest(h) == want, (route, text)
+        assert text == _json_dumps(g)
+        calls.clear()
+        _check_every_route(g, tmp_path / "g.json")
+        assert calls == [text.replace(",", ", ")]  # the one route meant for json.loads
+        for near in _near_misses(text, rng):
+            calls.clear()
+            got = _loads_or_message(near)
+            assert calls == [near] and got == _json_loads(near), near
+
+
+def _traced_peak(route, *args):
+    tracemalloc.start()
+    try:
+        route(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cid", list(ConstructionId))
+def test_text_routes_hold_bounded_scratch(cid, tmp_path):
+    # the text is rendered in blocks and parsed in steps: a load or a dump
+    # holds little beyond the text it takes or returns, and a digest or a
+    # save, which hash and write the pieces as they come, less than the text
+    loads_graph(dumps_graph(build_construction(cid, 10)))  # first-call imports and caches stay out
+    g = build_construction(cid, 600)
+    text = dumps_graph(g)
+    fresh, saved = ColoredDigraph(g.n, g.c, g.layers), ColoredDigraph(g.n, g.c, g.layers)
+    assert _traced_peak(loads_graph, text) <= 2.5 * len(text)
+    assert _traced_peak(dumps_graph, g) <= 2.5 * len(text)
+    assert _traced_peak(graph_digest, fresh) < len(text)
+    assert _traced_peak(save_graph, saved, tmp_path / "g.json") < len(text)
 
 
 def test_graph_text_does_not_loop_over_colors():
