@@ -63,7 +63,8 @@ double_pair = Scenario(
 )
 result = enumerate_max(double_pair)
 print()
-print("double pair + connector: max", result.maximum, "(nodes", f"{result.nodes})")
+print("double pair + connector: max", result.maximum,
+      f"(nodes {result.nodes}, rule tests {result.rule_tests})")
 
 # Vertex classes enter through groups.  An X(1,2)-pair holds doubles in
 # colors 1 and 2; its class membership adds slot constraints for free.

@@ -81,16 +81,26 @@ A test that reads one filters that pair's options, the completions of its free
 slots.  A test that reads more fires when the last of its pairs is decided, as
 a bitmask of the options of that pair that pass it, memoised for the call on
 the masks of its other undecided pairs (packed into one int, 8 bits per
-direction as c <= 8) and built on a miss by testing each option once.  A test
-reads only the masks of the pairs it declares and the pairs without free slots
-never change during the call, so a memoised bitmask is exactly what the tests
-would give.  Pairs with no objective slot come first.  Once they are decided,
-the objective pairs are bounded two at a time, in blocks of two consecutive
-pairs: a block counts the top joint gain of the option pairs that pass every
-rule reading only the block and the decided pairs (forward checking in the
-sense of Haralick and Elliott, 1980, on a block of two).  Options are tried
-highest objective gain first, and a pair's loop stops once its gain plus the
-bound on the later pairs cannot beat the best value found.  A block's joint
+direction as c <= 8) and built on a miss.  A test reads only the masks of the
+pairs it declares and the pairs without free slots never change during the
+call, so a memoised bitmask is exactly what the tests would give.  The build
+tests each option once, unless the test is separable: an AND of clauses that
+each read one direction of any pair and pass when a slot they read is empty
+(the rainbow, thick-path and shared-color-link rules).  Then test(f, b) ==
+test(f, 0) and test(0, b) for the masks (f, b) of the pair, so the build tests
+each distinct forward mask of the pair's options with the backward one
+cleared, and each distinct backward mask likewise, and ANDs the two sets of
+options holding a passing mask: for k free slots each way, at most 2^(k+1)
+tests where there were up to 4^k.  Pairs with no objective slot come first.
+Once they are decided, the objective pairs are bounded two at a time, in
+blocks of two consecutive pairs: a block counts the top joint gain of the
+option pairs that pass every rule reading only the block and the decided pairs
+(forward checking in the sense of Haralick and Elliott, 1980, on a block of
+two), read from the same memos.  Options are tried highest objective gain
+first, and a pair's loop stops once its gain plus the bound on the later pairs
+cannot beat the best value found; it visits only the options that pass every
+rule, and ``nodes`` counts the others before that cut-off (found by bisection
+on the gains) as tried, as a loop over every option would.  A block's joint
 top is never above the sum of its pairs' top gains, so the blocks prune only
 subtrees with no better leaf and tighten the plain sum pointwise: the maximum,
 the feasibility and the witness (the first best leaf in search order) are
@@ -99,6 +109,8 @@ those of the plain sum, and no option is tried that the plain sum would skip.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import json
 import math
@@ -204,13 +216,17 @@ class EnumerationResult:
     ``free_slot_count`` is the scenario's count of free slots, those the
     engine fixes absent included.  ``nodes`` counts only the pair options
     tried, the unit of ``SearchResult.nodes``: not the option pairs a block
-    bound scans nor the rule tests."""
+    bound scans nor the rule tests.  ``rule_tests`` counts the calls of rule
+    tests: the checks of the rules on no undecided pair, the one-pair
+    filters, and the memo builds, those the block bounds ask for included.
+    It is a work counter, in no report."""
 
     feasible: bool
     maximum: int | None
     witness: tuple[Slot, ...] | None
     nodes: int
     free_slot_count: int
+    rule_tests: int
 
 
 def slots_between(colors, side_a, side_b) -> tuple[Slot, ...]:
@@ -735,6 +751,12 @@ _PAIR_TESTS = {
 }
 
 
+# The rules whose tests are separable (``_rules``): a rainbow copy or a thick
+# path reads one slot of each pair it spans, and a shared color link clears
+# a color on a pair exactly when it clears it in both directions.
+_SEPARABLE = frozenset({"no_rainbow", "no_thick_path", "no_shared_color_link"})
+
+
 def _rules(
     scenario: Scenario,
     constraints: tuple[Constraint, ...],
@@ -742,14 +764,16 @@ def _rules(
     m: list[list[int]],
 ):
     """Yield every rule in ``constraints``, the scenario's own and its group
-    fixtures', as (the vertex pairs it reads, a test of the live masks ``m``).
+    fixtures', as (the vertex pairs it reads, a test of the live masks ``m``,
+    whether the test is separable).
 
     ``m[u][v]`` is the color mask of the edges u -> v; a test reads ``m``
     on every call, so the caller mutates ``m[u][v]`` in place between calls
     and never rebinds a row.  A test reads only ``m[a][b]`` and ``m[b][a]``
     for the pairs (a, b) it yields, which ``enumerate_max``'s memos rely on.
     A rule that holds pair by pair yields one test per vertex pair it
-    applies to.
+    applies to.  A separable test (module docstring) has test(f, b) ==
+    test(f, 0) and test(0, b) for the masks (f, b) of each pair it reads.
     """
     n = len(scenario.vertices)
     exempt, seen = {}, set()  # exempt[K]: the vertices the rules of group kind K leave alone
@@ -758,15 +782,17 @@ def _rules(
         exempt[group_kind] = set(seen)
     for con in constraints:
         kind = con.kind
+        separable = kind in _SEPARABLE
         if kind == "no_rainbow":
             pattern = TrianglePattern(con.pattern)
             for a, b, c in itertools.combinations(range(n), 3):
-                yield [(a, b), (b, c), (a, c)], rainbow_free_check(m, pattern, a, b, c)
+                test = rainbow_free_check(m, pattern, a, b, c)
+                yield [(a, b), (b, c), (a, c)], test, separable
         elif kind == "no_thick_path":
             for a, b, c in itertools.permutations(range(n), 3):
                 def test(a=a, b=b, c=c):
                     return m[a][b].bit_count() < 3 or m[b][c].bit_count() < 3
-                yield [(a, b), (b, c)], test
+                yield [(a, b), (b, c)], test, separable
         elif kind in _TRIMMED:
             group_kind, heavy = _TRIMMED[kind]
             ends = [[index[x] for x in g.members] for g in scenario.groups if g.kind == group_kind]
@@ -774,14 +800,14 @@ def _rules(
             for (ga, gb), w in itertools.product(ends, outside):
                 def test(w=w, ga=ga, gb=gb, heavy=heavy):
                     return not (heavy(m[w][ga], m[ga][w]) and heavy(m[w][gb], m[gb][w]))
-                yield [(w, ga), (w, gb)], test
+                yield [(w, ga), (w, gb)], test, separable
         elif kind == "no_shared_color_link":
             x = index[con.vertex]
             u, v = (index[p] for p in con.pair)
             mask = sum(1 << (color - 1) for color in set(con.colors))
             def test(x=x, u=u, v=v, mask=mask):
                 return not (m[x][u] | m[u][x]) & (m[x][v] | m[v][x]) & mask
-            yield [(x, u), (x, v)], test
+            yield [(x, u), (x, v)], test, separable
         elif kind == "slot_sum":
             masks: dict[tuple[int, int], int] = {}
             for color, src, dst in con.slots:
@@ -790,7 +816,7 @@ def _rules(
             terms = tuple((a, b, mask) for (a, b), mask in masks.items())
             def test(terms=terms, op=_OPS[con.op], value=con.value):
                 return op(sum((m[a][b] & mask).bit_count() for a, b, mask in terms), value)
-            yield list(masks), test
+            yield list(masks), test, separable
         else:  # a rule on the masks (f, b) of each vertex pair on its own
             skip: set[int] = set()
             if kind in _MAXIMALITY:
@@ -803,7 +829,7 @@ def _rules(
                 pair_test = _PAIR_TESTS[kind]
             for u, v in itertools.combinations(range(n), 2):
                 if u not in skip and v not in skip:
-                    yield [(u, v)], lambda u=u, v=v, t=pair_test: t(m[u][v], m[v][u])
+                    yield [(u, v)], lambda u=u, v=v, t=pair_test: t(m[u][v], m[v][u]), separable
 
 
 def enumerate_max(scenario: Scenario) -> EnumerationResult:
@@ -835,20 +861,23 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
                 free.setdefault((min(u, v), max(u, v)), []).append((color, u < v))
     for color, src, dst in targets:
         obj[index[src]][index[dst]] |= 1 << (color - 1)
-    infeasible = EnumerationResult(False, None, None, 0, free_count)
+    # the rule tests run so far: an infeasible result reports them too
+    rule_tests = 0
+    infeasible = functools.partial(EnumerationResult, False, None, None, 0, free_count)
 
     # sort each rule by the undecided pairs (those with free slots) it reads
     filters: dict[tuple[int, int], list] = {key: [] for key in free}
     multi = []
-    for pairs, test in _rules(scenario, constraints, index, m):
+    for pairs, test, separable in _rules(scenario, constraints, index, m):
         scope = {(min(a, b), max(a, b)) for a, b in pairs} & free.keys()
         if not scope:
+            rule_tests += 1
             if not test():
-                return infeasible
+                return infeasible(rule_tests)
         elif len(scope) == 1:
             filters[scope.pop()].append(test)
         else:
-            multi.append((scope, test))
+            multi.append((scope, test, separable))
 
     # a pair's options: the completions of its free slots that pass its
     # filters, highest objective gain first
@@ -862,6 +891,7 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
             fb = sum(bit for k, bit in enumerate(bits) if subset >> k & 1)
             m[u][v], m[v][u] = f, b = base[0] | fb >> 8, base[1] | fb & 255
             for test in filters[u, v]:
+                rule_tests += 1
                 if not test():
                     break
             else:
@@ -869,7 +899,7 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
                 opts.append((f, b, gain))
         m[u][v], m[v][u] = base
         if not opts:
-            return infeasible
+            return infeasible(rule_tests)
         opts.sort(key=lambda t: -t[2])
         options[u, v] = opts
 
@@ -879,17 +909,36 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
     pos = {key: idx for idx, key in enumerate(order)}
     first = sum(1 for u, v in order if not obj[u][v] | obj[v][u])
     decided = set(order[:first])
+    # per pair of `order`: its options' negated gains, in increasing order,
+    # and the rows a memo build tests, each a list of settings of the pair's
+    # masks with the options each stands for: for a rule that is not
+    # separable one row of the options, for a separable one a row of the
+    # distinct forward masks and a row of the distinct backward masks, each
+    # with the other direction cleared (module docstring)
+    neg_gains, rows = [], []
+    for key in order:
+        opts = options[key]
+        neg_gains.append([-gain for _, _, gain in opts])
+        fwd, bwd = {}, {}
+        for j, (f, b, _) in enumerate(opts):
+            fwd[f] = fwd.get(f, 0) | 1 << j
+            bwd[b] = bwd.get(b, 0) | 1 << j
+        rows.append({
+            False: [[(f, b, 1 << j) for j, (f, b, _) in enumerate(opts)]],
+            True: [[(f, 0, bits) for f, bits in fwd.items()],
+                   [(0, b, bits) for b, bits in bwd.items()]],
+        })
     # fire[idx]: (the rule's other undecided pairs, its test, a memo of
-    # their masks -> the options of order[idx] that pass) per rule whose
-    # last pair is order[idx]
+    # their masks -> the options of order[idx] that pass, its build rows)
+    # per rule whose last pair is order[idx]
     fire: list[list] = [[] for _ in order]
     # the objective pairs in blocks of two from `first` on, a last one
     # maybe alone: the rules of the block at i that read only it and the
     # pairs before `first`, split by whether they read its second pair
     joint = {i: ([], []) for i in range(first, len(order), 2)}
-    for scope, test in multi:
+    for scope, test, separable in multi:
         last = max(pos[key] for key in scope)
-        entry = (tuple(sorted(scope - {order[last]})), test, {})
+        entry = (tuple(sorted(scope - {order[last]})), test, {}, rows[last][separable])
         fire[last].append(entry)
         i = last - (last - first) % 2
         if last >= first and scope <= decided | set(order[i : i + 2]):
@@ -903,36 +952,59 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
         reach[idx] = reach[idx + 1] + options[order[idx]][0][2]
     nodes, best, witness = 0, -1, None  # best stays -1 until a leaf is reached
 
+    def allowed_options(idx: int, entries) -> int:
+        """The bitmask of the options of order[idx] that pass every rule in
+        ``entries`` with the other pairs as set: bit j for option j."""
+        nonlocal rule_tests
+        allowed = (1 << len(options[order[idx]])) - 1
+        for others, test, memo, build in entries:
+            masks = 0
+            for x, y in others:
+                masks = masks << 16 | m[x][y] << 8 | m[y][x]
+            passing = memo.get(masks)
+            if passing is None:
+                u, v = order[idx]
+                saved = m[u][v], m[v][u]
+                passing = -1
+                for row in build:
+                    got = 0
+                    for f, b, bits in row:
+                        m[u][v], m[v][u] = f, b
+                        if test():
+                            got |= bits
+                    rule_tests += len(row)
+                    passing &= got
+                    if not passing:
+                        break
+                m[u][v], m[v][u] = saved
+                memo[masks] = passing
+            allowed &= passing
+            if not allowed:
+                break
+        return allowed
+
     def block_top(i: int, floor: int) -> int:
         """The top joint gain of the block at i, over the option pairs that
         pass its rules with the pairs before `first` as set, if above
-        ``floor``; else ``floor``.  Options come highest gain first, so each
-        loop stops once it cannot beat the best found."""
+        ``floor``; else ``floor``.  Options come highest gain first, so the
+        loop stops once it cannot beat the best found, and the lowest bit of
+        the second pair's passing options is the one of top gain."""
         tests_a, tests_ab = joint[i]
-        # a block of one pair gets the empty diagonal slot as its second
+        # a block of one pair gets one empty option as its second
+        opts_b = options[order[i + 1]] if i + 1 < len(order) else [(0, 0, 0)]
         u, v = order[i]
-        x, y = order[i + 1] if i + 1 < len(order) else (u, u)
-        opts_b = options.get((x, y), [(0, 0, 0)])
-        saved = m[u][v], m[v][u], m[x][y], m[y][x]
-        for f, b, gain in options[u, v]:
+        allowed = allowed_options(i, tests_a)
+        saved = m[u][v], m[v][u]
+        for j, (f, b, gain) in enumerate(options[u, v]):
             if gain + opts_b[0][2] <= floor:
                 break
-            m[u][v], m[v][u] = f, b
-            for _, test, _ in tests_a:
-                if not test():
-                    break
-            else:
-                for fb, bb, gain_b in opts_b:
-                    if gain + gain_b <= floor:
-                        break
-                    m[x][y], m[y][x] = fb, bb
-                    for _, test, _ in tests_ab:
-                        if not test():
-                            break
-                    else:
-                        floor = gain + gain_b
-                        break
-        m[u][v], m[v][u], m[x][y], m[y][x] = saved
+            if allowed >> j & 1:
+                m[u][v], m[v][u] = f, b
+                allowed_b = allowed_options(i + 1, tests_ab) if tests_ab else 1
+                if allowed_b:
+                    top_b = opts_b[(allowed_b & -allowed_b).bit_length() - 1][2]
+                    floor = max(floor, gain + top_b)
+        m[u][v], m[v][u] = saved
         return floor
 
     def block_bounds() -> int:
@@ -964,33 +1036,31 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
         if current + most <= best:
             return
         u, v = key = order[idx]
-        opts, rest = options[key], reach[idx + 1]
+        opts, rest, neg = options[key], reach[idx + 1], neg_gains[idx]
         base = m[u][v], m[v][u]
-        allowed = -1  # bit j: option j passes every rule that fires here
-        for others, test, memo in fire[idx]:
-            masks = 0
-            for x, y in others:
-                masks = masks << 16 | m[x][y] << 8 | m[y][x]
-            passing = memo.get(masks)
-            if passing is None:
-                passing = 0
-                for j, (f, b, _) in enumerate(opts):
-                    m[u][v], m[v][u] = f, b
-                    if test():
-                        passing |= 1 << j
-                memo[masks] = passing
-            allowed &= passing
-        for j, (f, b, gain) in enumerate(opts):
-            if current + gain + rest <= best:
-                break  # options are sorted by decreasing gain
-            nodes += 1
-            if allowed >> j & 1:
-                m[u][v], m[v][u] = f, b
-                rec(idx + 1, current + gain)
-                if current + most <= best:
-                    break  # a block's joint top can sit below its first gain
+        allowed = allowed_options(idx, fire[idx])
+        # only the allowed options are set; `nodes` counts every option a
+        # loop over all of them would try: those before the first whose gain
+        # cannot beat the best, found by bisect as gains decrease
+        tried = 0
+        while True:
+            stop = bisect.bisect_left(neg, current + rest - best, tried)
+            j = (allowed & -allowed).bit_length() - 1
+            if not allowed or j >= stop:
+                nodes += stop - tried
+                break
+            nodes += j + 1 - tried
+            tried = j + 1
+            allowed &= allowed - 1
+            f, b, gain = opts[j]
+            m[u][v], m[v][u] = f, b
+            rec(idx + 1, current + gain)
+            if current + most <= best:
+                break  # a block's joint top can sit below its first gain
         m[u][v], m[v][u] = base
 
     rec(0, 0)
     feasible = best >= 0
-    return EnumerationResult(feasible, best if feasible else None, witness, nodes, free_count)
+    return EnumerationResult(
+        feasible, best if feasible else None, witness, nodes, free_count, rule_tests
+    )

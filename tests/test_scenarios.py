@@ -471,13 +471,44 @@ def test_rules_read_only_the_pairs_they_declare():
             for u, v in itertools.permutations(range(n), 2):
                 colors = [k for k in range(s.colors) if rng.random() < density]
                 list.__setitem__(m[u], v, sum(1 << k for k in colors))
-            for pairs, test in rules:
+            for pairs, test, _ in rules:
                 log.clear()
                 test()
                 declared = {frozenset(pair) for pair in pairs}
                 assert {frozenset(read) for read in log} <= declared, (s.id, pairs, log)
                 reads += len(log)
     assert reads > 10_000
+
+
+def test_separable_rules_split_by_direction():
+    # enumerate_max builds a separable rule's passing options from each
+    # direction of the pair on its own, which is exact only if
+    # test(f, b) == test(f, 0) and test(0, b) for every pair it declares
+    rng = random.Random(20261022)
+    scenarios = _representatives() + [_random_scenario(rng, t) for t in range(40)]
+    checks, failing = 0, 0
+    for s in scenarios:
+        n = len(s.vertices)
+        m = [[0] * n for _ in range(n)]
+        index = {v: i for i, v in enumerate(s.vertices)}
+        rules = [(pairs, test) for pairs, test, separable
+                 in _rules(s, s.constraints + fixture_constraints(s), index, m) if separable]
+        for density in (0.2, 0.5, 0.8, 1.0):
+            for u, v in itertools.permutations(range(n), 2):
+                m[u][v] = sum(1 << k for k in range(s.colors) if rng.random() < density)
+            for pairs, test in rules:
+                for a, b in pairs:
+                    f, back = m[a][b], m[b][a]
+                    whole = test()
+                    m[b][a] = 0
+                    forward = test()
+                    m[a][b], m[b][a] = 0, back
+                    backward = test()
+                    m[a][b] = f
+                    assert whole == (forward and backward), (s.id, pairs, (a, b))
+                    checks += 1
+                    failing += not whole
+    assert checks > 3_000 and failing > 1_000
 
 
 # ---------------------------------------------------------------------------
