@@ -61,6 +61,8 @@ double_pair = Scenario(
         Constraint(kind="pair_edge_cap", value=5),
     ),
 )
+# `nodes` counts the pair options the search sets, and `rule tests` the
+# calls of rule tests it makes to choose them.
 result = enumerate_max(double_pair)
 print()
 print("double pair + connector: max", result.maximum,

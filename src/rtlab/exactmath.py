@@ -84,6 +84,16 @@ def _by_sign(test):
     return compare
 
 
+def _coerced(method):
+    """``method`` on its operand coerced by ``_coerce``, or NotImplemented."""
+
+    def coerced(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else method(self, other)
+
+    return coerced
+
+
 @dataclass(frozen=True)
 class QuadraticRational:
     """The real number a + b*sqrt(7) with rational a and b.
@@ -110,10 +120,8 @@ class QuadraticRational:
         return NotImplemented
 
     # -- ring/field operations ------------------------------------------
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QuadraticRational(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
@@ -121,22 +129,16 @@ class QuadraticRational:
     def __neg__(self) -> "QuadraticRational":
         return QuadraticRational(-self.a, -self.b)
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QuadraticRational(self.a - other.a, self.b - other.b)
 
+    @_coerced
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QuadraticRational(
             self.a * other.a + 7 * self.b * other.b,
             self.a * other.b + self.b * other.a,
@@ -144,10 +146,8 @@ class QuadraticRational:
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         norm = other.a * other.a - 7 * other.b * other.b
         # norm == 0 only for the zero element; Fraction raises on /0
         return QuadraticRational(
@@ -155,10 +155,8 @@ class QuadraticRational:
             (self.b * other.a - self.a * other.b) / norm,
         )
 
+    @_coerced
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __abs__(self) -> "QuadraticRational":
@@ -173,10 +171,8 @@ class QuadraticRational:
         # when its floor is >= 0
         return 1 if self.floor_scaled(1) >= 0 else -1
 
+    @_coerced
     def _cmp(self, other) -> int:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return (self - other).sign()
 
     __eq__ = _by_sign(operator.eq)

@@ -92,24 +92,15 @@ each distinct forward mask of the pair's options with the backward one
 cleared, and each distinct backward mask likewise, and ANDs the two sets of
 options holding a passing mask: for k free slots each way, at most 2^(k+1)
 tests where there were up to 4^k.  Pairs with no objective slot come first.
-Once they are decided, the objective pairs are bounded two at a time, in
-blocks of two consecutive pairs: a block counts the top joint gain of the
-option pairs that pass every rule reading only the block and the decided pairs
-(forward checking in the sense of Haralick and Elliott, 1980, on a block of
-two), read from the same memos.  Options are tried highest objective gain
-first, and a pair's loop stops once its gain plus the bound on the later pairs
-cannot beat the best value found; it visits only the options that pass every
-rule, and ``nodes`` counts the others before that cut-off (found by bisection
-on the gains) as tried, as a loop over every option would.  A block's joint
-top is never above the sum of its pairs' top gains, so the blocks prune only
-subtrees with no better leaf and tighten the plain sum pointwise: the maximum,
-the feasibility and the witness (the first best leaf in search order) are
-those of the plain sum, and no option is tried that the plain sum would skip.
+Options are tried highest objective gain first, and a pair's loop stops once
+its gain plus the top gains of the later pairs cannot beat the best value
+found; it visits only the options that pass every rule, and ``nodes`` counts
+the options it sets.  The bound never cuts off a leaf that beats the best, so
+the witness is the first best leaf in search order.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
@@ -214,12 +205,10 @@ class EnumerationResult:
     """Outcome of ``enumerate_max``: infeasibility is reported distinctly
     from a feasible scenario whose best objective value is 0.
     ``free_slot_count`` is the scenario's count of free slots, those the
-    engine fixes absent included.  ``nodes`` counts only the pair options
-    tried, the unit of ``SearchResult.nodes``: not the option pairs a block
-    bound scans nor the rule tests.  ``rule_tests`` counts the calls of rule
-    tests: the checks of the rules on no undecided pair, the one-pair
-    filters, and the memo builds, those the block bounds ask for included.
-    It is a work counter, in no report."""
+    engine fixes absent included.  ``nodes`` counts the pair options the
+    search sets.  ``rule_tests`` counts the calls of rule tests: the checks
+    of the rules on no undecided pair, the one-pair filters, and the memo
+    builds.  It is a work counter, in no report."""
 
     feasible: bool
     maximum: int | None
@@ -907,18 +896,14 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
     # among the objective pairs; a rule on several pairs fires at the last
     order = sorted(options, key=lambda k: bool(obj[k[0]][k[1]] | obj[k[1]][k[0]]))
     pos = {key: idx for idx, key in enumerate(order)}
-    first = sum(1 for u, v in order if not obj[u][v] | obj[v][u])
-    decided = set(order[:first])
-    # per pair of `order`: its options' negated gains, in increasing order,
-    # and the rows a memo build tests, each a list of settings of the pair's
-    # masks with the options each stands for: for a rule that is not
-    # separable one row of the options, for a separable one a row of the
-    # distinct forward masks and a row of the distinct backward masks, each
-    # with the other direction cleared (module docstring)
-    neg_gains, rows = [], []
+    # per pair of `order`: the rows a memo build tests, each a list of
+    # settings of the pair's masks with the options each stands for: for a
+    # rule that is not separable one row of the options, for a separable one
+    # a row of the distinct forward masks and a row of the distinct backward
+    # masks, each with the other direction cleared (module docstring)
+    rows = []
     for key in order:
         opts = options[key]
-        neg_gains.append([-gain for _, _, gain in opts])
         fwd, bwd = {}, {}
         for j, (f, b, _) in enumerate(opts):
             fwd[f] = fwd.get(f, 0) | 1 << j
@@ -932,32 +917,22 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
     # their masks -> the options of order[idx] that pass, its build rows)
     # per rule whose last pair is order[idx]
     fire: list[list] = [[] for _ in order]
-    # the objective pairs in blocks of two from `first` on, a last one
-    # maybe alone: the rules of the block at i that read only it and the
-    # pairs before `first`, split by whether they read its second pair
-    joint = {i: ([], []) for i in range(first, len(order), 2)}
     for scope, test, separable in multi:
         last = max(pos[key] for key in scope)
-        entry = (tuple(sorted(scope - {order[last]})), test, {}, rows[last][separable])
-        fire[last].append(entry)
-        i = last - (last - first) % 2
-        if last >= first and scope <= decided | set(order[i : i + 2]):
-            joint[i][last > i].append(entry)
+        fire[last].append((tuple(sorted(scope - {order[last]})), test, {}, rows[last][separable]))
     # reach[idx]: what the pairs from idx on can add to the objective at
-    # most, each at its top gain; after `first` block_bounds resets it to
-    # count each block at its joint top (one 0 past the end for a last block
-    # of one pair)
-    reach = [0] * (len(order) + 2)
+    # most, each at its top gain
+    reach = [0] * (len(order) + 1)
     for idx in range(len(order) - 1, -1, -1):
         reach[idx] = reach[idx + 1] + options[order[idx]][0][2]
     nodes, best, witness = 0, -1, None  # best stays -1 until a leaf is reached
 
-    def allowed_options(idx: int, entries) -> int:
-        """The bitmask of the options of order[idx] that pass every rule in
-        ``entries`` with the other pairs as set: bit j for option j."""
+    def allowed_options(idx: int) -> int:
+        """The bitmask of the options of order[idx] that pass every rule
+        firing there with the other pairs as set: bit j for option j."""
         nonlocal rule_tests
         allowed = (1 << len(options[order[idx]])) - 1
-        for others, test, memo, build in entries:
+        for others, test, memo, build in fire[idx]:
             masks = 0
             for x, y in others:
                 masks = masks << 16 | m[x][y] << 8 | m[y][x]
@@ -983,44 +958,6 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
                 break
         return allowed
 
-    def block_top(i: int, floor: int) -> int:
-        """The top joint gain of the block at i, over the option pairs that
-        pass its rules with the pairs before `first` as set, if above
-        ``floor``; else ``floor``.  Options come highest gain first, so the
-        loop stops once it cannot beat the best found, and the lowest bit of
-        the second pair's passing options is the one of top gain."""
-        tests_a, tests_ab = joint[i]
-        # a block of one pair gets one empty option as its second
-        opts_b = options[order[i + 1]] if i + 1 < len(order) else [(0, 0, 0)]
-        u, v = order[i]
-        allowed = allowed_options(i, tests_a)
-        saved = m[u][v], m[v][u]
-        for j, (f, b, gain) in enumerate(options[u, v]):
-            if gain + opts_b[0][2] <= floor:
-                break
-            if allowed >> j & 1:
-                m[u][v], m[v][u] = f, b
-                allowed_b = allowed_options(i + 1, tests_ab) if tests_ab else 1
-                if allowed_b:
-                    top_b = opts_b[(allowed_b & -allowed_b).bit_length() - 1][2]
-                    floor = max(floor, gain + top_b)
-        m[u][v], m[v][u] = saved
-        return floor
-
-    def block_bounds() -> int:
-        """Reset reach after `first` for the pairs before it as now set, and
-        bound what the pairs from `first` on add: -1 when a block has no
-        option pair left, and at most the best found when the first block
-        cannot beat it (its top is sought only above that)."""
-        for i in range(len(order) - 1, first, -1):
-            reach[i] = reach[i + 1] + options[order[i]][0][2]
-            if i in joint:
-                top = block_top(i, -1)
-                if top < 0:
-                    return -1
-                reach[i] = top + reach[i + 2]
-        return block_top(first, best - reach[first + 2]) + reach[first + 2]
-
     def rec(idx: int, current: int) -> None:
         nonlocal nodes, best, witness
         if idx == len(order):
@@ -1031,32 +968,20 @@ def enumerate_max(scenario: Scenario) -> EnumerationResult:
                 for u in range(n) for v in range(n) if m[u][v] >> (color - 1) & 1
             ))
             return
-        # block_bounds leaves reach[first] to the pairs before `first`
-        most = block_bounds() if idx == first else reach[idx]
-        if current + most <= best:
+        if current + reach[idx] <= best:
             return
         u, v = key = order[idx]
-        opts, rest, neg = options[key], reach[idx + 1], neg_gains[idx]
+        opts, rest = options[key], reach[idx + 1]
         base = m[u][v], m[v][u]
-        allowed = allowed_options(idx, fire[idx])
-        # only the allowed options are set; `nodes` counts every option a
-        # loop over all of them would try: those before the first whose gain
-        # cannot beat the best, found by bisect as gains decrease
-        tried = 0
-        while True:
-            stop = bisect.bisect_left(neg, current + rest - best, tried)
-            j = (allowed & -allowed).bit_length() - 1
-            if not allowed or j >= stop:
-                nodes += stop - tried
+        allowed = allowed_options(idx)
+        while allowed:  # the allowed options, highest gain first
+            f, b, gain = opts[(allowed & -allowed).bit_length() - 1]
+            if current + gain + rest <= best:
                 break
-            nodes += j + 1 - tried
-            tried = j + 1
             allowed &= allowed - 1
-            f, b, gain = opts[j]
+            nodes += 1
             m[u][v], m[v][u] = f, b
             rec(idx + 1, current + gain)
-            if current + most <= best:
-                break  # a block's joint top can sit below its first gain
         m[u][v], m[v][u] = base
 
     rec(0, 0)

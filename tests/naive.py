@@ -219,13 +219,60 @@ def _rule_holds(scenario, rule, edges) -> bool:
     raise ValueError(f"unhandled rule kind {kind!r}")
 
 
-def naive_scenario_rules_hold(scenario, edges) -> bool:
-    """Whether a (color, from, to) edge set satisfies every scenario rule,
-    the group fixtures' slot sums included."""
-    from rtlab.localbounds import fixture_constraints
+def naive_slot_states(scenario) -> dict:
+    """Every (color, from, to) slot's state, from the scenario's definition:
+    a typed pair's slots are present in its group's colors and free in the
+    others; a fixed edge has its stated state; every other slot of the
+    objective or of an ``==`` / ``>=`` slot sum is free, and the rest are
+    absent."""
+    colors = range(1, scenario.colors + 1)
+    states = {(c, a, b): "absent" for c in colors for a, b in permutations(scenario.vertices, 2)}
+    obj = scenario.objective
+    for c in obj.colors:
+        for a in obj.side_a:
+            for b in obj.side_b:
+                states[(c, a, b)] = states[(c, b, a)] = "free"
+    for rule in scenario.constraints:
+        if rule.kind == "slot_sum" and rule.op in ("==", ">="):
+            for slot in rule.slots:
+                states[slot] = "free"
+    for color, a, b, state in scenario.fixed_edges:
+        states[(color, a, b)] = state
+    for g in scenario.groups:
+        if g.kind != "R":
+            a, b = g.members
+            for c in colors:
+                states[(c, a, b)] = states[(c, b, a)] = "present" if c in g.colors else "free"
+    return states
 
-    rules = list(scenario.constraints) + list(fixture_constraints(scenario))
-    return all(_rule_holds(scenario, rule, edges) for rule in rules)
+
+def _fixtures_hold(scenario, edges) -> bool:
+    """The edge counts the typed pairs fix outside their own colors: an X
+    pair at most one edge in each other color, a Y pair exactly one in each,
+    a Z pair exactly one in all of them together."""
+    for g in scenario.groups:
+        if g.kind == "R":
+            continue
+        a, b = g.members
+        counts = [
+            ((c, a, b) in edges) + ((c, b, a) in edges)
+            for c in range(1, scenario.colors + 1) if c not in g.colors
+        ]
+        if g.kind == "X" and any(k > 1 for k in counts):
+            return False
+        if g.kind == "Y" and any(k != 1 for k in counts):
+            return False
+        if g.kind == "Z" and sum(counts) != 1:
+            return False
+    return True
+
+
+def naive_scenario_rules_hold(scenario, edges) -> bool:
+    """Whether a (color, from, to) edge set satisfies every scenario rule and
+    the group fixtures' edge counts."""
+    return _fixtures_hold(scenario, edges) and all(
+        _rule_holds(scenario, rule, edges) for rule in scenario.constraints
+    )
 
 
 def naive_scenario_max(scenario):
@@ -234,12 +281,14 @@ def naive_scenario_max(scenario):
     Returns (feasible, maximum) where maximum is None when no completion
     satisfies the rules.
     """
-    from rtlab.localbounds import objective_slots, scenario_slot_states
-
-    states = scenario_slot_states(scenario)
+    states = naive_slot_states(scenario)
     free = sorted(s for s, st in states.items() if st == "free")
     present = frozenset(s for s, st in states.items() if st == "present")
-    goal = set(objective_slots(scenario))
+    obj = scenario.objective
+    goal = {
+        (c, *end) for c in obj.colors for a in obj.side_a for b in obj.side_b
+        for end in ((a, b), (b, a))
+    }
     best = None
     for bits in range(1 << len(free)):
         edges = set(present)

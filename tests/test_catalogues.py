@@ -192,63 +192,64 @@ def test_catalogues_graded_together_share_orbits(graded_catalogue):
 # in verify-all's order; frozen from the plain per-pair bound of
 # enumerate_max, which a tighter bound must reproduce exactly
 REPRESENTATIVE_RESULTS_SHA256 = "9890afc44b78b9219258f8a54c8a667dfe6ec5c97f0f902f1e8bfe17fc7dbc09"
-# nodes of each representative under the block bound with non-objective
-# slots that only deletion-closed rules read fixed absent: a tighter bound
-# or a further such cut may only prune more, so these are ceilings
-REPRESENTATIVE_NODE_CEILINGS = {
-    "table:X12-X12": 449,
-    "table:X12-X13": 26_384,
-    "table:X12-Y1": 95_684,
-    "table:X12-Y3": 70_425,
-    "table:X12-Z1": 15_761,
-    "table:X12-Z3": 161_017,
-    "table:X12-R": 44,
-    "table:Y1-Y1": 28_428,
-    "table:Y1-Y2": 97_021,
-    "table:Y1-Z1": 63_426,
-    "table:Y1-Z2": 205_740,
-    "table:Y1-R": 198,
+# nodes (options set) of each representative under the plain per-pair
+# bound, with non-objective slots that only deletion-closed rules read fixed
+# absent; a tighter bound or a further such cut would set fewer options, and
+# must re-pin these with its reason
+REPRESENTATIVE_NODES = {
+    "table:X12-X12": 85,
+    "table:X12-X13": 2_202,
+    "table:X12-Y1": 11_319,
+    "table:X12-Y3": 8_964,
+    "table:X12-Z1": 2_994,
+    "table:X12-Z3": 11_991,
+    "table:X12-R": 42,
+    "table:Y1-Y1": 2_020,
+    "table:Y1-Y2": 6_703,
+    "table:Y1-Z1": 3_558,
+    "table:Y1-Z2": 11_022,
+    "table:Y1-R": 54,
     "table:Z1-Z1": 6,
     "table:Z1-Z2": 6,
     "table:Z1-R": 3,
     "table:R-R": 1,
     "eq1:01-xx": 4,
-    "eq1:02-xy": 24,
-    "eq1:03-xz": 75,
-    "eq1:04-yy": 537,
-    "eq1:05-yz": 8,
+    "eq1:02-xy": 310,
+    "eq1:03-xz": 59,
+    "eq1:04-yy": 135,
+    "eq1:05-yz": 6,
     "eq1:06-zz": 6,
-    "eq1:07-other": 34,
-    "eq1:08-xr": 3,
-    "eq1:09-yr": 4,
-    "eq1:10-zr": 10,
-    "eq1:11-other-r": 17,
+    "eq1:07-other": 817,
+    "eq1:08-xr": 2,
+    "eq1:09-yr": 3,
+    "eq1:10-zr": 21,
+    "eq1:11-other-r": 16,
     "eq1:12-rr": 1,
-    "double-double:adjacent-colors:c4": 17,
-    "double-double:adjacent-colors-wrap:c5": 17,
-    "heavy-fan:third-pair:c4": 1_537,
-    "full-pair:two-colors:c3": 17,
-    "double-pair:other-colors:c3": 17,
-    "single-edge:other-colors:c3": 8,
-    "two-doubles:touched-both:c4": 23_903,
-    "one-double:shared-link:c4": 11_510,
-    "one-double:no-shared-link:c4": 154,
-    "thick-path:fan:c3": 839,
-    "thick-path:fan:c4": 199_231,
-    "thick-pair:no-path:c3": 116,
-    "thick-pair:no-path:c4": 1_338,
+    "double-double:adjacent-colors:c4": 16,
+    "double-double:adjacent-colors-wrap:c5": 16,
+    "heavy-fan:third-pair:c4": 815,
+    "full-pair:two-colors:c3": 16,
+    "double-pair:other-colors:c3": 16,
+    "single-edge:other-colors:c3": 6,
+    "two-doubles:touched-both:c4": 256,
+    "one-double:shared-link:c4": 134,
+    "one-double:no-shared-link:c4": 153,
+    "thick-path:fan:c3": 57,
+    "thick-path:fan:c4": 4_556,
+    "thick-pair:no-path:c3": 168,
+    "thick-pair:no-path:c4": 3_352,
 }
 # rule-test calls over the 41 representatives, a ceiling well below the
 # 837,503 they made when every memo was built by testing each option once
-# and the block bounds scanned the second pair option by option
+# and a bound on two pairs at a time scanned the second pair option by option
 REPRESENTATIVE_RULE_TESTS_CEILING = 400_000
 
 
-def test_representatives_keep_their_results_under_their_node_ceilings():
+def test_representatives_keep_their_results_and_node_counts():
     firsts = {}
     for s in (s for which in CATALOGUE_IDS for s in load_catalogue(which)):
         firsts.setdefault(canonical_key(s), s)
-    assert [s.id for s in firsts.values()] == list(REPRESENTATIVE_NODE_CEILINGS)
+    assert [s.id for s in firsts.values()] == list(REPRESENTATIVE_NODES)
     rows, nodes, rule_tests = [], {}, 0
     for s in firsts.values():
         r = enumerate_max(s)
@@ -258,8 +259,7 @@ def test_representatives_keep_their_results_under_their_node_ceilings():
         rule_tests += r.rule_tests
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == REPRESENTATIVE_RESULTS_SHA256
-    over = {sid: n for sid, n in nodes.items() if n > REPRESENTATIVE_NODE_CEILINGS[sid]}
-    assert not over
+    assert nodes == REPRESENTATIVE_NODES
     assert 0 < rule_tests <= REPRESENTATIVE_RULE_TESTS_CEILING
 
 

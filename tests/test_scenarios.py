@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from naive import _rule_holds, naive_scenario_max, naive_scenario_rules_hold
+from naive import _rule_holds, naive_scenario_max, naive_scenario_rules_hold, naive_slot_states
 from rtlab.graphs import GraphInputError
 from rtlab.localbounds import (
     CATALOGUE_IDS,
@@ -77,6 +77,19 @@ def test_lone_pair_two_colors_no_rules():
     r = enumerate_max(s)
     assert r.feasible and r.maximum == 4  # two colors, both directions
     assert r.free_slot_count == 4
+    assert r.nodes == 1  # the first option, of gain 4, is a best leaf
+
+
+def test_nodes_count_the_options_set():
+    # u joins v and w in colors 1 and 2, and no color may be on both pairs.
+    # {u, v} sets its options of gain 4, 3, 2 and 1 (1 + 4 + 6 + 4) before
+    # gain 0 cannot beat the best of 4; {u, w} sets one option, the empty
+    # one of the first leaf: the others on {u, w} are filtered by the rule,
+    # or fall at the cut-off of their gain
+    link = Constraint("no_shared_color_link", vertex="u", pair=("v", "w"), colors=(1, 2))
+    s = make(obj_colors=(1, 2), side_a=("u",), side_b=("v", "w"), constraints=(link,))
+    r = enumerate_max(s)
+    assert (r.feasible, r.maximum, r.nodes) == (True, 4, 16)
 
 
 def test_r_pair_top_two_color_rule():
@@ -287,6 +300,14 @@ def _cleared_slots(s: Scenario) -> set:
     return {slot for slot, st in scenario_slot_states(s).items() if st == "free"} - read
 
 
+def test_slot_states_agree_with_the_oracle():
+    rng = random.Random(20261022)
+    scenarios = [s for which in CATALOGUE_IDS for s in load_catalogue(which)]
+    scenarios += [_random_scenario(rng, tag) for tag in range(40)]
+    for s in scenarios:
+        assert scenario_slot_states(s) == naive_slot_states(s), s.id
+
+
 def test_engine_agrees_with_naive_on_random_scenarios():
     rng = random.Random(20260817)
     seen, cleared = set(), 0
@@ -390,11 +411,11 @@ def test_rules_survive_edge_deletion_but_required_sums():
 
 
 # two random scenarios (test_engine_agrees_with_naive_on_random_scenarios's
-# generator, seeds 70 and 112) whose objective blocks' joint tops depend on
-# how the pairs before them are set: a bound kept from an earlier setting
-# of those pairs cuts off their maxima, 7 and 5 by naive_scenario_max (the
-# bounds below; about 4 s to recompute)
-PREFIX_DEPENDENT_BLOCKS = """[
+# generator, seeds 70 and 112) where what the later objective pairs can
+# still add depends on how the pairs before them are set: a bound kept from
+# an earlier setting of those pairs cuts off their maxima, 7 and 5 by
+# naive_scenario_max (the bounds below; about 4 s to recompute)
+PREFIX_DEPENDENT_BOUNDS = """[
   {"id": "rand2", "colors": 3, "vertices": ["p", "q", "r", "s"],
    "groups": [{"kind": "Y", "colors": [3], "members": ["r", "s"]},
               {"kind": "R", "colors": [], "members": ["p"]}],
@@ -420,8 +441,8 @@ PREFIX_DEPENDENT_BLOCKS = """[
 ]"""
 
 
-def test_block_bounds_follow_the_pairs_before_them():
-    for s in loads_scenarios(PREFIX_DEPENDENT_BLOCKS):
+def test_bounds_follow_the_pairs_before_them():
+    for s in loads_scenarios(PREFIX_DEPENDENT_BOUNDS):
         r = enumerate_max(s)
         assert (r.feasible, r.maximum) == (True, s.bound), s.id
         _check_witness(s, r)
